@@ -1,6 +1,6 @@
 """Degenerate cascade laser with an intracavity parametric amplifier.
 
-Three independently implemented engines over one parameter algebra:
+Four independently implemented engines over one parameter algebra:
 
 - `analytic`: every closed-form result (variances, spectra, transients,
   Q function, photon statistics),

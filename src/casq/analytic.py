@@ -30,7 +30,13 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import InvalidParameterError, NotStableError, QFunctionUndefinedError
-from .params import Coefficients, SystemParams, coefficients, threshold_tolerance
+from .params import (
+    Coefficients,
+    SystemParams,
+    _coefficients,
+    coefficients,
+    threshold_tolerance,
+)
 
 __all__ = [
     "QuadratureVariances",
@@ -151,12 +157,9 @@ def variance_threshold(p: SystemParams) -> QuadratureVariances:
 
     plus diverges; minus = (2 kappa B + 3 A beta^2) / (4 kappa B + 6 A beta).
     """
-    beta = p.beta
-    b = (1.0 + beta**2) * (1.0 + beta**2 / 4.0)
-    minus = (2.0 * p.kappa * b + 3.0 * p.a * beta**2) / (
-        4.0 * p.kappa * b + 6.0 * p.a * beta
+    return QuadratureVariances(
+        plus=math.inf, minus=float(threshold_minus_curve(p.a, p.kappa, p.beta))
     )
-    return QuadratureVariances(plus=math.inf, minus=minus)
 
 
 def variance_no_crystal(p: SystemParams) -> QuadratureVariances:
@@ -167,7 +170,7 @@ def variance_no_crystal(p: SystemParams) -> QuadratureVariances:
     itself unstable there and NotStableError is raised.
     """
     beta = p.beta
-    b = (1.0 + beta**2) * (1.0 + beta**2 / 4.0)
+    b = coefficients(p).b
     two_kb = 2.0 * p.kappa * b
     den_plus = two_kb + p.a * (2.0 * beta - beta**3)
     if den_plus <= 0:
@@ -176,22 +179,21 @@ def variance_no_crystal(p: SystemParams) -> QuadratureVariances:
             lambda_minus=den_plus / (4.0 * b),
         )
     plus = (two_kb + p.a * (4.0 + beta**2)) / den_plus
-    minus = (two_kb + 3.0 * p.a * beta**2) / (two_kb + p.a * (4.0 * beta + beta**3))
+    minus = float(no_crystal_minus_curve(p.a, p.kappa, beta))
     return QuadratureVariances(plus=plus, minus=minus)
 
 
 def threshold_minus_curve(a: float, kappa: float, betas) -> np.ndarray:
     """Vectorized at-threshold squeezed variance over a beta grid."""
     beta = np.asarray(betas, dtype=float)
-    b = (1.0 + beta**2) * (1.0 + beta**2 / 4.0)
+    b = _coefficients(a, kappa, beta, 0.0)[0].b
     return (2.0 * kappa * b + 3.0 * a * beta**2) / (4.0 * kappa * b + 6.0 * a * beta)
 
 
 def no_crystal_minus_curve(a: float, kappa: float, betas) -> np.ndarray:
     """Vectorized epsilon = 0 squeezed variance over a beta grid."""
     beta = np.asarray(betas, dtype=float)
-    b = (1.0 + beta**2) * (1.0 + beta**2 / 4.0)
-    two_kb = 2.0 * kappa * b
+    two_kb = 2.0 * kappa * _coefficients(a, kappa, beta, 0.0)[0].b
     return (two_kb + 3.0 * a * beta**2) / (two_kb + a * (4.0 * beta + beta**3))
 
 
@@ -209,17 +211,12 @@ def minimize_minus_variance(
     """
     if a < 0 or kappa <= 0:
         raise InvalidParameterError(f"need a >= 0 and kappa > 0, got a={a}, kappa={kappa}")
-    if mode == "threshold":
-        def f(beta):
-            b = (1.0 + beta**2) * (1.0 + beta**2 / 4.0)
-            return (2.0 * kappa * b + 3.0 * a * beta**2) / (4.0 * kappa * b + 6.0 * a * beta)
-    elif mode == "no_crystal":
-        def f(beta):
-            b = (1.0 + beta**2) * (1.0 + beta**2 / 4.0)
-            two_kb = 2.0 * kappa * b
-            return (two_kb + 3.0 * a * beta**2) / (two_kb + a * (4.0 * beta + beta**3))
-    else:
+    curves = {"threshold": threshold_minus_curve, "no_crystal": no_crystal_minus_curve}
+    if mode not in curves:
         raise InvalidParameterError(f"mode must be 'threshold' or 'no_crystal', got {mode!r}")
+
+    def f(beta):
+        return curves[mode](a, kappa, beta)
 
     grid = np.arange(0.0, 2.0 + 5e-5, 1e-4)
     vals = f(grid)
@@ -261,30 +258,31 @@ def spectrum(p: SystemParams, omega_grid) -> SpectrumCurve:
     spectrum does not exist and NotStableError is raised.
     """
     omega = np.atleast_1d(np.asarray(omega_grid, dtype=float))
-    c = coefficients(p)
-    tol = threshold_tolerance(p)
-    if c.lambda_minus < -tol:
-        raise NotStableError(
-            f"above threshold: lambda_minus = {c.lambda_minus:.6g} < 0",
-            lambda_minus=c.lambda_minus,
-        )
-    if c.lambda_minus <= tol:
-        return _spectrum_threshold(p, omega)
-    s_plus = 1.0 + 2.0 * p.kappa * c.diffusion_plus / (c.lambda_minus**2 + omega**2)
-    s_minus = 1.0 - 2.0 * p.kappa * c.diffusion_minus / (c.lambda_plus**2 + omega**2)
-    return SpectrumCurve(omega=omega, s_plus=s_plus, s_minus=s_minus)
-
-
-def _spectrum_threshold(p: SystemParams, omega: np.ndarray) -> SpectrumCurve:
-    beta, a, kappa = p.beta, p.a, p.kappa
-    b = (1.0 + beta**2) * (1.0 + beta**2 / 4.0)
-    two_b = 2.0 * b
-    with np.errstate(divide="ignore"):
-        s_plus = 1.0 + kappa * (kappa + a * (4.0 + beta**2) / two_b) / omega**2
-    s_minus = 1.0 - kappa * (kappa + a * beta * (3.0 - 1.5 * beta) / b) / (
-        (kappa + 3.0 * a * beta / two_b) ** 2 + omega**2
+    s_plus, s_minus = _spectra(
+        coefficients(p), p.a, p.kappa, p.beta, omega, threshold_tolerance(p)
     )
     return SpectrumCurve(omega=omega, s_plus=s_plus, s_minus=s_minus)
+
+
+def _spectra(c: Coefficients, a, kappa, beta, omega, tol):
+    """(S_plus, S_minus) at coefficients c of (a, kappa, beta); any argument may be an array.
+
+    Points with lambda_minus within tol of zero take the threshold forms.
+    """
+    lam = c.lambda_minus
+    if np.any(lam < -tol):
+        low = np.min(lam)
+        raise NotStableError(f"above threshold: lambda_minus = {low:.6g} < 0", lambda_minus=low)
+    two_b = 2.0 * c.b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        below_plus = 1.0 + 2.0 * kappa * c.diffusion_plus / (lam**2 + omega**2)
+        at_plus = 1.0 + kappa * (kappa + a * (4.0 + beta**2) / two_b) / omega**2
+    below_minus = 1.0 - 2.0 * kappa * c.diffusion_minus / (c.lambda_plus**2 + omega**2)
+    at_minus = 1.0 - kappa * (kappa + a * beta * (3.0 - 1.5 * beta) / c.b) / (
+        (kappa + 3.0 * a * beta / two_b) ** 2 + omega**2
+    )
+    at = lam <= tol
+    return np.where(at, at_plus, below_plus), np.where(at, at_minus, below_minus)
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +337,14 @@ def steady_record(p: SystemParams) -> GaussianRecord:
             f"no steady state: lambda_minus = {c.lambda_minus:.6g}",
             lambda_minus=c.lambda_minus,
         )
+    return _record_from_moments(math.inf, *_steady_moments(c))
+
+
+def _steady_moments(c: Coefficients):
+    """Steady (<alpha^2>, <alpha* alpha>); c may hold arrays, all below threshold."""
     w_minus = c.diffusion_plus / (4.0 * c.lambda_minus)
     w_plus = c.diffusion_minus / (4.0 * c.lambda_plus)
-    return _record_from_moments(math.inf, w_minus + w_plus, w_minus - w_plus)
+    return w_minus + w_plus, w_minus - w_plus
 
 
 def mean_photon_number(p: SystemParams, t: float) -> float:

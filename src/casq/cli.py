@@ -30,7 +30,7 @@ from .errors import (
     TrajectoryBlowupError,
     TruncationError,
 )
-from .params import SystemParams, coefficients, threshold_epsilon, threshold_tolerance
+from .params import SystemParams, _coefficients, coefficients, threshold_tolerance
 
 OUT_DIR_ENV = "CASQ_OUT_DIR"
 
@@ -42,6 +42,8 @@ EXIT_IO = 5
 
 
 def _fmt(value) -> str:
+    if isinstance(value, str):
+        return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return f"{float(value):.12g}"
@@ -144,6 +146,46 @@ def _make_params(a, kappa, beta, epsilon, epsilon_rel) -> SystemParams:
     return p
 
 
+def _grid_coefficients(a, kappa, betas, epsilon=None, epsilon_rel=None):
+    """Coefficients, threshold drives and threshold tolerance over an ascending beta grid.
+
+    The knobs are validated as _make_params validates one point: at both ends
+    of the grid, which bound every beta, and for a relative drive at every point.
+    """
+    _make_params(a, kappa, float(betas[-1]), epsilon, epsilon_rel)
+    p = _make_params(a, kappa, float(betas[0]), epsilon, epsilon_rel)
+    c, eps_th = _coefficients(a, kappa, betas, 0.0 if epsilon is None else epsilon)
+    if epsilon_rel is not None:
+        if np.any(eps_th <= 0):
+            raise InvalidParameterError(
+                f"threshold drive is {eps_th.min():.6g} <= 0 at beta={betas[np.argmin(eps_th)]}; "
+                "no nonnegative epsilon reaches it"
+            )
+        c = _coefficients(a, kappa, betas, epsilon_rel * eps_th)[0]
+    return c, eps_th, threshold_tolerance(p)
+
+
+def _stable_points(n, betas, keep, reason):
+    """betas[keep] of figure n; reports the clipped points and raises NotStableError if none is kept."""
+    skipped = betas[~keep]
+    if skipped.size:
+        print(f"clipped {skipped.size} figure-{n} points {reason} "
+              f"(beta in [{skipped.min():g}, {skipped.max():g}])", file=sys.stderr)
+    if not keep.any():
+        raise NotStableError(f"figure {n}: no stable sweep points")
+    return betas[keep]
+
+
+def _mc_times(p: SystemParams, dt, t_end):
+    """Monte Carlo step and end time: the given values, else defaults from the decay rates."""
+    c = coefficients(p)
+    if dt is None:
+        dt = 0.01 / max(c.lambda_plus, abs(c.lambda_minus), p.kappa, 1.0)
+    if t_end is None:
+        t_end = 10.0 / c.lambda_minus
+    return dt, t_end
+
+
 def _add_system_args(sub, beta_range=False):
     sub.add_argument("--a", type=float, default=100.0, help="linear gain coefficient A")
     sub.add_argument("--kappa", type=float, default=0.8, help="cavity damping constant")
@@ -184,11 +226,7 @@ def _point_variances(task):
         obs = fock.observables(rho)
         return beta, epsilon, obs.var_plus, obs.var_minus, obs.mean_n
     if engine == "mc":
-        c = coefficients(p)
-        if dt is None:
-            dt = 0.01 / max(c.lambda_plus, abs(c.lambda_minus), kappa, 1.0)
-        if t_end is None:
-            t_end = 10.0 / c.lambda_minus
+        dt, t_end = _mc_times(p, dt, t_end)
         series = montecarlo.run(p, n_traj, t_end, dt, seed, sample_times=[t_end])
         return (
             beta,
@@ -237,14 +275,8 @@ def _sweep_command(args):
 
 def _cmd_coeffs(args) -> int:
     betas = _parse_range(args.beta)
-    epsilon = args.epsilon if args.epsilon is not None else 0.0
-    rows = []
-    for beta in betas:
-        p = SystemParams(a=args.a, kappa=args.kappa, beta=float(beta), epsilon=epsilon)
-        c = coefficients(p)
-        rows.append(
-            (beta, c.r, c.s, c.u, c.v, c.b, c.lambda_minus, c.lambda_plus, threshold_epsilon(p))
-        )
+    c, eps_th, _ = _grid_coefficients(args.a, args.kappa, betas, args.epsilon, args.epsilon_rel)
+    rows = zip(betas, c.r, c.s, c.u, c.v, c.b, c.lambda_minus, c.lambda_plus, eps_th)
     path = _out_path(args, "coeffs.csv")
     header = ["beta", "R", "S", "U", "V", "B", "lambda_minus", "lambda_plus", "epsilon_threshold"]
     _write_csv(path, header, rows)
@@ -331,6 +363,8 @@ def _cmd_pnd(args) -> int:
 
 
 def _figure_grid(step=1e-3):
+    if not step > 0:
+        raise InvalidParameterError(f"--beta-step must be > 0, got {step}")
     return np.arange(0.0, 2.0 + step / 2.0, step)
 
 
@@ -362,59 +396,34 @@ def _cmd_figure(args) -> int:
     elif n == 4:
         a = a_list[0] if a_list else 25.0
         betas = _figure_grid(args.beta_step)
-        dotted, solid, kept, skipped = [], [], [], []
-        for beta in betas:
-            p0 = SystemParams(a=a, kappa=kappa, beta=float(beta), epsilon=0.0)
-            if threshold_epsilon(p0) <= 0 or coefficients(p0).lambda_minus <= threshold_tolerance(p0):
-                skipped.append(float(beta))
-                continue
-            kept.append(beta)
-            dotted.append(float(analytic.spectrum(p0, [args.omega]).s_minus[0]))
-            p_th = p0.with_relative_drive(1.0)
-            solid.append(float(analytic.spectrum(p_th, [args.omega]).s_minus[0]))
-        if skipped:
-            print(
-                f"clipped {len(skipped)} figure-4 points outside the stable region "
-                f"(beta in [{min(skipped):g}, {max(skipped):g}])",
-                file=sys.stderr,
-            )
-        if not kept:
-            raise NotStableError("figure 4: no stable sweep points")
+        c, eps_th, tol = _grid_coefficients(a, kappa, betas)
+        betas = _stable_points(4, betas, (eps_th > 0) & (c.lambda_minus > tol),
+                               "outside the stable region")
+        dotted = analytic._spectra(_grid_coefficients(a, kappa, betas)[0],
+                                   a, kappa, betas, args.omega, tol)[1]
+        solid = analytic._spectra(_grid_coefficients(a, kappa, betas, epsilon_rel=1.0)[0],
+                                  a, kappa, betas, args.omega, tol)[1]
         _write_csv(path, ["beta", "s_minus_no_crystal", "s_minus_threshold"],
-                   zip(kept, dotted, solid))
-        betas, series = np.array(kept), [("no crystal", dotted), ("threshold", solid)]
+                   zip(betas, dotted, solid))
+        series = [("no crystal", dotted), ("threshold", solid)]
         title, xlabel, ylabel = f"squeezing spectrum at omega={args.omega:g}", "beta", "S_-"
     elif n == 5:
         a = a_list[0] if a_list else 25.0
-        eps = args.epsilon if args.epsilon else 0.3
+        eps = 0.3 if args.epsilon is None else args.epsilon
         betas = _figure_grid(args.beta_step)
-        off, on, kept, skipped = [], [], [], []
-        for beta in betas:
-            p_on = SystemParams(a=a, kappa=kappa, beta=float(beta), epsilon=eps)
-            p_off = p_on.with_epsilon(0.0)
-            tol = threshold_tolerance(p_on)
-            if (coefficients(p_on).lambda_minus <= tol
-                    or coefficients(p_off).lambda_minus <= tol):
-                skipped.append(float(beta))
-                continue
-            kept.append(beta)
-            off.append(analytic.steady_record(p_off).n_cl)
-            on.append(analytic.steady_record(p_on).n_cl)
-        if skipped:
-            print(
-                f"clipped {len(skipped)} figure-5 points at or above threshold "
-                f"(beta in [{min(skipped):g}, {max(skipped):g}])",
-                file=sys.stderr,
-            )
-        if not kept:
-            raise NotStableError("figure 5: no stable sweep points")
-        _write_csv(path, ["beta", "mean_n_no_crystal", "mean_n_pa"], zip(kept, off, on))
-        betas, series = np.array(kept), [("epsilon=0", off), (f"epsilon={eps:g}", on)]
+        c_on, _, tol = _grid_coefficients(a, kappa, betas, eps)
+        c_off = _grid_coefficients(a, kappa, betas)[0]
+        betas = _stable_points(5, betas, (c_on.lambda_minus > tol) & (c_off.lambda_minus > tol),
+                               "at or above threshold")
+        off = analytic._steady_moments(_grid_coefficients(a, kappa, betas)[0])[1]
+        on = analytic._steady_moments(_grid_coefficients(a, kappa, betas, eps)[0])[1]
+        _write_csv(path, ["beta", "mean_n_no_crystal", "mean_n_pa"], zip(betas, off, on))
+        series = [("epsilon=0", off), (f"epsilon={eps:g}", on)]
         title, xlabel, ylabel = "steady-state mean photon number", "beta", "<n>"
     else:  # n == 6
         a = a_list[0] if a_list else 100.0
         beta = args.beta if args.beta is not None else 0.067
-        eps = args.epsilon if args.epsilon else 0.3
+        eps = 0.3 if args.epsilon is None else args.epsilon
         n_max = args.n_max
         p_on = SystemParams(a=a, kappa=kappa, beta=beta, epsilon=eps)
         p_off = p_on.with_epsilon(0.0)
@@ -483,10 +492,7 @@ def verify_point(
                  "PASS" if okP else "FAIL"))
     ok &= okP
 
-    if dt is None:
-        dt = 0.01 / max(c.lambda_plus, abs(c.lambda_minus), p.kappa, 1.0)
-    if t_end is None:
-        t_end = 10.0 / c.lambda_minus
+    dt, t_end = _mc_times(p, dt, t_end)
     series = montecarlo.run(p, n_traj, t_end, dt, seed, sample_times=[t_end])
     ok &= check("mc <a+^2> vs analytic", s_plus, float(np.real(series.plus_sq[-1])),
                 sigma * float(series.plus_sq_se[-1]))
@@ -519,9 +525,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_mc(args) -> int:
     p = _make_params(args.a, args.kappa, args.beta, args.epsilon, args.epsilon_rel)
-    c = coefficients(p)
-    dt = args.dt or 0.01 / max(c.lambda_plus, abs(c.lambda_minus), p.kappa, 1.0)
-    t_end = args.t_end or 10.0 / c.lambda_minus
+    dt, t_end = _mc_times(p, args.dt, args.t_end)
     series = montecarlo.run(p, args.n_traj, t_end, dt, args.seed)
     rows = [
         (

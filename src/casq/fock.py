@@ -82,9 +82,6 @@ class DensityMatrix:
                 f"data shape {self.data.shape} does not match dim {self.dim}"
             )
 
-    def hermitize(self) -> None:
-        self.data = 0.5 * (self.data + self.data.conj().T)
-
 
 @dataclass(frozen=True)
 class OracleObservables:

@@ -52,8 +52,11 @@ __all__ = [
 ]
 
 BLOWUP_LIMIT = 1e6
-_CHUNK = 4096
-_BLOCK = 512
+# trajectories integrated together; two_time_correlation keeps each
+# trajectory's whole record, so it works in half the chunk
+_RUN_CHUNK = 4096
+_CORR_CHUNK = 2048
+_BLOCK = 512  # steps of normals drawn per generator call
 
 
 @dataclass(frozen=True)
@@ -103,6 +106,13 @@ class TrajectoryEnsemble:
         )
 
 
+def _check_step_size(c: Coefficients, dt: float) -> None:
+    if dt * max(c.lambda_plus, abs(c.lambda_minus)) >= 0.05:
+        raise InvalidParameterError(
+            f"dt = {dt:.3e} too large: need dt * max(lambda) < 0.05"
+        )
+
+
 def _em_update(alpha, alpha_dag, decay, coupling, amp_plus, amp_minus, xi1, xi2, dt, sdt):
     """One Euler-Maruyama step; returns the new (alpha, alpha_dag)."""
     new_alpha = alpha + dt * (-decay * alpha + coupling * alpha_dag) + sdt * (
@@ -125,10 +135,7 @@ def step(
 
     Passing zeros for xi1/xi2 gives the deterministic drift alone.
     """
-    if ens.dt * max(coeffs.lambda_plus, abs(coeffs.lambda_minus)) >= 0.05:
-        raise InvalidParameterError(
-            f"dt = {ens.dt:.3e} too large: need dt * max(lambda) < 0.05"
-        )
+    _check_step_size(coeffs, ens.dt)
     amp_p, amp_m = noise.amp_plus, noise.amp_minus
     if noise.is_real and not np.iscomplexobj(ens.alpha):
         amp_p, amp_m = amp_p.real, amp_m.real
@@ -176,10 +183,6 @@ class MomentSeries:
     seed: int
 
 
-def _make_generators(children) -> list:
-    return [np.random.Generator(np.random.Philox(c)) for c in children]
-
-
 _STATS = 6  # alpha, alpha_dag, alpha^2, alpha_dag*alpha, (dag+a)^2, (dag-a)^2
 
 
@@ -196,6 +199,56 @@ def _noise_setup(c: Coefficients):
     return complex, noise.amp_plus, noise.amp_minus
 
 
+def _paths(p: SystemParams, n_traj: int, dt: float, n_steps: int, seed: int,
+           chunk_size: int, record_steps):
+    """Euler-Maruyama paths of n_traj vacuum-start trajectories, chunk by chunk.
+
+    Yields (lo, hi, step, alpha, alpha_dag) for trajectories lo..hi-1 at each
+    step in `record_steps` (step 0 is the vacuum start), chunks in index
+    order.  Each trajectory draws its normals from its own Philox stream,
+    spawned from (seed, trajectory index), _BLOCK steps at a time; after every
+    block a magnitude above BLOWUP_LIMIT raises TrajectoryBlowupError.
+    """
+    c = coefficients(p)
+    _check_step_size(c, dt)
+    dtype, amp_p, amp_m = _noise_setup(c)
+    decay, coupling = c.decay, c.coupling
+    sdt = math.sqrt(dt)
+    children = np.random.SeedSequence(seed).spawn(n_traj)
+
+    for lo in range(0, n_traj, chunk_size):
+        hi = min(lo + chunk_size, n_traj)
+        gens = [np.random.Generator(np.random.Philox(child)) for child in children[lo:hi]]
+        alpha = np.zeros(hi - lo, dtype=dtype)
+        alpha_dag = np.zeros(hi - lo, dtype=dtype)
+        if 0 in record_steps:
+            yield lo, hi, 0, alpha, alpha_dag
+
+        done = 0
+        buf = np.empty((hi - lo, _BLOCK, 2))
+        while done < n_steps:
+            todo = min(_BLOCK, n_steps - done)
+            for k, g in enumerate(gens):
+                buf[k, :todo] = g.standard_normal((todo, 2))
+            for j in range(todo):
+                alpha, alpha_dag = _em_update(
+                    alpha, alpha_dag, decay, coupling, amp_p, amp_m,
+                    buf[:, j, 0], buf[:, j, 1], dt, sdt,
+                )
+                if done + j + 1 in record_steps:
+                    yield lo, hi, done + j + 1, alpha, alpha_dag
+            done += todo
+            peak = max(
+                float(np.abs(alpha).max(initial=0.0)),
+                float(np.abs(alpha_dag).max(initial=0.0)),
+            )
+            if peak > BLOWUP_LIMIT:
+                raise TrajectoryBlowupError(
+                    f"trajectory magnitude {peak:.3e} exceeded {BLOWUP_LIMIT:.1e} "
+                    f"at step {done} (params {p})"
+                )
+
+
 def run(
     p: SystemParams,
     n_traj: int,
@@ -203,8 +256,6 @@ def run(
     dt: float,
     seed: int,
     sample_times=None,
-    chunk_size: int = _CHUNK,
-    block_steps: int = _BLOCK,
 ) -> MomentSeries:
     """Integrate n_traj vacuum-start trajectories and record ensemble moments.
 
@@ -220,10 +271,6 @@ def run(
         )
     if dt <= 0 or t_end <= 0 or n_traj < 2:
         raise InvalidParameterError("need dt > 0, t_end > 0, n_traj >= 2")
-    if dt * max(c.lambda_plus, abs(c.lambda_minus)) >= 0.05:
-        raise InvalidParameterError(
-            f"dt = {dt:.3e} too large: need dt * max(lambda) < 0.05"
-        )
 
     n_steps = max(int(round(t_end / dt)), 1)
     if sample_times is None:
@@ -232,55 +279,14 @@ def run(
     sample_index = {s: i for i, s in enumerate(sample_steps)}
     n_samples = len(sample_steps)
 
-    dtype, amp_p, amp_m = _noise_setup(c)
-    decay, coupling = c.decay, c.coupling
-    sdt = math.sqrt(dt)
-
     sums = np.zeros((n_samples, _STATS), dtype=complex)
     sums_abs2 = np.zeros((n_samples, _STATS))
-    children = np.random.SeedSequence(seed).spawn(n_traj)
-
-    for lo in range(0, n_traj, chunk_size):
-        hi = min(lo + chunk_size, n_traj)
-        gens = _make_generators(children[lo:hi])
-        width = hi - lo
-        alpha = np.zeros(width, dtype=dtype)
-        alpha_dag = np.zeros(width, dtype=dtype)
-
-        def record(state_step):
-            i = sample_index[state_step]
-            for j, row in enumerate(_stat_rows(alpha, alpha_dag)):
-                sums[i, j] += row.sum()
-                mags = np.abs(row)
-                sums_abs2[i, j] += float(mags @ mags)
-
-        if 0 in sample_index:
-            record(0)
-
-        done = 0
-        buf = np.empty((width, block_steps, 2))
-        while done < n_steps:
-            todo = min(block_steps, n_steps - done)
-            for k, g in enumerate(gens):
-                buf[k, :todo] = g.standard_normal((todo, 2))
-            for j in range(todo):
-                alpha, alpha_dag = _em_update(
-                    alpha, alpha_dag, decay, coupling, amp_p, amp_m,
-                    buf[:, j, 0], buf[:, j, 1], dt, sdt,
-                )
-                s = done + j + 1
-                if s in sample_index:
-                    record(s)
-            done += todo
-            peak = max(
-                float(np.abs(alpha).max(initial=0.0)),
-                float(np.abs(alpha_dag).max(initial=0.0)),
-            )
-            if peak > BLOWUP_LIMIT:
-                raise TrajectoryBlowupError(
-                    f"trajectory magnitude {peak:.3e} exceeded {BLOWUP_LIMIT:.1e} "
-                    f"at step {done} (params {p})"
-                )
+    for _, _, s, alpha, alpha_dag in _paths(p, n_traj, dt, n_steps, seed, _RUN_CHUNK, sample_index):
+        i = sample_index[s]
+        for j, row in enumerate(_stat_rows(alpha, alpha_dag)):
+            sums[i, j] += row.sum()
+            mags = np.abs(row)
+            sums_abs2[i, j] += float(mags @ mags)
 
     means = sums / n_traj
     var = np.maximum(sums_abs2 / n_traj - np.abs(means) ** 2, 0.0)
@@ -345,7 +351,6 @@ def two_time_correlation(
     seed: int,
     t_burn: float | None = None,
     t_avg: float | None = None,
-    chunk_size: int = 2048,
     groups: int = 10,
 ) -> CorrelationEstimate:
     """Estimate the stationary lag products of alpha_+- = alpha_dag +- alpha.
@@ -383,55 +388,26 @@ def two_time_correlation(
     n_records = n_lags + n_origins - 1
     record_steps = (n_records - 1) * stride
 
-    dtype, amp_p, amp_m = _noise_setup(c)
-    decay, coupling = c.decay, c.coupling
-    sdt = math.sqrt(dt)
-
+    dtype = _noise_setup(c)[0]
     group_sum_p = np.zeros((groups, n_lags), dtype=dtype)
     group_sum_m = np.zeros((groups, n_lags), dtype=dtype)
     group_count = np.zeros(groups, dtype=int)
-    children = np.random.SeedSequence(seed).spawn(n_traj)
+    total = burn_steps + record_steps
+    for lo, hi, s, alpha, alpha_dag in _paths(
+        p, n_traj, dt, total, seed, _CORR_CHUNK, range(burn_steps, total + 1, stride)
+    ):
+        r = (s - burn_steps) // stride
+        if r == 0:
+            rec_p = np.empty((hi - lo, n_records), dtype=dtype)
+            rec_m = np.empty((hi - lo, n_records), dtype=dtype)
+        rec_p[:, r] = alpha_dag + alpha
+        rec_m[:, r] = alpha_dag - alpha
+        if r < n_records - 1:
+            continue
 
-    for lo in range(0, n_traj, chunk_size):
-        hi = min(lo + chunk_size, n_traj)
-        gens = _make_generators(children[lo:hi])
-        width = hi - lo
-        alpha = np.zeros(width, dtype=dtype)
-        alpha_dag = np.zeros(width, dtype=dtype)
-        rec_p = np.empty((width, n_records), dtype=dtype)
-        rec_m = np.empty((width, n_records), dtype=dtype)
-        rec_p[:, 0] = 0.0
-        rec_m[:, 0] = 0.0
-
-        buf = np.empty((width, _BLOCK, 2))
-        done = 0
-        total = burn_steps + record_steps
-        while done < total:
-            todo = min(_BLOCK, total - done)
-            for k, g in enumerate(gens):
-                buf[k, :todo] = g.standard_normal((todo, 2))
-            for j in range(todo):
-                alpha, alpha_dag = _em_update(
-                    alpha, alpha_dag, decay, coupling, amp_p, amp_m,
-                    buf[:, j, 0], buf[:, j, 1], dt, sdt,
-                )
-                s = done + j + 1
-                if s >= burn_steps and (s - burn_steps) % stride == 0:
-                    r = (s - burn_steps) // stride
-                    rec_p[:, r] = alpha_dag + alpha
-                    rec_m[:, r] = alpha_dag - alpha
-            done += todo
-            peak = max(
-                float(np.abs(alpha).max(initial=0.0)),
-                float(np.abs(alpha_dag).max(initial=0.0)),
-            )
-            if peak > BLOWUP_LIMIT:
-                raise TrajectoryBlowupError(
-                    f"trajectory magnitude {peak:.3e} exceeded {BLOWUP_LIMIT:.1e} at step {done}"
-                )
-
-        corr_p = np.empty((width, n_lags), dtype=dtype)
-        corr_m = np.empty((width, n_lags), dtype=dtype)
+        # the chunk's last record is in: reduce the chunk to lag products
+        corr_p = np.empty((hi - lo, n_lags), dtype=dtype)
+        corr_m = np.empty((hi - lo, n_lags), dtype=dtype)
         base_p = rec_p[:, :n_origins]
         base_m = rec_m[:, :n_origins]
         for k in range(n_lags):

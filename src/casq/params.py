@@ -119,7 +119,8 @@ class Coefficients:
     r, s are the gain/loss relaxation strengths, u, v the anomalous
     (two-photon coherence) strengths, b the normalization factor
     (1 + beta^2)(1 + beta^2/4).  epsilon is carried along because
-    lambda_minus/lambda_plus already include it.
+    lambda_minus/lambda_plus already include it.  Fields are numpy arrays
+    when the coefficients are evaluated over a parameter grid.
     """
 
     r: float
@@ -170,6 +171,32 @@ def from_microscopic(m: MicroscopicParams) -> SystemParams:
     return SystemParams(a=a, kappa=m.kappa, beta=beta, epsilon=epsilon)
 
 
+def _coefficients(a, kappa, beta, epsilon):
+    """Coefficients and the threshold drive at (a, kappa, beta, epsilon).
+
+    Each argument is a float or a numpy array; arrays broadcast and give
+    array-valued Coefficients fields and threshold drives.
+    """
+    b = (1.0 + beta**2) * (1.0 + beta**2 / 4.0)
+    pref = a / (4.0 * b)
+    r = pref * (1.0 - 1.5 * beta + beta**2)
+    s = 0.5 * kappa + pref * (1.0 + 1.5 * beta + beta**2)
+    u = pref * (-1.0 + 0.5 * beta + 0.5 * beta**2 + 0.5 * beta**3)
+    v = pref * (-1.0 - 0.5 * beta + 0.5 * beta**2 - 0.5 * beta**3)
+    coupling = u - v + epsilon
+    coeffs = Coefficients(
+        r=r,
+        s=s,
+        u=u,
+        v=v,
+        b=b,
+        epsilon=epsilon,
+        lambda_minus=(s - r) - coupling,
+        lambda_plus=(s - r) + coupling,
+    )
+    return coeffs, 0.5 * kappa + a * (2.0 * beta - beta**3) / (4.0 * b)
+
+
 def coefficients(p: SystemParams) -> Coefficients:
     """Evaluate R, S, U, V, B and the decay pair lambda_minus/lambda_plus.
 
@@ -177,24 +204,7 @@ def coefficients(p: SystemParams) -> Coefficients:
     A -> 0 limit (empty cavity, pure parametric oscillator) is exact:
     S = kappa/2, lambda_-/+ = kappa/2 -/+ epsilon.
     """
-    beta = p.beta
-    b = (1.0 + beta**2) * (1.0 + beta**2 / 4.0)
-    pref = p.a / (4.0 * b)
-    r = pref * (1.0 - 1.5 * beta + beta**2)
-    s = 0.5 * p.kappa + pref * (1.0 + 1.5 * beta + beta**2)
-    u = pref * (-1.0 + 0.5 * beta + 0.5 * beta**2 + 0.5 * beta**3)
-    v = pref * (-1.0 - 0.5 * beta + 0.5 * beta**2 - 0.5 * beta**3)
-    coupling = u - v + p.epsilon
-    return Coefficients(
-        r=r,
-        s=s,
-        u=u,
-        v=v,
-        b=b,
-        epsilon=p.epsilon,
-        lambda_minus=(s - r) - coupling,
-        lambda_plus=(s - r) + coupling,
-    )
+    return _coefficients(p.a, p.kappa, p.beta, p.epsilon)[0]
 
 
 def threshold_epsilon(p: SystemParams) -> float:
@@ -204,9 +214,7 @@ def threshold_epsilon(p: SystemParams) -> float:
     For beta > sqrt(2) the atomic term is negative and the result may be
     negative, in which case no nonnegative drive is stable.
     """
-    beta = p.beta
-    b = (1.0 + beta**2) * (1.0 + beta**2 / 4.0)
-    return 0.5 * p.kappa + p.a * (2.0 * beta - beta**3) / (4.0 * b)
+    return _coefficients(p.a, p.kappa, p.beta, 0.0)[1]
 
 
 def threshold_tolerance(p: SystemParams) -> float:

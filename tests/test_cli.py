@@ -18,7 +18,7 @@ try:
     import tomllib
 except ModuleNotFoundError:  # Python 3.10
     tomllib = None
-from casq.params import SystemParams
+from casq.params import SystemParams, coefficients, threshold_epsilon, threshold_tolerance
 
 
 def read_csv(path):
@@ -50,6 +50,25 @@ def test_coeffs_no_atoms_keeps_cavity_loss(tmp_path):
     assert r == u == v == 0.0
     assert s == pytest.approx(0.4, rel=1e-12)
     assert (lam_m, lam_p) == (pytest.approx(0.3, rel=1e-9), pytest.approx(0.5, rel=1e-9))
+
+
+def test_coeffs_relative_drive(tmp_path):
+    out = tmp_path / "coeffs.csv"
+    assert cli.main(["coeffs", "--beta", "0.1", "--epsilon-rel-threshold", "0.5",
+                     "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    lam_minus, eps_th = float(rows[0][6]), float(rows[0][8])
+    assert lam_minus == pytest.approx(0.5 * eps_th, rel=1e-12)
+
+
+@pytest.mark.parametrize("system", [
+    ["--beta", "1.9"],
+    # threshold drive positive at both ends of the sweep, negative between them
+    ["--a", "10", "--beta", "0:40:0.5"],
+])
+def test_coeffs_relative_drive_needs_positive_threshold(tmp_path, system):
+    assert cli.main(["coeffs", *system, "--epsilon-rel-threshold", "0.5",
+                     "--out", str(tmp_path / "coeffs.csv")]) == 2
 
 
 def test_variance_sweep_matches_library(tmp_path):
@@ -144,6 +163,38 @@ class TestFigures:
         assert np.all(rows["mean_n_pa"][small] > rows["mean_n_no_crystal"][small])
         assert rows["beta"].max() < 1.5  # unstable tail clipped
 
+    def test_fig4_fig5_match_per_beta_reference(self, tmp_path):
+        # the per-beta scalar loops the figures were first written as
+        step, a, kappa = 0.002, 25.0, 0.8
+        fig4, fig5 = [], []
+        for beta in np.arange(0.0, 2.0 + step / 2.0, step):
+            p0 = SystemParams(a=a, kappa=kappa, beta=float(beta), epsilon=0.0)
+            tol = threshold_tolerance(p0)
+            if threshold_epsilon(p0) > 0 and coefficients(p0).lambda_minus > tol:
+                dotted = float(analytic.spectrum(p0, [0.0]).s_minus[0])
+                solid = float(analytic.spectrum(p0.with_relative_drive(1.0), [0.0]).s_minus[0])
+                fig4.append((beta, dotted, solid))
+            p_on = p0.with_epsilon(0.3)
+            if coefficients(p_on).lambda_minus > tol and coefficients(p0).lambda_minus > tol:
+                fig5.append((beta, analytic.steady_record(p0).n_cl,
+                             analytic.steady_record(p_on).n_cl))
+        out = str(tmp_path) + os.sep
+        for n, rows in ((4, fig4), (5, fig5)):
+            assert cli.main(["figure", str(n), "--beta-step", str(step), "--out", out]) == 0
+            lines = (tmp_path / f"fig{n}.csv").read_text(encoding="utf-8").splitlines()[1:]
+            assert lines == [",".join(cli._fmt(v) for v in row) for row in rows]
+
+    @pytest.mark.parametrize("n, columns", [
+        (5, ("mean_n_no_crystal", "mean_n_pa")),
+        (6, ("p_no_crystal", "p_pa")),
+    ])
+    def test_zero_epsilon_draws_undriven_curve(self, tmp_path, n, columns):
+        out = str(tmp_path) + os.sep
+        assert cli.main(["figure", str(n), "--epsilon", "0", "--beta-step", "0.01",
+                         "--out", out]) == 0
+        rows = np.genfromtxt(tmp_path / f"fig{n}.csv", delimiter=",", names=True)
+        np.testing.assert_array_equal(rows[columns[0]], rows[columns[1]])
+
     def test_fig6_parity_ladder(self, tmp_path):
         out = str(tmp_path) + os.sep
         assert cli.main(["figure", "6", "--n-max", "12", "--out", out]) == 0
@@ -163,12 +214,24 @@ class TestFigures:
         assert tag.endswith("svg")
 
 
+VERIFY_CHECKS = [
+    "moments n_cl vs analytic", "moments <a+^2> vs analytic", "moments <a-^2> vs analytic",
+    "oracle mean_n vs analytic", "oracle var_plus vs analytic", "oracle var_minus vs analytic",
+    "oracle P(n) vs closed form (max |delta|)",
+    "mc <a+^2> vs analytic", "mc <a-^2> vs analytic", "mc n_cl vs analytic",
+]
+
+
 class TestVerify:
-    def test_default_point_passes(self, capsys):
-        assert cli.main(["verify", "--n-traj", "3000"]) == 0
+    def test_default_point_passes(self, capsys, tmp_path):
+        table = tmp_path / "v.csv"
+        assert cli.main(["verify", "--n-traj", "3000", "--out", str(table)]) == 0
         out = capsys.readouterr().out
         assert "verification PASSED" in out
         assert out.count("PASS") >= 10
+        header, rows = read_csv(table)
+        assert header == ["check", "reference", "value", "bound", "status"]
+        assert [(r[0], r[4]) for r in rows] == [(name, "PASS") for name in VERIFY_CHECKS]
 
     def test_mismatch_exit_code(self, capsys):
         assert cli.main(["verify", "--n-traj", "3000", "--oracle-rtol", "1e-13"]) == 4
@@ -197,6 +260,16 @@ class TestExitCodes:
 
     def test_bad_range_syntax(self):
         assert cli.main(["variance", "--beta", "0:1:0"]) == 2
+
+    @pytest.mark.parametrize("step", ["0", "-0.001"])
+    def test_nonpositive_beta_step(self, tmp_path, step):
+        assert cli.main(["figure", "2", "--beta-step", step,
+                         "--out", str(tmp_path) + os.sep]) == 2
+
+    @pytest.mark.parametrize("flag", ["--dt", "--t-end"])
+    def test_mc_zero_time_rejected(self, tmp_path, flag):
+        assert cli.main(["mc", "--a", "4", "--beta", "0.2", "--epsilon-rel-threshold", "0.5",
+                         "--n-traj", "64", flag, "0", "--out", str(tmp_path / "mc.csv")]) == 2
 
 
 def test_pooled_oracle_sweep_matches_serial(tmp_path):

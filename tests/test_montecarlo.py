@@ -217,6 +217,15 @@ class TestTwoTimeCorrelation:
             assert abs(est.s_plus[i] - curve.s_plus[i]) <= 3 * est.s_plus_se[i]
             assert abs(est.s_minus[i] - curve.s_minus[i]) <= 3 * est.s_minus_se[i]
 
+    def test_oversized_step_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            montecarlo.two_time_correlation(MODULE_POINT, [0.0, 0.2], 100, 0.2, seed=1)
+
+    def test_blowup_guard(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "BLOWUP_LIMIT", 1e-12)
+        with pytest.raises(TrajectoryBlowupError):
+            montecarlo.two_time_correlation(MODULE_POINT, [0.0, 0.1], 100, 0.01, seed=1)
+
     def test_tau_grid_validation(self):
         with pytest.raises(InvalidParameterError):
             montecarlo.two_time_correlation(MODULE_POINT, [0.5, 1.0], 100, 0.005, seed=1)
