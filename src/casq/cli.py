@@ -379,6 +379,7 @@ def _cmd_figure(args) -> int:
     if n == 2:
         a = a_list[0] if a_list else 100.0
         betas = _figure_grid(args.beta_step)
+        SystemParams(a=a, kappa=kappa, beta=0.0)  # validates the knobs
         dotted = analytic.no_crystal_minus_curve(a, kappa, betas)
         solid = analytic.threshold_minus_curve(a, kappa, betas)
         _write_csv(path, ["beta", "var_minus_no_crystal", "var_minus_threshold"],
@@ -388,6 +389,8 @@ def _cmd_figure(args) -> int:
     elif n == 3:
         gains = a_list or [25.0, 50.0, 100.0]
         betas = _figure_grid(args.beta_step)
+        for g in gains:
+            SystemParams(a=g, kappa=kappa, beta=0.0)  # validates the knobs
         curves = [(f"A={g:g}", analytic.threshold_minus_curve(g, kappa, betas)) for g in gains]
         _write_csv(path, ["beta"] + [f"var_minus_threshold_a{g:g}" for g in gains],
                    zip(betas, *[c for _, c in curves]))

@@ -9,13 +9,16 @@ relaxation sandwiches (strengths R and S) and the anomalous U/V terms:
             + U (a+ rho a+ + a rho a - rho a+^2 - a^2 rho)
             + V (a+ rho a+ + a rho a - rho a^2 - a+^2 rho)
 
-with truncated ladder operators a|n> = sqrt(n)|n-1>.  The U/V part is not
-of Lindblad form, so positivity is monitored (minimum eigenvalue on
-demand), never enforced.
+with truncated ladder operators a|n> = sqrt(n)|n-1>; products such as
+a a+ are taken between the truncated matrices, so the truncated model
+conserves trace exactly.  The U/V part is not of Lindblad form, so
+positivity is monitored (minimum eigenvalue on demand), never enforced.
 
-Time evolution uses classical RK4 with hermitization each step.  The
-steady state is found by integrating an unconditionally stable implicit
-Euler scheme built on one sparse LU factorization until the residual
+One sparse operator on vec(rho) holds the generator for both solvers.
+Time evolution uses classical RK4, one sparse matvec per stage, with
+hermitization each step.  The steady state is found by integrating an
+unconditionally stable implicit Euler scheme built on one sparse LU
+factorization of the same operator until the residual
 |L rho|_1 drops below 1e-10 |rho|_1; explicit stepping is hopeless here
 because the generator's fast scales grow linearly with the truncation.
 
@@ -47,7 +50,6 @@ __all__ = [
     "DensityMatrix",
     "OracleObservables",
     "vacuum",
-    "apply_generator",
     "evolve",
     "steady_state",
     "observables",
@@ -107,65 +109,12 @@ def vacuum(dim: int) -> DensityMatrix:
 # generator
 # ---------------------------------------------------------------------------
 
-def apply_generator(rho: np.ndarray, coeffs: Coefficients, epsilon: float | None = None) -> np.ndarray:
-    """Right-hand side drho/dt for one density matrix (dense, any dtype).
-
-    Written with index shifts instead of matrix products, so one call is
-    O(dim^2).  `epsilon` defaults to the drive stored in `coeffs`.
-    """
-    n = rho.shape[0]
-    if n < 2:
-        raise InvalidParameterError("generator needs dim >= 2")
-    eps = coeffs.epsilon if epsilon is None else epsilon
-    sq = np.sqrt(np.arange(n, dtype=float))
-    lev = np.arange(n, dtype=float)
-
-    def a_left(m):  # a M
-        out = np.zeros_like(m)
-        out[:-1, :] = sq[1:, None] * m[1:, :]
-        return out
-
-    def a_right(m):  # M a
-        out = np.zeros_like(m)
-        out[:, 1:] = sq[None, 1:] * m[:, :-1]
-        return out
-
-    def adag_left(m):  # a+ M
-        out = np.zeros_like(m)
-        out[1:, :] = sq[1:, None] * m[:-1, :]
-        return out
-
-    def adag_right(m):  # M a+
-        out = np.zeros_like(m)
-        out[:, :-1] = sq[None, 1:] * m[:, 1:]
-        return out
-
-    a2_rho = a_left(a_left(rho))
-    rho_a2 = a_right(a_right(rho))
-    adag2_rho = adag_left(adag_left(rho))
-    rho_adag2 = adag_right(adag_right(rho))
-    adag_rho_adag = adag_left(adag_right(rho))
-    a_rho_a = a_left(a_right(rho))
-
-    out = (0.5 * eps) * (rho_a2 - a2_rho + adag2_rho - rho_adag2)
-    out += coeffs.r * (
-        2.0 * a_right(adag_left(rho))              # a+ rho a
-        - (lev[:, None] + 1.0) * rho               # a a+ rho
-        - rho * (lev[None, :] + 1.0)               # rho a a+
-    )
-    out += coeffs.s * (
-        2.0 * adag_right(a_left(rho))              # a rho a+
-        - lev[:, None] * rho                       # a+ a rho
-        - rho * lev[None, :]                       # rho a+ a
-    )
-    out += (coeffs.u + coeffs.v) * (adag_rho_adag + a_rho_a)
-    out -= coeffs.u * (rho_adag2 + a2_rho)
-    out -= coeffs.v * (rho_a2 + adag2_rho)
-    return out
-
-
 def _sparse_generator(dim: int, coeffs: Coefficients) -> sp.csc_matrix:
-    """The same generator as a sparse real operator on row-major vec(rho)."""
+    """The master-equation generator as a sparse real operator on row-major vec(rho).
+
+    a a+ is the product of truncated ladder matrices ((a a+)[dim-1, dim-1] =
+    dim - 1, not dim), which makes tr(L rho) = 0 for every rho.
+    """
     sq = np.sqrt(np.arange(1.0, dim))
     a = sp.diags(sq, 1, format="csr")
     adag = a.T.tocsr()
@@ -203,6 +152,25 @@ def _default_dt(p: SystemParams, coeffs: Coefficients, dim: int) -> float:
     return min(contract, 1.2 / radius)
 
 
+def _checked_state(data: np.ndarray, boundary_tol: float | None) -> DensityMatrix:
+    """Wrap a computed state; TruncationError if its boundary population exceeds boundary_tol."""
+    dim = data.shape[0]
+    boundary = float(abs(data[-1, -1]))
+    if boundary_tol is not None and boundary > boundary_tol:
+        raise TruncationError(
+            f"boundary population {boundary:.3e} exceeds {boundary_tol:.1e}; "
+            f"retry with dim >= {2 * dim}",
+            boundary_pop=boundary,
+            suggested_dim=2 * dim,
+        )
+    return DensityMatrix(
+        dim=dim,
+        data=data,
+        trace_err=float(abs(np.trace(data.real) - 1.0)),
+        boundary_pop=boundary,
+    )
+
+
 def evolve(
     rho0: DensityMatrix,
     p: SystemParams,
@@ -212,10 +180,13 @@ def evolve(
 ) -> DensityMatrix:
     """RK4 propagation of the master equation for a time t_end.
 
-    Hermitizes after every step; monitors the trace drift and the boundary
-    population and aborts with StepSizeError / TruncationError when either
-    guard trips.  Pass boundary_tol=None to disable the truncation guard
-    (diagnostics are still recorded).
+    Each RK4 stage is one sparse matvec with the generator on vec(rho);
+    the state is hermitized after every step.  The truncated generator
+    conserves trace exactly, so a trace drift above TRACE_TOL or any
+    |rho_mn| > 1 can only come from an unstable step: StepSizeError.
+    Population on the boundary level above boundary_tol raises
+    TruncationError at the end; pass boundary_tol=None to disable that
+    guard (diagnostics are still recorded).
     """
     if t_end < 0:
         raise InvalidParameterError(f"t_end must be >= 0, got {t_end}")
@@ -225,46 +196,28 @@ def evolve(
     if dt <= 0:
         raise InvalidParameterError(f"dt must be > 0, got {dt}")
 
-    rho = rho0.data.astype(complex).copy()
+    gen = _sparse_generator(rho0.dim, c).tocsr().astype(complex)
+    rho = rho0.data.astype(complex)
     n_steps = max(int(round(t_end / dt)), 1) if t_end > 0 else 0
     if n_steps:
         dt = t_end / n_steps
     for step in range(n_steps):
-        k1 = apply_generator(rho, c)
-        k2 = apply_generator(rho + 0.5 * dt * k1, c)
-        k3 = apply_generator(rho + 0.5 * dt * k2, c)
-        k4 = apply_generator(rho + dt * k3, c)
-        rho += (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        x = rho.reshape(-1)
+        k1 = gen @ x
+        k2 = gen @ (x + 0.5 * dt * k1)
+        k3 = gen @ (x + 0.5 * dt * k2)
+        k4 = gen @ (x + dt * k3)
+        rho = (x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)).reshape(rho0.dim, rho0.dim)
         rho = 0.5 * (rho + rho.conj().T)
 
         trace_err = abs(rho.trace().real - 1.0)
-        if trace_err > TRACE_TOL:
-            boundary = float(abs(rho[-1, -1]))
-            if boundary > BOUNDARY_TOL:
-                # trace leaks through the cut-off level, not the integrator
-                raise TruncationError(
-                    f"trace drifted by {trace_err:.3e} with boundary population "
-                    f"{boundary:.3e}; retry with dim >= {2 * rho0.dim}",
-                    boundary_pop=boundary,
-                    suggested_dim=2 * rho0.dim,
-                )
+        peak = np.abs(rho).max()
+        if not (trace_err <= TRACE_TOL and peak <= 1.0):  # also trips on NaN
             raise StepSizeError(
-                f"trace drifted by {trace_err:.3e} at step {step + 1}; reduce dt ({dt:.3e})"
+                f"unstable step: trace drift {trace_err:.3e}, max |rho_mn| {peak:.3e} "
+                f"at step {step + 1}; reduce dt ({dt:.3e})"
             )
-    boundary = float(abs(rho[-1, -1]))
-    if boundary_tol is not None and boundary > boundary_tol:
-        raise TruncationError(
-            f"boundary population {boundary:.3e} exceeds {boundary_tol:.1e}; "
-            f"retry with dim >= {2 * rho0.dim}",
-            boundary_pop=boundary,
-            suggested_dim=2 * rho0.dim,
-        )
-    return DensityMatrix(
-        dim=rho0.dim,
-        data=rho,
-        trace_err=float(abs(rho.trace().real - 1.0)),
-        boundary_pop=boundary,
-    )
+    return _checked_state(rho, boundary_tol)
 
 
 def steady_state(
@@ -335,20 +288,7 @@ def steady_state(
     rho[even] = x
     rho = rho.reshape(dim, dim)
     rho = 0.5 * (rho + rho.T)
-    boundary = float(abs(rho[-1, -1]))
-    if boundary_tol is not None and boundary > boundary_tol:
-        raise TruncationError(
-            f"boundary population {boundary:.3e} exceeds {boundary_tol:.1e}; "
-            f"retry with dim >= {2 * dim}",
-            boundary_pop=boundary,
-            suggested_dim=2 * dim,
-        )
-    return DensityMatrix(
-        dim=dim,
-        data=rho.astype(complex),
-        trace_err=float(abs(rho.trace() - 1.0)),
-        boundary_pop=boundary,
-    )
+    return _checked_state(rho.astype(complex), boundary_tol)
 
 
 # ---------------------------------------------------------------------------

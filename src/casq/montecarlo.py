@@ -275,7 +275,11 @@ def run(
     n_steps = max(int(round(t_end / dt)), 1)
     if sample_times is None:
         sample_times = np.linspace(0.0, t_end, 26)
-    sample_steps = sorted({min(int(round(t / dt)), n_steps) for t in np.atleast_1d(sample_times)})
+    sample_times = np.atleast_1d(sample_times)
+    # half a step of round-off is allowed at either end
+    if not np.all((sample_times >= -0.5 * dt) & (sample_times <= t_end + 0.5 * dt)):
+        raise InvalidParameterError(f"sample_times must lie in [0, t_end = {t_end:g}]")
+    sample_steps = sorted({min(int(round(t / dt)), n_steps) for t in sample_times})
     sample_index = {s: i for i, s in enumerate(sample_steps)}
     n_samples = len(sample_steps)
 
@@ -366,6 +370,8 @@ def two_time_correlation(
             f"stationary correlation requires lambda_minus > 0, got {c.lambda_minus:.6g}",
             lambda_minus=c.lambda_minus,
         )
+    if not dt > 0:
+        raise InvalidParameterError(f"dt must be > 0, got {dt}")
     tau = np.atleast_1d(np.asarray(tau_grid, dtype=float))
     if tau.size < 2 or tau[0] != 0.0:
         raise InvalidParameterError("tau_grid must start at 0 and hold >= 2 points")

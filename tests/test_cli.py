@@ -266,6 +266,12 @@ class TestExitCodes:
         assert cli.main(["figure", "2", "--beta-step", step,
                          "--out", str(tmp_path) + os.sep]) == 2
 
+    @pytest.mark.parametrize("args", [["2", "--kappa", "-1"], ["3", "--a", "-5"]],
+                             ids=["fig2-kappa", "fig3-a"])
+    def test_figure_knobs_validated(self, tmp_path, args):
+        assert cli.main(["figure", *args, "--out", str(tmp_path) + os.sep]) == 2
+        assert not (tmp_path / f"fig{args[0]}.csv").exists()
+
     @pytest.mark.parametrize("flag", ["--dt", "--t-end"])
     def test_mc_zero_time_rejected(self, tmp_path, flag):
         assert cli.main(["mc", "--a", "4", "--beta", "0.2", "--epsilon-rel-threshold", "0.5",

@@ -17,6 +17,68 @@ from casq.errors import (
 from casq.params import SystemParams, coefficients
 
 
+def index_shift_generator(rho, coeffs):
+    """Reference drho/dt written with index shifts instead of matrix products.
+
+    It writes a a+ as n + 1, the untruncated value, so it matches the
+    library's truncated generator only on states that leave the boundary
+    level empty; there it checks every term independently.
+    """
+    n = rho.shape[0]
+    eps = coeffs.epsilon
+    sq = np.sqrt(np.arange(n, dtype=float))
+    lev = np.arange(n, dtype=float)
+
+    def a_left(m):  # a M
+        out = np.zeros_like(m)
+        out[:-1, :] = sq[1:, None] * m[1:, :]
+        return out
+
+    def a_right(m):  # M a
+        out = np.zeros_like(m)
+        out[:, 1:] = sq[None, 1:] * m[:, :-1]
+        return out
+
+    def adag_left(m):  # a+ M
+        out = np.zeros_like(m)
+        out[1:, :] = sq[1:, None] * m[:-1, :]
+        return out
+
+    def adag_right(m):  # M a+
+        out = np.zeros_like(m)
+        out[:, :-1] = sq[None, 1:] * m[:, 1:]
+        return out
+
+    a2_rho = a_left(a_left(rho))
+    rho_a2 = a_right(a_right(rho))
+    adag2_rho = adag_left(adag_left(rho))
+    rho_adag2 = adag_right(adag_right(rho))
+    adag_rho_adag = adag_left(adag_right(rho))
+    a_rho_a = a_left(a_right(rho))
+
+    out = (0.5 * eps) * (rho_a2 - a2_rho + adag2_rho - rho_adag2)
+    out += coeffs.r * (
+        2.0 * a_right(adag_left(rho))              # a+ rho a
+        - (lev[:, None] + 1.0) * rho               # a a+ rho
+        - rho * (lev[None, :] + 1.0)               # rho a a+
+    )
+    out += coeffs.s * (
+        2.0 * adag_right(a_left(rho))              # a rho a+
+        - lev[:, None] * rho                       # a+ a rho
+        - rho * lev[None, :]                       # rho a+ a
+    )
+    out += (coeffs.u + coeffs.v) * (adag_rho_adag + a_rho_a)
+    out -= coeffs.u * (rho_adag2 + a2_rho)
+    out -= coeffs.v * (rho_a2 + adag2_rho)
+    return out
+
+
+def sparse_rhs(rho, coeffs):
+    """drho/dt from the library's sparse generator."""
+    n = rho.shape[0]
+    return (fock._sparse_generator(n, coeffs) @ rho.reshape(-1)).reshape(n, n)
+
+
 def random_interior_hermitian(rng, dim=32, support=24):
     data = np.zeros((dim, dim), dtype=complex)
     block = rng.normal(size=(support, support)) + 1j * rng.normal(size=(support, support))
@@ -38,13 +100,15 @@ class TestGenerator:
     def test_vacuum_fixed_point_of_pure_decay(self):
         c = coefficients(SystemParams(a=0, kappa=0.8, beta=0, epsilon=0))
         rho = fock.vacuum(16).data
-        np.testing.assert_allclose(fock.apply_generator(rho, c), 0.0, atol=1e-15)
+        np.testing.assert_allclose(sparse_rhs(rho, c), 0.0, atol=1e-15)
 
     def test_trace_preserved(self, rng):
+        # full support: the boundary level is populated too, so this pins
+        # the truncated a a+ (the index-shift reference leaks trace there)
         c = coefficients(SystemParams(a=25, kappa=0.8, beta=0.4, epsilon=0.7))
         for _ in range(5):
-            rho = random_interior_hermitian(rng)
-            deriv = fock.apply_generator(rho, c)
+            rho = random_interior_hermitian(rng, support=32)
+            deriv = sparse_rhs(rho, c)
             assert abs(np.trace(deriv)) < 1e-12 * np.abs(rho).sum()
 
     def test_moment_equations(self, rng):
@@ -54,7 +118,7 @@ class TestGenerator:
         x = c.coupling
         for _ in range(5):
             rho = random_interior_hermitian(rng)
-            deriv = fock.apply_generator(rho, c)
+            deriv = sparse_rhs(rho, c)
             a1, a2, nn = moments_of(rho)
             da1, da2, dnn = moments_of(deriv)
             assert da1 == pytest.approx(
@@ -71,11 +135,8 @@ class TestGenerator:
 
     def test_sparse_matches_dense(self, rng):
         c = coefficients(SystemParams(a=12, kappa=1.1, beta=0.6, epsilon=0.4))
-        gen = fock._sparse_generator(20, c)
         rho = random_interior_hermitian(rng, dim=20, support=16)
-        dense = fock.apply_generator(rho, c)
-        sparse = (gen @ rho.reshape(-1)).reshape(20, 20)
-        np.testing.assert_allclose(sparse, dense, atol=1e-12)
+        np.testing.assert_allclose(sparse_rhs(rho, c), index_shift_generator(rho, c), atol=1e-12)
 
 
 class TestEvolve:
@@ -119,6 +180,18 @@ class TestEvolve:
         p = SystemParams(a=25, kappa=0.8, beta=0.1, epsilon=0.5)
         with pytest.raises(StepSizeError):
             fock.evolve(fock.vacuum(64), p, 2.0, dt=0.2)
+
+    def test_unstable_step_not_blamed_on_truncation(self):
+        # dim 64 holds this state at the stable step, and a larger dim only
+        # shrinks the stable step, so k times the RK4 limit must be reported
+        # as a step-size problem
+        p = SystemParams(a=4, kappa=0.8, beta=0.2).with_relative_drive(0.5)
+        assert fock.evolve(fock.vacuum(64), p, 2.0).boundary_pop < 1e-7
+        c = coefficients(p)
+        radius = 2.0 * 64 * (c.r + c.s + abs(c.u) + abs(c.v) + c.epsilon)
+        for k in (2, 3, 5):
+            with pytest.raises(StepSizeError):
+                fock.evolve(fock.vacuum(64), p, 2.0, dt=k * 1.2 / radius)
 
     def test_truncation_guard(self):
         p = SystemParams(a=0, kappa=0.8, beta=0, epsilon=0.35)

@@ -186,6 +186,16 @@ class TestRun:
         with pytest.raises(TrajectoryBlowupError):
             montecarlo.run(MODULE_POINT, 64, 1.0, 0.01, seed=1)
 
+    @pytest.mark.parametrize("outside", [-0.5, 3.0])
+    def test_sample_time_outside_run_rejected(self, outside):
+        with pytest.raises(InvalidParameterError):
+            montecarlo.run(MODULE_POINT, 64, 1.0, 0.01, seed=1, sample_times=[outside, 0.5])
+
+    def test_sample_time_round_off_at_ends_accepted(self):
+        series = montecarlo.run(MODULE_POINT, 64, 1.0, 0.01, seed=1,
+                                sample_times=[-0.004, 1.004])
+        np.testing.assert_allclose(series.times, [0.0, 1.0])
+
 
 @pytest.fixture(scope="module")
 def estimate():
@@ -218,8 +228,10 @@ class TestTwoTimeCorrelation:
             assert abs(est.s_minus[i] - curve.s_minus[i]) <= 3 * est.s_minus_se[i]
 
     def test_oversized_step_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            montecarlo.two_time_correlation(MODULE_POINT, [0.0, 0.2], 100, 0.2, seed=1)
+        # a non-positive step is rejected before it reaches the stride
+        for dt in (0.2, 0.0, -0.01):
+            with pytest.raises(InvalidParameterError):
+                montecarlo.two_time_correlation(MODULE_POINT, [0.0, 0.2], 100, dt, seed=1)
 
     def test_blowup_guard(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "BLOWUP_LIMIT", 1e-12)
