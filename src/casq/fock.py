@@ -15,12 +15,18 @@ conserves trace exactly.  The U/V part is not of Lindblad form, so
 positivity is monitored (minimum eigenvalue on demand), never enforced.
 
 One sparse operator on vec(rho) holds the generator for both solvers.
-Time evolution uses classical RK4, one sparse matvec per stage, with
-hermitization each step.  The steady state is found by integrating an
-unconditionally stable implicit Euler scheme built on one sparse LU
-factorization of the same operator until the residual
+It is real, it commutes with transposition rho -> rho^T, and every term
+shifts m - n by 0 or +-2, so the even and odd m - n sectors never mix.
+Time evolution uses classical RK4, one sparse matvec per stage, on the
+parity sectors the initial state occupies (the even sector alone for a
+vacuum start), with hermitization each step.  The steady state is found
+by integrating an unconditionally stable implicit Euler scheme built on
+one sparse LU factorization of the same operator until the residual
 |L rho|_1 drops below 1e-10 |rho|_1; explicit stepping is hopeless here
 because the generator's fast scales grow linearly with the truncation.
+That solve runs on the real symmetric even sector, the entries m <= n
+with m - n even (about a quarter of vec(rho)), under a fill-reducing
+minimum-degree ordering.
 
 Truncation is guarded: population on the boundary level above 1e-6 aborts
 with a suggestion to enlarge the basis.  Runs at (or within 0.1% of) the
@@ -61,24 +67,34 @@ TRACE_TOL = 1e-4
 THRESHOLD_MARGIN = 1e-3
 
 
+def _check_dim(dim: int) -> None:
+    if not dim >= 2:
+        raise InvalidParameterError(f"dim must be >= 2, got {dim}")
+
+
 @dataclass
 class DensityMatrix:
     """Truncated-Fock density matrix with trace bookkeeping.
 
     data is dim x dim complex, Hermitian up to round-off; trace_err and
     boundary_pop record the integration diagnostics of whichever routine
-    produced the state.
+    produced the state.  steady_state also records its solver counts:
+    the implicit steps taken, the final residual |L rho|_1 and the
+    non-zeros SuperLU stores for its L and U factors (the fill, which
+    sets the solve's memory); other producers leave them at 0, None and 0.
     """
 
     dim: int
     data: np.ndarray
     trace_err: float = 0.0
     boundary_pop: float = 0.0
+    iterations: int = 0
+    residual: float | None = None
+    lu_nnz: int = 0
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=complex)
-        if self.dim < 2:
-            raise InvalidParameterError(f"dim must be >= 2, got {self.dim}")
+        _check_dim(self.dim)
         if self.data.shape != (self.dim, self.dim):
             raise InvalidParameterError(
                 f"data shape {self.data.shape} does not match dim {self.dim}"
@@ -100,6 +116,7 @@ class OracleObservables:
 
 
 def vacuum(dim: int) -> DensityMatrix:
+    _check_dim(dim)
     data = np.zeros((dim, dim), dtype=complex)
     data[0, 0] = 1.0
     return DensityMatrix(dim=dim, data=data)
@@ -152,7 +169,7 @@ def _default_dt(p: SystemParams, coeffs: Coefficients, dim: int) -> float:
     return min(contract, 1.2 / radius)
 
 
-def _checked_state(data: np.ndarray, boundary_tol: float | None) -> DensityMatrix:
+def _checked_state(data: np.ndarray, boundary_tol: float | None, **stats) -> DensityMatrix:
     """Wrap a computed state; TruncationError if its boundary population exceeds boundary_tol."""
     dim = data.shape[0]
     boundary = float(abs(data[-1, -1]))
@@ -168,6 +185,7 @@ def _checked_state(data: np.ndarray, boundary_tol: float | None) -> DensityMatri
         data=data,
         trace_err=float(abs(np.trace(data.real) - 1.0)),
         boundary_pop=boundary,
+        **stats,
     )
 
 
@@ -180,8 +198,10 @@ def evolve(
 ) -> DensityMatrix:
     """RK4 propagation of the master equation for a time t_end.
 
-    Each RK4 stage is one sparse matvec with the generator on vec(rho);
-    the state is hermitized after every step.  The truncated generator
+    Each RK4 stage is one sparse matvec with the generator, restricted to
+    the parity sectors (even or odd m - n) that rho0 occupies: the
+    generator never mixes them, so an empty sector stays exactly zero.
+    The state is hermitized after every step.  The truncated generator
     conserves trace exactly, so a trace drift above TRACE_TOL or any
     |rho_mn| > 1 can only come from an unstable step: StepSizeError.
     Population on the boundary level above boundary_tol raises
@@ -191,23 +211,29 @@ def evolve(
     if t_end < 0:
         raise InvalidParameterError(f"t_end must be >= 0, got {t_end}")
     c = coefficients(p)
+    dim = rho0.dim
     if dt is None:
-        dt = _default_dt(p, c, rho0.dim)
+        dt = _default_dt(p, c, dim)
     if dt <= 0:
         raise InvalidParameterError(f"dt must be > 0, got {dt}")
 
-    gen = _sparse_generator(rho0.dim, c).tocsr().astype(complex)
+    levels = np.arange(dim)
+    parity = ((levels[:, None] - levels[None, :]) % 2).ravel()
+    keep = np.flatnonzero(np.isin(parity, parity[rho0.data.ravel() != 0]))
+    gen = _sparse_generator(dim, c).tocsr()[keep][:, keep].astype(complex)
+    flat = np.zeros(dim * dim, dtype=complex)
     rho = rho0.data.astype(complex)
     n_steps = max(int(round(t_end / dt)), 1) if t_end > 0 else 0
     if n_steps:
         dt = t_end / n_steps
     for step in range(n_steps):
-        x = rho.reshape(-1)
+        x = rho.reshape(-1)[keep]
         k1 = gen @ x
         k2 = gen @ (x + 0.5 * dt * k1)
         k3 = gen @ (x + 0.5 * dt * k2)
         k4 = gen @ (x + dt * k3)
-        rho = (x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)).reshape(rho0.dim, rho0.dim)
+        flat[keep] = x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        rho = flat.reshape(dim, dim)
         rho = 0.5 * (rho + rho.conj().T)
 
         trace_err = abs(rho.trace().real - 1.0)
@@ -232,14 +258,28 @@ def steady_state(
 
     Backward-Euler steps of size dt_factor / lambda_minus (one sparse LU,
     reused) are applied to the vacuum until |L rho|_1 < tol |rho|_1.
-    Every generator term shifts m - n by 0 or +-2 and the start is
-    diagonal, so the whole computation lives in the even m - n sector;
-    the solve is restricted to it (exact, and it halves the LU).
+    The generator is real, commutes with transposition and never mixes
+    even and odd m - n, and the vacuum is real, symmetric and diagonal,
+    so every iterate is a real symmetric matrix on the even sector.  The
+    solve runs on those unknowns alone, rho_mn with m <= n and m - n
+    even (the operator folded so that rho_mn and rho_nm share a column),
+    and the LU uses a minimum-degree ordering on A^T + A with a
+    diagonal-favouring pivot threshold, which keeps its fill low.  The
+    residual keeps its whole-matrix meaning: off-diagonal unknowns count
+    twice in both 1-norms.  The returned state is exactly symmetric and
+    records the step count, the final residual and the LU non-zeros.
     Drives within 0.1% of threshold are refused: the state would be
     unbounded.  The truncation guard can be disabled with
     boundary_tol=None (for convergence studies); diagnostics remain in
     the returned DensityMatrix.
     """
+    _check_dim(dim)
+    if not tol > 0:
+        raise InvalidParameterError(f"tol must be > 0, got {tol}")
+    if not max_steps >= 1:
+        raise InvalidParameterError(f"max_steps must be >= 1, got {max_steps}")
+    if not dt_factor > 0:
+        raise InvalidParameterError(f"dt_factor must be > 0, got {dt_factor}")
     c = coefficients(p)
     eps_th = threshold_epsilon(p)
     if c.lambda_minus <= 0 or eps_th <= 0 or p.epsilon > (1.0 - THRESHOLD_MARGIN) * eps_th:
@@ -250,24 +290,33 @@ def steady_state(
             lambda_minus=c.lambda_minus,
         )
 
-    gen = _sparse_generator(dim, c)
+    # unknowns: rho_mn with m <= n and m - n even, in row-major order;
+    # red maps every entry of vec(rho) to its unknown, odd entries to a
+    # trailing zero
     levels = np.arange(dim)
-    even = np.flatnonzero(((levels[:, None] - levels[None, :]) % 2 == 0).ravel())
-    gen = gen[even][:, even].tocsc()
-    diag_pos = np.searchsorted(even, levels * dim + levels)
+    m, n = np.meshgrid(levels, levels, indexing="ij")
+    keep = np.flatnonzero(((n - m) % 2 == 0) & (m <= n))
+    col = np.full((dim, dim), keep.size)
+    col.ravel()[keep] = np.arange(keep.size)
+    red = np.minimum(col, col.T).ravel()
+    even = np.flatnonzero(red < keep.size)
+    fold = sp.csr_matrix((np.ones(even.size), (even, red[even])), shape=(dim * dim, keep.size))
+    gen = (_sparse_generator(dim, c).tocsr()[keep] @ fold).tocsc()
+    weight = np.where(m == n, 1.0, 2.0).ravel()[keep]
+    diag_pos = col[levels, levels]
     dt = dt_factor / c.lambda_minus
-    system = (sp.identity(even.size, format="csc") - dt * gen).tocsc()
-    lu = spla.splu(system)
+    system = (sp.identity(keep.size, format="csc") - dt * gen).tocsc()
+    lu = spla.splu(system, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1)
 
-    x = np.zeros(even.size)
+    x = np.zeros(keep.size)
     x[diag_pos[0]] = 1.0
     residual = math.inf
     stall = 0
-    for _ in range(max_steps):
+    for iterations in range(1, max_steps + 1):
         x = lu.solve(x)
         x /= x[diag_pos].sum()
-        new_residual = float(np.abs(gen @ x).sum())
-        target = tol * float(np.abs(x).sum())
+        new_residual = float(weight @ np.abs(gen @ x))
+        target = tol * float(weight @ np.abs(x))
         if new_residual < target:
             residual = new_residual
             break
@@ -284,11 +333,11 @@ def steady_state(
             residual=residual,
         )
 
-    rho = np.zeros(dim * dim)
-    rho[even] = x
-    rho = rho.reshape(dim, dim)
-    rho = 0.5 * (rho + rho.T)
-    return _checked_state(rho.astype(complex), boundary_tol)
+    rho = np.append(x, 0.0)[red].reshape(dim, dim).astype(complex)
+    return _checked_state(
+        rho, boundary_tol,
+        iterations=iterations, residual=residual, lu_nnz=lu.nnz,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -272,6 +272,18 @@ class TestExitCodes:
         assert cli.main(["figure", *args, "--out", str(tmp_path) + os.sep]) == 2
         assert not (tmp_path / f"fig{args[0]}.csv").exists()
 
+    @pytest.mark.parametrize("args", [
+        ["oracle", "--dim", "0"],
+        ["oracle", "--dim", "-5"],
+        ["oracle", "--dim", "1"],
+        ["oracle", "--dim", "0", "--t-end", "1"],
+        ["verify", "--dim", "0"],
+    ], ids=["oracle-0", "oracle-neg", "oracle-1", "oracle-transient-0", "verify-0"])
+    def test_fock_basis_too_small(self, tmp_path, args, capsys):
+        assert cli.main([*args, "--out", str(tmp_path / "out.csv")]) == 2
+        assert "dim must be >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
     @pytest.mark.parametrize("flag", ["--dt", "--t-end"])
     def test_mc_zero_time_rejected(self, tmp_path, flag):
         assert cli.main(["mc", "--a", "4", "--beta", "0.2", "--epsilon-rel-threshold", "0.5",

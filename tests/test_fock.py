@@ -6,15 +6,25 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from casq import analytic, fock
 from casq.errors import (
     ConvergenceError,
+    InvalidParameterError,
     NotStableError,
     StepSizeError,
     TruncationError,
 )
 from casq.params import SystemParams, coefficients
+
+from conftest import stable_params
+
+VERIFY_POINT = SystemParams(a=25, kappa=0.8, beta=0.1).with_relative_drive(0.5)
+FIG6_POINT = SystemParams(a=100, kappa=0.8, beta=0.067, epsilon=0.3)
 
 
 def index_shift_generator(rho, coeffs):
@@ -71,6 +81,34 @@ def index_shift_generator(rho, coeffs):
     out -= coeffs.u * (rho_adag2 + a2_rho)
     out -= coeffs.v * (rho_a2 + adag2_rho)
     return out
+
+
+def even_sector_steady_state(p, dim, tol=1e-10, max_steps=400, dt_factor=10.0):
+    """Reference steady state: backward Euler on every even m - n entry.
+
+    The solve the library used before it folded the transposition
+    symmetry in: all even-sector unknowns, SuperLU's default COLAMD
+    ordering, and a symmetrization at the end.  Returns (rho, steps).
+    """
+    c = coefficients(p)
+    levels = np.arange(dim)
+    even = np.flatnonzero(((levels[:, None] - levels[None, :]) % 2 == 0).ravel())
+    gen = fock._sparse_generator(dim, c)[even][:, even].tocsc()
+    diag_pos = np.searchsorted(even, levels * dim + levels)
+    lu = spla.splu((sp.identity(even.size, format="csc") - (dt_factor / c.lambda_minus) * gen).tocsc())
+    x = np.zeros(even.size)
+    x[diag_pos[0]] = 1.0
+    for steps in range(1, max_steps + 1):
+        x = lu.solve(x)
+        x /= x[diag_pos].sum()
+        if np.abs(gen @ x).sum() < tol * np.abs(x).sum():
+            break
+    else:
+        raise ConvergenceError(f"reference solve did not converge in {max_steps} steps")
+    rho = np.zeros(dim * dim)
+    rho[even] = x
+    rho = rho.reshape(dim, dim)
+    return 0.5 * (rho + rho.T), steps
 
 
 def sparse_rhs(rho, coeffs):
@@ -132,6 +170,21 @@ class TestGenerator:
                 2 * (c.r - c.s) * nn + x * (np.conj(a2) + a2).real + 2 * c.r,
                 rel=1e-10, abs=1e-10,
             )
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 24))
+    def test_transposition_and_parity_symmetries(self, seed, dim):
+        # the steady-state solve folds rho_mn and rho_nm into one unknown and
+        # drops the odd m - n sector; both rest on these exact identities
+        p = stable_params(np.random.default_rng(seed), 1)[0]
+        gen = fock._sparse_generator(dim, coefficients(p)).tocsr()
+        assert np.isrealobj(gen.data)
+        transpose = np.arange(dim * dim).reshape(dim, dim).T.ravel()
+        assert abs(gen[transpose][:, transpose] - gen).max() == 0.0
+        levels = np.arange(dim)
+        odd = ((levels[:, None] - levels[None, :]) % 2 == 1).ravel()
+        assert gen[odd][:, ~odd].count_nonzero() == 0
+        assert gen[~odd][:, odd].count_nonzero() == 0
 
     def test_sparse_matches_dense(self, rng):
         c = coefficients(SystemParams(a=12, kappa=1.1, beta=0.6, epsilon=0.4))
@@ -199,8 +252,59 @@ class TestEvolve:
             fock.evolve(fock.vacuum(6), p, 20.0)
         assert err.value.suggested_dim == 12
 
+    def test_vacuum_start_keeps_odd_sector_empty(self):
+        p = SystemParams(a=4, kappa=0.8, beta=0.2).with_relative_drive(0.5)
+        rho = fock.evolve(fock.vacuum(48), p, 1.0)
+        levels = np.arange(48)
+        odd = (levels[:, None] - levels[None, :]) % 2 == 1
+        assert not rho.data[odd].any()
+        assert np.abs(np.diag(rho.data, k=2)).max() > 1e-3
+        assert (rho.iterations, rho.residual, rho.lu_nnz) == (0, None, 0)
+
+    def test_both_sectors_evolve_when_occupied(self, rng):
+        # a state with odd m - n coherences keeps the odd sector in the step
+        p = SystemParams(a=12, kappa=1.1, beta=0.6, epsilon=0.4)
+        c = coefficients(p)
+        block = np.zeros((20, 20), dtype=complex)
+        block[:12, :12] = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+        rho0 = block @ block.conj().T
+        rho0 /= np.trace(rho0).real
+        dt, n_steps = 1e-3, 50
+        rho = rho0.copy()
+        for _ in range(n_steps):  # plain RK4 on the whole state
+            k1 = sparse_rhs(rho, c)
+            k2 = sparse_rhs(rho + 0.5 * dt * k1, c)
+            k3 = sparse_rhs(rho + 0.5 * dt * k2, c)
+            k4 = sparse_rhs(rho + dt * k3, c)
+            rho = rho + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            rho = 0.5 * (rho + rho.conj().T)
+        got = fock.evolve(fock.DensityMatrix(dim=20, data=rho0), p, n_steps * dt, dt=dt,
+                          boundary_tol=None)
+        np.testing.assert_allclose(got.data, rho, rtol=0, atol=1e-13)
+        assert np.abs(np.diag(got.data, k=1)).max() > 1e-3
+
 
 class TestSteadyState:
+    @pytest.mark.parametrize("dim", [64, 128])
+    @pytest.mark.parametrize("p", [VERIFY_POINT, FIG6_POINT], ids=["verify", "fig6"])
+    def test_matches_even_sector_reference(self, p, dim):
+        # small bases truncate these states, but the truncated model is the
+        # same for both solves, so the guard is off
+        ref, steps = even_sector_steady_state(p, dim)
+        rho = fock.steady_state(p, dim, boundary_tol=None)
+        assert np.abs(rho.data - ref).max() <= 1e-12
+        assert rho.iterations == steps
+        assert np.array_equal(rho.data, rho.data.T)
+        assert not rho.data.imag.any()
+
+    def test_solver_counts_recorded(self):
+        rho = fock.steady_state(VERIFY_POINT, 256)
+        assert 1 <= rho.iterations <= 400
+        assert 0 < rho.residual < 1e-10 * np.abs(rho.data).sum()
+        # L + U of the folded, reordered system (the whole even sector
+        # under COLAMD fills to about 5.5 M)
+        assert 0 < rho.lu_nnz < 2_000_000
+
     def test_vacuum_projector_without_drive(self):
         rho = fock.steady_state(SystemParams(a=0, kappa=0.8, beta=0, epsilon=0), 16)
         assert rho.data[0, 0].real == pytest.approx(1.0, abs=1e-12)
@@ -282,6 +386,26 @@ class TestSteadyState:
         p = SystemParams(a=25, kappa=0.8, beta=0.1).with_relative_drive(0.5)
         with pytest.raises(ConvergenceError):
             fock.steady_state(p, 64, max_steps=1)
+
+    @pytest.mark.parametrize("dim", [1, 0, -5])
+    def test_too_small_basis_rejected(self, dim):
+        with pytest.raises(InvalidParameterError, match="dim"):
+            fock.steady_state(VERIFY_POINT, dim)
+
+    @pytest.mark.parametrize(
+        "option",
+        [{"tol": 0.0}, {"tol": -1.0}, {"max_steps": 0}, {"dt_factor": 0.0}, {"dt_factor": -1.0}],
+        ids=["tol-0", "tol-neg", "max_steps-0", "dt_factor-0", "dt_factor-neg"],
+    )
+    def test_nonpositive_solver_options_rejected(self, option):
+        with pytest.raises(InvalidParameterError, match=next(iter(option))):
+            fock.steady_state(VERIFY_POINT, 64, **option)
+
+
+@pytest.mark.parametrize("dim", [0, -5])
+def test_vacuum_too_small_basis_rejected(dim):
+    with pytest.raises(InvalidParameterError, match="dim"):
+        fock.vacuum(dim)
 
 
 class TestObservables:
