@@ -14,15 +14,23 @@ trajectory per step, and amplitudes A+- = sqrt((epsilon - 2V +- 2R)/2)
 (imaginary when a radicand is negative).  Ensemble averages of analytic
 functions of (alpha, alpha_dag) then reproduce every normally ordered
 moment: the sample covariance of the increments is (epsilon - 2V) dt on
-each variable and 2R dt across them, and the quadrature combinations
-alpha_dag +- alpha relax at lambda_minus/lambda_plus exactly as the moment
-equations demand.
+each variable and 2R dt across them.
+
+Drift and diffusion are both diagonal in the quadrature pair
+x+- = alpha_dag +- alpha, so the Euler-Maruyama step on (alpha, alpha_dag)
+is the same scheme as two decoupled scalar updates, and the paths are
+stepped in that form:
+
+    x+ <- (1 - lambda_minus dt) x+ + 2 A+ sqrt(dt) xi1
+    x- <- (1 - lambda_plus dt)  x- - 2 A- sqrt(dt) xi2
+
+with alpha = (x+ - x-)/2 and alpha_dag = (x+ + x-)/2.
 
 Reproducibility: every trajectory owns a counter-based Philox stream
 spawned from (seed, trajectory index), and reductions run over fixed-size
 trajectory chunks in index order (numpy pairwise summation within a
 chunk), so identical (seed, n_traj, dt, t_end) give bitwise-identical
-moment series regardless of how work is partitioned.
+moment series.
 """
 
 from __future__ import annotations
@@ -38,13 +46,11 @@ from .params import Coefficients, SystemParams, coefficients
 
 __all__ = [
     "NoiseFactorization",
-    "TrajectoryEnsemble",
     "MomentSeries",
     "CorrelationEstimate",
     "DecayFit",
     "SpectrumEstimate",
     "factor_noise",
-    "step",
     "run",
     "two_time_correlation",
     "fit_decay_rates",
@@ -83,84 +89,6 @@ def factor_noise(coeffs: Coefficients) -> NoiseFactorization:
     )
 
 
-@dataclass
-class TrajectoryEnsemble:
-    """Per-trajectory doubled-phase-space state (alpha, alpha_dag) at time t."""
-
-    n_traj: int
-    dt: float
-    seed: int
-    t: float
-    alpha: np.ndarray
-    alpha_dag: np.ndarray
-
-    @classmethod
-    def vacuum(cls, n_traj: int, dt: float, seed: int, dtype=float) -> "TrajectoryEnsemble":
-        return cls(
-            n_traj=n_traj,
-            dt=dt,
-            seed=seed,
-            t=0.0,
-            alpha=np.zeros(n_traj, dtype=dtype),
-            alpha_dag=np.zeros(n_traj, dtype=dtype),
-        )
-
-
-def _check_step_size(c: Coefficients, dt: float) -> None:
-    if dt * max(c.lambda_plus, abs(c.lambda_minus)) >= 0.05:
-        raise InvalidParameterError(
-            f"dt = {dt:.3e} too large: need dt * max(lambda) < 0.05"
-        )
-
-
-def _em_update(alpha, alpha_dag, decay, coupling, amp_plus, amp_minus, xi1, xi2, dt, sdt):
-    """One Euler-Maruyama step; returns the new (alpha, alpha_dag)."""
-    new_alpha = alpha + dt * (-decay * alpha + coupling * alpha_dag) + sdt * (
-        amp_plus * xi1 + amp_minus * xi2
-    )
-    new_dag = alpha_dag + dt * (-decay * alpha_dag + coupling * alpha) + sdt * (
-        amp_plus * xi1 - amp_minus * xi2
-    )
-    return new_alpha, new_dag
-
-
-def step(
-    ens: TrajectoryEnsemble,
-    coeffs: Coefficients,
-    noise: NoiseFactorization,
-    xi1: np.ndarray,
-    xi2: np.ndarray,
-) -> TrajectoryEnsemble:
-    """Advance the ensemble one step with caller-supplied unit normals.
-
-    Passing zeros for xi1/xi2 gives the deterministic drift alone.
-    """
-    _check_step_size(coeffs, ens.dt)
-    amp_p, amp_m = noise.amp_plus, noise.amp_minus
-    if noise.is_real and not np.iscomplexobj(ens.alpha):
-        amp_p, amp_m = amp_p.real, amp_m.real
-    alpha, alpha_dag = _em_update(
-        ens.alpha,
-        ens.alpha_dag,
-        coeffs.decay,
-        coeffs.coupling,
-        amp_p,
-        amp_m,
-        xi1,
-        xi2,
-        ens.dt,
-        math.sqrt(ens.dt),
-    )
-    return TrajectoryEnsemble(
-        n_traj=ens.n_traj,
-        dt=ens.dt,
-        seed=ens.seed,
-        t=ens.t + ens.dt,
-        alpha=alpha,
-        alpha_dag=alpha_dag,
-    )
-
-
 @dataclass(frozen=True)
 class MomentSeries:
     """Ensemble moments (with standard errors) at the sampled times."""
@@ -183,15 +111,6 @@ class MomentSeries:
     seed: int
 
 
-_STATS = 6  # alpha, alpha_dag, alpha^2, alpha_dag*alpha, (dag+a)^2, (dag-a)^2
-
-
-def _stat_rows(alpha, alpha_dag):
-    plus = alpha_dag + alpha
-    minus = alpha_dag - alpha
-    return (alpha, alpha_dag, alpha * alpha, alpha_dag * alpha, plus * plus, minus * minus)
-
-
 def _noise_setup(c: Coefficients):
     noise = factor_noise(c)
     if noise.is_real:
@@ -203,26 +122,33 @@ def _paths(p: SystemParams, n_traj: int, dt: float, n_steps: int, seed: int,
            chunk_size: int, record_steps):
     """Euler-Maruyama paths of n_traj vacuum-start trajectories, chunk by chunk.
 
-    Yields (lo, hi, step, alpha, alpha_dag) for trajectories lo..hi-1 at each
+    Yields (lo, hi, step, x_plus, x_minus) for trajectories lo..hi-1 at each
     step in `record_steps` (step 0 is the vacuum start), chunks in index
-    order.  Each trajectory draws its normals from its own Philox stream,
-    spawned from (seed, trajectory index), _BLOCK steps at a time; after every
-    block a magnitude above BLOWUP_LIMIT raises TrajectoryBlowupError.
+    order, where x_+- = alpha_dag +- alpha.  Each trajectory draws its
+    normals from its own Philox stream, spawned from (seed, trajectory
+    index), _BLOCK steps at a time; after every block a magnitude
+    max(|alpha|, |alpha_dag|) above BLOWUP_LIMIT raises TrajectoryBlowupError.
     """
     c = coefficients(p)
-    _check_step_size(c, dt)
+    if dt * max(c.lambda_plus, abs(c.lambda_minus)) >= 0.05:
+        raise InvalidParameterError(
+            f"dt = {dt:.3e} too large: need dt * max(lambda) < 0.05"
+        )
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
     dtype, amp_p, amp_m = _noise_setup(c)
-    decay, coupling = c.decay, c.coupling
+    keep_p, keep_m = 1.0 - c.lambda_minus * dt, 1.0 - c.lambda_plus * dt
     sdt = math.sqrt(dt)
+    gain_p, gain_m = 2.0 * amp_p * sdt, -2.0 * amp_m * sdt
     children = np.random.SeedSequence(seed).spawn(n_traj)
 
     for lo in range(0, n_traj, chunk_size):
         hi = min(lo + chunk_size, n_traj)
         gens = [np.random.Generator(np.random.Philox(child)) for child in children[lo:hi]]
-        alpha = np.zeros(hi - lo, dtype=dtype)
-        alpha_dag = np.zeros(hi - lo, dtype=dtype)
+        xp = np.zeros(hi - lo, dtype=dtype)
+        xm = np.zeros(hi - lo, dtype=dtype)
         if 0 in record_steps:
-            yield lo, hi, 0, alpha, alpha_dag
+            yield lo, hi, 0, xp, xm
 
         done = 0
         buf = np.empty((hi - lo, _BLOCK, 2))
@@ -231,16 +157,14 @@ def _paths(p: SystemParams, n_traj: int, dt: float, n_steps: int, seed: int,
             for k, g in enumerate(gens):
                 buf[k, :todo] = g.standard_normal((todo, 2))
             for j in range(todo):
-                alpha, alpha_dag = _em_update(
-                    alpha, alpha_dag, decay, coupling, amp_p, amp_m,
-                    buf[:, j, 0], buf[:, j, 1], dt, sdt,
-                )
+                xp = keep_p * xp + gain_p * buf[:, j, 0]
+                xm = keep_m * xm + gain_m * buf[:, j, 1]
                 if done + j + 1 in record_steps:
-                    yield lo, hi, done + j + 1, alpha, alpha_dag
+                    yield lo, hi, done + j + 1, xp, xm
             done += todo
-            peak = max(
-                float(np.abs(alpha).max(initial=0.0)),
-                float(np.abs(alpha_dag).max(initial=0.0)),
+            peak = 0.5 * max(
+                float(np.abs(xp - xm).max(initial=0.0)),
+                float(np.abs(xp + xm).max(initial=0.0)),
             )
             if peak > BLOWUP_LIMIT:
                 raise TrajectoryBlowupError(
@@ -283,11 +207,14 @@ def run(
     sample_index = {s: i for i, s in enumerate(sample_steps)}
     n_samples = len(sample_steps)
 
-    sums = np.zeros((n_samples, _STATS), dtype=complex)
-    sums_abs2 = np.zeros((n_samples, _STATS))
-    for _, _, s, alpha, alpha_dag in _paths(p, n_traj, dt, n_steps, seed, _RUN_CHUNK, sample_index):
+    # alpha, alpha_dag, alpha^2, alpha_dag*alpha, x_plus^2, x_minus^2
+    sums = np.zeros((n_samples, 6), dtype=complex)
+    sums_abs2 = np.zeros((n_samples, 6))
+    for _, _, s, xp, xm in _paths(p, n_traj, dt, n_steps, seed, _RUN_CHUNK, sample_index):
         i = sample_index[s]
-        for j, row in enumerate(_stat_rows(alpha, alpha_dag)):
+        alpha, alpha_dag = 0.5 * (xp - xm), 0.5 * (xp + xm)
+        rows = (alpha, alpha_dag, alpha * alpha, alpha_dag * alpha, xp * xp, xm * xm)
+        for j, row in enumerate(rows):
             sums[i, j] += row.sum()
             mags = np.abs(row)
             sums_abs2[i, j] += float(mags @ mags)
@@ -378,6 +305,8 @@ def two_time_correlation(
     spacing = np.diff(tau)
     if not np.allclose(spacing, spacing[0], rtol=1e-9, atol=0.0):
         raise InvalidParameterError("tau_grid must be uniform")
+    if groups < 2:
+        raise InvalidParameterError(f"need groups >= 2 for standard errors, got {groups}")
     if n_traj < 2 * groups:
         raise InvalidParameterError(f"need n_traj >= {2 * groups} for {groups} error groups")
     stride = max(int(round(spacing[0] / dt)), 1)
@@ -389,6 +318,9 @@ def two_time_correlation(
         t_burn = 10.0 / c.lambda_minus
     if t_avg is None:
         t_avg = 5.0 * tau[-1]
+    for name, value in (("t_burn", t_burn), ("t_avg", t_avg)):
+        if not (math.isfinite(value) and value > 0):
+            raise InvalidParameterError(f"{name} must be finite and > 0, got {value}")
     burn_steps = max(int(round(t_burn / dt)), 1)
     n_origins = max(int(round(t_avg / d_tau)), 1)
     n_records = n_lags + n_origins - 1
@@ -399,15 +331,15 @@ def two_time_correlation(
     group_sum_m = np.zeros((groups, n_lags), dtype=dtype)
     group_count = np.zeros(groups, dtype=int)
     total = burn_steps + record_steps
-    for lo, hi, s, alpha, alpha_dag in _paths(
+    for lo, hi, s, xp, xm in _paths(
         p, n_traj, dt, total, seed, _CORR_CHUNK, range(burn_steps, total + 1, stride)
     ):
         r = (s - burn_steps) // stride
         if r == 0:
             rec_p = np.empty((hi - lo, n_records), dtype=dtype)
             rec_m = np.empty((hi - lo, n_records), dtype=dtype)
-        rec_p[:, r] = alpha_dag + alpha
-        rec_m[:, r] = alpha_dag - alpha
+        rec_p[:, r] = xp
+        rec_m[:, r] = xm
         if r < n_records - 1:
             continue
 

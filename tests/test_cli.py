@@ -284,6 +284,16 @@ class TestExitCodes:
         assert "dim must be >= 2" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("args", [
+        ["mc", "--seed", "-1"],
+        ["variance", "--engine", "mc", "--beta", "0.2", "--seed", "-3"],
+    ], ids=["mc", "variance-mc"])
+    def test_negative_seed_rejected(self, tmp_path, args, capsys):
+        assert cli.main([*args, "--a", "4", "--epsilon-rel-threshold", "0.5", "--n-traj", "64",
+                         "--out", str(tmp_path / "out.csv")]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
     @pytest.mark.parametrize("flag", ["--dt", "--t-end"])
     def test_mc_zero_time_rejected(self, tmp_path, flag):
         assert cli.main(["mc", "--a", "4", "--beta", "0.2", "--epsilon-rel-threshold", "0.5",

@@ -19,6 +19,38 @@ from casq.params import Coefficients, SystemParams, coefficients
 MODULE_POINT = SystemParams(a=4, kappa=0.8, beta=0.2).with_relative_drive(0.5)
 
 
+def em_reference(p, n_traj, dt, n_steps, seed, record_steps):
+    """Euler-Maruyama on (alpha, alpha_dag) directly, the form `montecarlo`
+    stepped before it moved to the decoupled quadratures x+- = alpha_dag +- alpha.
+
+    Draws from the same per-trajectory Philox streams, spawned from
+    (seed, trajectory index), and returns {step: (alpha, alpha_dag)} over all
+    n_traj trajectories for each step in record_steps (step 0 is the vacuum).
+    """
+    c = coefficients(p)
+    noise = montecarlo.factor_noise(c)
+    if noise.is_real:
+        dtype, amp_p, amp_m = float, noise.amp_plus.real, noise.amp_minus.real
+    else:
+        dtype, amp_p, amp_m = complex, noise.amp_plus, noise.amp_minus
+    decay, coupling, sdt = c.decay, c.coupling, math.sqrt(dt)
+    children = np.random.SeedSequence(seed).spawn(n_traj)
+    xi = np.stack([np.random.Generator(np.random.Philox(child)).standard_normal((n_steps, 2))
+                   for child in children])
+    alpha = np.zeros(n_traj, dtype=dtype)
+    alpha_dag = np.zeros(n_traj, dtype=dtype)
+    out = {0: (alpha, alpha_dag)}
+    for k in range(n_steps):
+        xi1, xi2 = xi[:, k, 0], xi[:, k, 1]
+        alpha, alpha_dag = (
+            alpha + dt * (-decay * alpha + coupling * alpha_dag) + sdt * (amp_p * xi1 + amp_m * xi2),
+            alpha_dag + dt * (-decay * alpha_dag + coupling * alpha) + sdt * (amp_p * xi1 - amp_m * xi2),
+        )
+        if k + 1 in record_steps:
+            out[k + 1] = (alpha, alpha_dag)
+    return {s: out[s] for s in record_steps}
+
+
 class TestNoiseFactorization:
     def test_no_drive_no_atoms(self):
         noise = montecarlo.factor_noise(coefficients(SystemParams(a=0, kappa=0.8, beta=0)))
@@ -55,29 +87,6 @@ class TestNoiseFactorization:
                 2 * c.r, rel=1e-12, abs=1e-12
             )
         assert montecarlo.factor_noise(cases[1]).amp_minus.imag > 0
-
-
-class TestStep:
-    def test_deterministic_decay_along_symmetric_direction(self):
-        c = coefficients(MODULE_POINT)
-        noise = montecarlo.factor_noise(c)
-        ens = montecarlo.TrajectoryEnsemble(
-            n_traj=3, dt=0.01, seed=0, t=0.0,
-            alpha=np.ones(3), alpha_dag=np.ones(3),
-        )
-        zeros = np.zeros(3)
-        out = montecarlo.step(ens, c, noise, zeros, zeros)
-        expect = 1.0 - c.lambda_minus * 0.01
-        np.testing.assert_allclose(out.alpha, expect, rtol=1e-14)
-        np.testing.assert_allclose(out.alpha_dag, expect, rtol=1e-14)
-        assert out.t == pytest.approx(0.01)
-
-    def test_step_size_guard(self):
-        c = coefficients(MODULE_POINT)
-        noise = montecarlo.factor_noise(c)
-        ens = montecarlo.TrajectoryEnsemble.vacuum(4, dt=1.0, seed=0)
-        with pytest.raises(InvalidParameterError):
-            montecarlo.step(ens, c, noise, np.zeros(4), np.zeros(4))
 
 
 class TestIncrements:
@@ -173,9 +182,34 @@ class TestRun:
         assert abs(got - exact) > 2 * se
         assert predicted - exact == pytest.approx(4 * (preds[0.0075][2] - exact), rel=0.02)
 
+    def test_matches_em_reference(self):
+        # 5000 trajectories span two 4096-trajectory chunks and 600 steps span
+        # two 512-step noise blocks; agreement pins the drift (1 - lambda dt)
+        # and the noise gains of the quadrature kernel
+        n_traj, dt, n_steps, seed = 5000, 0.01, 600, 4242
+        steps = [0, 5, 300, 512, 600]
+        series = montecarlo.run(MODULE_POINT, n_traj, n_steps * dt, dt, seed,
+                                sample_times=[s * dt for s in steps])
+        ref = em_reference(MODULE_POINT, n_traj, dt, n_steps, seed, steps)
+        for i, s in enumerate(steps):
+            alpha, alpha_dag = ref[s]
+            plus, minus = alpha_dag + alpha, alpha_dag - alpha
+            rows = {"mean_alpha": alpha, "mean_alpha_dag": alpha_dag, "alpha_sq": alpha * alpha,
+                    "n_cl": alpha_dag * alpha, "plus_sq": plus * plus, "minus_sq": minus * minus}
+            for name, row in rows.items():
+                se = row.std() / math.sqrt(n_traj - 1)
+                np.testing.assert_allclose(getattr(series, name)[i], row.mean(), rtol=1e-12,
+                                           atol=0, err_msg=f"{name} at step {s}")
+                np.testing.assert_allclose(getattr(series, name + "_se")[i], se, rtol=1e-12,
+                                           atol=0, err_msg=f"{name}_se at step {s}")
+
     def test_unstable_rejected(self):
         with pytest.raises(NotStableError):
             montecarlo.run(MODULE_POINT.with_relative_drive(1.2), 64, 1.0, 0.005, seed=1)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidParameterError, match="seed"):
+            montecarlo.run(MODULE_POINT, 64, 1.0, 0.01, seed=-1)
 
     def test_oversized_step_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -237,6 +271,34 @@ class TestTwoTimeCorrelation:
         monkeypatch.setattr(montecarlo, "BLOWUP_LIMIT", 1e-12)
         with pytest.raises(TrajectoryBlowupError):
             montecarlo.two_time_correlation(MODULE_POINT, [0.0, 0.1], 100, 0.01, seed=1)
+
+    def test_group_means_match_em_reference(self):
+        # 4500 trajectories span three 2048-trajectory chunks; the 500 burn-in
+        # steps plus 65 recorded ones cross a 512-step noise block
+        tau = np.arange(5) * 0.05
+        n_traj, dt, groups, seed = 4500, 0.01, 10, 77
+        est = montecarlo.two_time_correlation(MODULE_POINT, tau, n_traj, dt, seed,
+                                              t_burn=5.0, t_avg=0.5, groups=groups)
+        stride, burn, n_origins = 5, 500, 10
+        n_records = tau.size + n_origins - 1
+        steps = [burn + r * stride for r in range(n_records)]
+        ref = em_reference(MODULE_POINT, n_traj, dt, steps[-1], seed, steps)
+        for sign, got in ((1.0, est.group_plus), (-1.0, est.group_minus)):
+            rec = np.stack([ref[s][1] + sign * ref[s][0] for s in steps], axis=1)
+            lag = np.stack([(rec[:, :n_origins] * rec[:, k:k + n_origins]).mean(axis=1)
+                            for k in range(tau.size)], axis=1)
+            want = np.stack([lag[g::groups].mean(axis=0) for g in range(groups)])
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(groups=0), dict(groups=1), dict(t_burn=-5.0), dict(t_avg=-1.0),
+        dict(t_burn=math.nan), dict(t_avg=math.inf), dict(seed=-1),
+    ], ids=["groups-0", "groups-1", "t_burn-negative", "t_avg-negative", "t_burn-nan",
+            "t_avg-inf", "seed-negative"])
+    def test_bad_input_rejected(self, kwargs):
+        kwargs = {"seed": 1, **kwargs}
+        with pytest.raises(InvalidParameterError):
+            montecarlo.two_time_correlation(MODULE_POINT, [0.0, 0.1], 100, 0.01, **kwargs)
 
     def test_tau_grid_validation(self):
         with pytest.raises(InvalidParameterError):
