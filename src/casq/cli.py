@@ -10,8 +10,6 @@ SVG output is a convenience rendering of the same series.  Exit codes:
     5  I/O failure
 """
 
-from __future__ import annotations
-
 import argparse
 import math
 import os
@@ -118,15 +116,6 @@ def _parse_range(text: str) -> np.ndarray:
     return np.array([float(text)])
 
 
-def _out_dir(args) -> str:
-    return args.out or os.environ.get(OUT_DIR_ENV, ".")
-
-
-def _svg_path(csv_path: str) -> str:
-    root, ext = os.path.splitext(csv_path)
-    return root + ".svg"
-
-
 def _out_path(args, default_name: str) -> str:
     out = args.out
     if out and out.endswith(os.sep):
@@ -134,6 +123,20 @@ def _out_path(args, default_name: str) -> str:
     if out:
         return out
     return os.path.join(os.environ.get(OUT_DIR_ENV, "."), default_name)
+
+
+def _emit(args, default_name, header, rows, plot=None) -> int:
+    """Write rows as CSV to the --out path and print that path.
+
+    plot is (x, series, title, xlabel, ylabel); with --format svg it is
+    rendered next to the CSV, under the same name with an .svg suffix.
+    """
+    path = _out_path(args, default_name)
+    _write_csv(path, header, rows)
+    if plot is not None and args.format == "svg":
+        _write_svg(os.path.splitext(path)[0] + ".svg", *plot)
+    print(path)
+    return EXIT_OK
 
 
 def _make_params(a, kappa, beta, epsilon, epsilon_rel) -> SystemParams:
@@ -152,27 +155,28 @@ def _grid_coefficients(a, kappa, betas, epsilon=None, epsilon_rel=None):
     The knobs are validated as _make_params validates one point: at both ends
     of the grid, which bound every beta, and for a relative drive at every point.
     """
-    _make_params(a, kappa, float(betas[-1]), epsilon, epsilon_rel)
-    p = _make_params(a, kappa, float(betas[0]), epsilon, epsilon_rel)
+    _make_params(a, kappa, float(betas[-1]), epsilon, None)
+    p = _make_params(a, kappa, float(betas[0]), epsilon, None)
     c, eps_th = _coefficients(a, kappa, betas, 0.0 if epsilon is None else epsilon)
     if epsilon_rel is not None:
-        if np.any(eps_th <= 0):
-            raise InvalidParameterError(
-                f"threshold drive is {eps_th.min():.6g} <= 0 at beta={betas[np.argmin(eps_th)]}; "
-                "no nonnegative epsilon reaches it"
-            )
+        bad = betas[eps_th <= 0]
+        if bad.size:  # raises the error with_relative_drive gives at the first one
+            SystemParams(a=a, kappa=kappa, beta=float(bad[0])).with_relative_drive(epsilon_rel)
         c = _coefficients(a, kappa, betas, epsilon_rel * eps_th)[0]
     return c, eps_th, threshold_tolerance(p)
 
 
-def _stable_points(n, betas, keep, reason):
-    """betas[keep] of figure n; reports the clipped points and raises NotStableError if none is kept."""
+def _stable_points(name, betas, keep, reason):
+    """betas[keep] of the sweep `name` ("sweep", "figure 4", ...).
+
+    Reports the clipped points on stderr and raises NotStableError if none is kept.
+    """
     skipped = betas[~keep]
     if skipped.size:
-        print(f"clipped {skipped.size} figure-{n} points {reason} "
+        print(f"clipped {skipped.size} {name.replace(' ', '-')} points {reason} "
               f"(beta in [{skipped.min():g}, {skipped.max():g}])", file=sys.stderr)
     if not keep.any():
-        raise NotStableError(f"figure {n}: no stable sweep points")
+        raise NotStableError(f"{name}: no stable sweep points")
     return betas[keep]
 
 
@@ -201,12 +205,20 @@ def _add_system_args(sub, beta_range=False):
                        help="parametric drive as a fraction of the threshold drive")
 
 
-def _add_out_args(sub):
+def _add_out_args(sub, plot=False, target=f"output file (or directory ending in '{os.sep}')"):
     sub.add_argument("--out", type=str, default=None,
-                     help=f"output file (or directory ending in '{os.sep}'); "
-                          f"default directory from ${OUT_DIR_ENV} or '.'")
-    sub.add_argument("--format", choices=["csv", "svg"], default="csv",
-                     help="'svg' also renders a plot next to the CSV")
+                     help=f"{target}; default directory from ${OUT_DIR_ENV} or '.'")
+    if plot:
+        sub.add_argument("--format", choices=["csv", "svg"], default="csv",
+                         help="'svg' also renders a plot next to the CSV")
+
+
+def _add_mc_args(sub, t_end_help="Monte Carlo integration end (default 10 / lambda_minus)"):
+    sub.add_argument("--n-traj", type=int, default=20000, help="Monte Carlo trajectories")
+    sub.add_argument("--dt", type=float, default=None,
+                     help="Monte Carlo step (default from the decay rates)")
+    sub.add_argument("--t-end", type=float, default=None, help=t_end_help)
+    sub.add_argument("--seed", type=int, default=7041, help="Monte Carlo seed")
 
 
 # ---------------------------------------------------------------------------
@@ -218,55 +230,46 @@ def _point_variances(task):
     p = SystemParams(a=a, kappa=kappa, beta=beta, epsilon=epsilon)
     if engine == "analytic":
         v = analytic.variance_steady(p)
-        rec = analytic.steady_record(p) if math.isfinite(v.plus) else None
-        mean_n = rec.n_cl if rec else math.inf
+        mean_n = analytic.steady_record(p).n_cl if math.isfinite(v.plus) else math.inf
         return beta, epsilon, v.plus, v.minus, mean_n
     if engine == "oracle":
-        rho = fock.steady_state(p, dim)
-        obs = fock.observables(rho)
+        obs = fock.observables(fock.steady_state(p, dim))
         return beta, epsilon, obs.var_plus, obs.var_minus, obs.mean_n
-    if engine == "mc":
-        dt, t_end = _mc_times(p, dt, t_end)
-        series = montecarlo.run(p, n_traj, t_end, dt, seed, sample_times=[t_end])
-        return (
-            beta,
-            epsilon,
-            1.0 + float(np.real(series.plus_sq[-1])),
-            1.0 - float(np.real(series.minus_sq[-1])),
-            float(np.real(series.n_cl[-1])),
-        )
-    raise InvalidParameterError(f"unknown engine {engine!r}")
+    dt, t_end = _mc_times(p, dt, t_end)  # engine == "mc"
+    series = montecarlo.run(p, n_traj, t_end, dt, seed, sample_times=[t_end])
+    return (
+        beta,
+        epsilon,
+        1.0 + float(np.real(series.plus_sq[-1])),
+        1.0 - float(np.real(series.minus_sq[-1])),
+        float(np.real(series.n_cl[-1])),
+    )
 
 
-def _run_sweep(tasks, jobs):
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+def _beta_grid(args):
+    """Check --jobs; return the --beta grid, its drives and which points lie below threshold."""
+    if args.jobs < 1:
+        raise InvalidParameterError(f"--jobs must be >= 1, got {args.jobs}")
+    betas = _parse_range(args.beta)
+    c, _, tol = _grid_coefficients(args.a, args.kappa, betas, args.epsilon, args.epsilon_rel)
+    return betas, np.broadcast_to(c.epsilon, betas.shape), c.lambda_minus > tol
+
+
+def _sweep(args):
+    """(beta, epsilon, var_plus, var_minus, mean_n) of --engine at the stable points of --beta."""
+    if args.engine != "mc" and (args.dt is not None or args.t_end is not None):
+        raise InvalidParameterError(f"--dt and --t-end are not used by the {args.engine} engine")
+    betas, eps, keep = _beta_grid(args)
+    tasks = [
+        (args.engine, args.a, args.kappa, float(beta), float(epsilon),
+         args.dim, args.n_traj, args.dt, args.t_end, args.seed)
+        for beta, epsilon in zip(_stable_points("sweep", betas, keep, "with lambda_minus <= 0"),
+                                 eps[keep])
+    ]
+    if args.jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             return list(pool.map(_point_variances, tasks))
     return [_point_variances(t) for t in tasks]
-
-
-def _sweep_command(args):
-    betas = _parse_range(args.beta) if isinstance(args.beta, str) else np.array([args.beta])
-    skipped = []
-    tasks = []
-    for beta in betas:
-        p = _make_params(args.a, args.kappa, float(beta), args.epsilon, args.epsilon_rel)
-        if coefficients(p).lambda_minus <= threshold_tolerance(p):
-            skipped.append(float(beta))
-            continue
-        tasks.append(
-            (args.engine, p.a, p.kappa, p.beta, p.epsilon,
-             args.dim, args.n_traj, args.dt, args.t_end, args.seed)
-        )
-    if skipped:
-        print(
-            f"clipped {len(skipped)} sweep points with lambda_minus <= 0 "
-            f"(beta in [{min(skipped):g}, {max(skipped):g}])",
-            file=sys.stderr,
-        )
-    if not tasks:
-        raise NotStableError("entire sweep lies at or above threshold")
-    return _run_sweep(tasks, args.jobs), skipped
 
 
 # ---------------------------------------------------------------------------
@@ -276,234 +279,185 @@ def _sweep_command(args):
 def _cmd_coeffs(args) -> int:
     betas = _parse_range(args.beta)
     c, eps_th, _ = _grid_coefficients(args.a, args.kappa, betas, args.epsilon, args.epsilon_rel)
-    rows = zip(betas, c.r, c.s, c.u, c.v, c.b, c.lambda_minus, c.lambda_plus, eps_th)
-    path = _out_path(args, "coeffs.csv")
     header = ["beta", "R", "S", "U", "V", "B", "lambda_minus", "lambda_plus", "epsilon_threshold"]
-    _write_csv(path, header, rows)
-    print(path)
-    return EXIT_OK
+    return _emit(args, "coeffs.csv", header,
+                 zip(betas, c.r, c.s, c.u, c.v, c.b, c.lambda_minus, c.lambda_plus, eps_th))
 
 
 def _cmd_variance(args) -> int:
-    results, _ = _sweep_command(args)
-    path = _out_path(args, "variance.csv")
-    header = ["beta", "epsilon", "var_plus", "var_minus", "mean_n"]
-    _write_csv(path, header, results)
-    if args.format == "svg":
-        arr = np.array([r[:4] for r in results], dtype=float)
-        _write_svg(
-            _svg_path(path),
-            arr[:, 0],
-            [("var_plus", arr[:, 2]), ("var_minus", arr[:, 3])],
-            f"steady-state quadrature variances ({args.engine})",
-            "beta", "variance",
-        )
-    print(path)
-    return EXIT_OK
+    rows = _sweep(args)
+    arr = np.array(rows, dtype=float)
+    return _emit(args, "variance.csv", ["beta", "epsilon", "var_plus", "var_minus", "mean_n"], rows,
+                 (arr[:, 0], [("var_plus", arr[:, 2]), ("var_minus", arr[:, 3])],
+                  f"steady-state quadrature variances ({args.engine})", "beta", "variance"))
 
 
 def _cmd_spectrum(args) -> int:
     p = _make_params(args.a, args.kappa, args.beta, args.epsilon, args.epsilon_rel)
-    omegas = _parse_range(args.omega)
-    curve = analytic.spectrum(p, omegas)
-    path = _out_path(args, "spectrum.csv")
-    rows = list(zip(curve.omega, curve.s_plus, curve.s_minus))
-    _write_csv(path, ["omega", "s_plus", "s_minus"], rows)
-    if args.format == "svg":
-        _write_svg(
-            _svg_path(path), curve.omega,
-            [("s_plus", curve.s_plus), ("s_minus", curve.s_minus)],
-            "output squeezing spectrum", "omega", "S(omega)",
-        )
-    print(path)
-    return EXIT_OK
+    curve = analytic.spectrum(p, _parse_range(args.omega))
+    series = [("s_plus", curve.s_plus), ("s_minus", curve.s_minus)]
+    return _emit(args, "spectrum.csv", ["omega", "s_plus", "s_minus"],
+                 zip(curve.omega, curve.s_plus, curve.s_minus),
+                 (curve.omega, series, "output squeezing spectrum", "omega", "S(omega)"))
 
 
 def _cmd_mean_photon(args) -> int:
-    if args.t_end is not None and args.engine == "analytic":
-        betas = _parse_range(args.beta) if isinstance(args.beta, str) else [args.beta]
-        rows = []
-        for beta in betas:
-            p = _make_params(args.a, args.kappa, float(beta), args.epsilon, args.epsilon_rel)
-            rows.append((beta, p.epsilon, analytic.mean_photon_number(p, args.t_end)))
-        header = ["beta", "epsilon", "mean_n"]
-        path = _out_path(args, "mean_photon.csv")
-        _write_csv(path, header, rows)
-        print(path)
-        return EXIT_OK
-    results, _ = _sweep_command(args)
-    rows = [(beta, eps, mean_n) for beta, eps, _vp, _vm, mean_n in results]
-    path = _out_path(args, "mean_photon.csv")
-    _write_csv(path, ["beta", "epsilon", "mean_n"], rows)
-    if args.format == "svg":
-        arr = np.array(rows, dtype=float)
-        _write_svg(_svg_path(path), arr[:, 0], [("mean_n", arr[:, 2])],
-                   f"steady-state mean photon number ({args.engine})", "beta", "<n>")
-    print(path)
-    return EXIT_OK
+    if args.engine == "analytic" and args.t_end is not None:
+        if args.dt is not None:
+            raise InvalidParameterError("--dt is not used by the analytic engine")
+        betas, eps, _ = _beta_grid(args)
+        rows = [(beta, epsilon, analytic.mean_photon_number(
+                    SystemParams(a=args.a, kappa=args.kappa, beta=float(beta),
+                                 epsilon=float(epsilon)), args.t_end))
+                for beta, epsilon in zip(betas, eps)]
+        title = f"mean photon number at t={args.t_end:g} (analytic)"
+    else:
+        rows = [(beta, eps, mean_n) for beta, eps, _vp, _vm, mean_n in _sweep(args)]
+        title = f"steady-state mean photon number ({args.engine})"
+    arr = np.array(rows, dtype=float)
+    return _emit(args, "mean_photon.csv", ["beta", "epsilon", "mean_n"], rows,
+                 (arr[:, 0], [("mean_n", arr[:, 2])], title, "beta", "<n>"))
 
 
 def _cmd_pnd(args) -> int:
     p = _make_params(args.a, args.kappa, args.beta, args.epsilon, args.epsilon_rel)
     if args.engine == "oracle":
-        rho = fock.steady_state(p, args.dim)
-        probs = fock.observables(rho).pnd[: args.n_max + 1]
+        if not 0 <= args.n_max <= args.dim - 1:
+            raise InvalidParameterError(
+                f"--n-max must lie in [0, dim - 1] = [0, {args.dim - 1}], got {args.n_max}")
+        probs = fock.observables(fock.steady_state(p, args.dim)).pnd[: args.n_max + 1]
     else:
-        record = analytic.steady_record(p)
-        probs = analytic.photon_distribution(record, args.n_max).probs
-    rows = list(enumerate(probs))
-    path = _out_path(args, "pnd.csv")
-    _write_csv(path, ["n", "p"], rows)
-    if args.format == "svg":
-        arr = np.array(rows, dtype=float)
-        _write_svg(_svg_path(path), arr[:, 0], [("P(n)", arr[:, 1])],
-                   f"photon number distribution ({args.engine})", "n", "P(n)")
-    print(path)
-    return EXIT_OK
+        probs = analytic.photon_distribution(analytic.steady_record(p), args.n_max).probs
+    ns = np.arange(probs.size)
+    return _emit(args, "pnd.csv", ["n", "p"], zip(ns, probs),
+                 (ns, [("P(n)", probs)], f"photon number distribution ({args.engine})",
+                  "n", "P(n)"))
 
 
-def _figure_grid(step=1e-3):
+def _figure_grid(step):
     if not step > 0:
         raise InvalidParameterError(f"--beta-step must be > 0, got {step}")
     return np.arange(0.0, 2.0 + step / 2.0, step)
 
 
+def _figure_gains(args):
+    """The gains of figure args.n: --a (a comma list only for figure 3), else the preset's."""
+    if args.a is None:
+        return {3: [25.0, 50.0, 100.0], 4: [25.0], 5: [25.0]}.get(args.n, [100.0])
+    try:
+        gains = [float(v) for v in args.a.split(",")]
+    except ValueError:
+        raise InvalidParameterError(f"--a must be a number or comma list, got {args.a!r}") from None
+    if len(gains) > 1 and args.n != 3:
+        raise InvalidParameterError(f"figure {args.n} takes one --a value, got {args.a!r}")
+    return gains
+
+
 def _cmd_figure(args) -> int:
-    n = args.n
-    out_dir = _out_dir(args)
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"fig{n}.csv")
-    a_list = [float(v) for v in str(args.a).split(",")] if args.a is not None else None
-    kappa = args.kappa
+    n, kappa = args.n, args.kappa
+    gains = _figure_gains(args)
+    for g in gains:
+        SystemParams(a=g, kappa=kappa, beta=0.0)  # validates the knobs
+    a = gains[0]
+    eps = 0.3 if args.epsilon is None else args.epsilon
 
     if n == 2:
-        a = a_list[0] if a_list else 100.0
-        betas = _figure_grid(args.beta_step)
-        SystemParams(a=a, kappa=kappa, beta=0.0)  # validates the knobs
-        dotted = analytic.no_crystal_minus_curve(a, kappa, betas)
-        solid = analytic.threshold_minus_curve(a, kappa, betas)
-        _write_csv(path, ["beta", "var_minus_no_crystal", "var_minus_threshold"],
-                   zip(betas, dotted, solid))
-        series = [("no crystal", dotted), ("threshold", solid)]
+        x = _figure_grid(args.beta_step)
+        series = [("no crystal", analytic.no_crystal_minus_curve(a, kappa, x)),
+                  ("threshold", analytic.threshold_minus_curve(a, kappa, x))]
+        header = ["beta", "var_minus_no_crystal", "var_minus_threshold"]
         title, xlabel, ylabel = "squeezed-quadrature variance", "beta", "variance"
     elif n == 3:
-        gains = a_list or [25.0, 50.0, 100.0]
-        betas = _figure_grid(args.beta_step)
-        for g in gains:
-            SystemParams(a=g, kappa=kappa, beta=0.0)  # validates the knobs
-        curves = [(f"A={g:g}", analytic.threshold_minus_curve(g, kappa, betas)) for g in gains]
-        _write_csv(path, ["beta"] + [f"var_minus_threshold_a{g:g}" for g in gains],
-                   zip(betas, *[c for _, c in curves]))
-        series = curves
+        x = _figure_grid(args.beta_step)
+        series = [(f"A={g:g}", analytic.threshold_minus_curve(g, kappa, x)) for g in gains]
+        header = ["beta"] + [f"var_minus_threshold_a{g:g}" for g in gains]
         title, xlabel, ylabel = "at-threshold variance vs gain", "beta", "variance"
     elif n == 4:
-        a = a_list[0] if a_list else 25.0
         betas = _figure_grid(args.beta_step)
         c, eps_th, tol = _grid_coefficients(a, kappa, betas)
-        betas = _stable_points(4, betas, (eps_th > 0) & (c.lambda_minus > tol),
-                               "outside the stable region")
-        dotted = analytic._spectra(_grid_coefficients(a, kappa, betas)[0],
-                                   a, kappa, betas, args.omega, tol)[1]
-        solid = analytic._spectra(_grid_coefficients(a, kappa, betas, epsilon_rel=1.0)[0],
-                                  a, kappa, betas, args.omega, tol)[1]
-        _write_csv(path, ["beta", "s_minus_no_crystal", "s_minus_threshold"],
-                   zip(betas, dotted, solid))
+        x = _stable_points("figure 4", betas, (eps_th > 0) & (c.lambda_minus > tol),
+                           "outside the stable region")
+        dotted = analytic._spectra(_grid_coefficients(a, kappa, x)[0],
+                                   a, kappa, x, args.omega, tol)[1]
+        solid = analytic._spectra(_grid_coefficients(a, kappa, x, epsilon_rel=1.0)[0],
+                                  a, kappa, x, args.omega, tol)[1]
         series = [("no crystal", dotted), ("threshold", solid)]
+        header = ["beta", "s_minus_no_crystal", "s_minus_threshold"]
         title, xlabel, ylabel = f"squeezing spectrum at omega={args.omega:g}", "beta", "S_-"
     elif n == 5:
-        a = a_list[0] if a_list else 25.0
-        eps = 0.3 if args.epsilon is None else args.epsilon
         betas = _figure_grid(args.beta_step)
         c_on, _, tol = _grid_coefficients(a, kappa, betas, eps)
         c_off = _grid_coefficients(a, kappa, betas)[0]
-        betas = _stable_points(5, betas, (c_on.lambda_minus > tol) & (c_off.lambda_minus > tol),
-                               "at or above threshold")
-        off = analytic._steady_moments(_grid_coefficients(a, kappa, betas)[0])[1]
-        on = analytic._steady_moments(_grid_coefficients(a, kappa, betas, eps)[0])[1]
-        _write_csv(path, ["beta", "mean_n_no_crystal", "mean_n_pa"], zip(betas, off, on))
+        x = _stable_points("figure 5", betas,
+                           (c_on.lambda_minus > tol) & (c_off.lambda_minus > tol),
+                           "at or above threshold")
+        off = analytic._steady_moments(_grid_coefficients(a, kappa, x)[0])[1]
+        on = analytic._steady_moments(_grid_coefficients(a, kappa, x, eps)[0])[1]
         series = [("epsilon=0", off), (f"epsilon={eps:g}", on)]
+        header = ["beta", "mean_n_no_crystal", "mean_n_pa"]
         title, xlabel, ylabel = "steady-state mean photon number", "beta", "<n>"
     else:  # n == 6
-        a = a_list[0] if a_list else 100.0
         beta = args.beta if args.beta is not None else 0.067
-        eps = 0.3 if args.epsilon is None else args.epsilon
-        n_max = args.n_max
         p_on = SystemParams(a=a, kappa=kappa, beta=beta, epsilon=eps)
-        p_off = p_on.with_epsilon(0.0)
-        pnd_off = analytic.photon_distribution(analytic.steady_record(p_off), n_max).probs
-        pnd_on = analytic.photon_distribution(analytic.steady_record(p_on), n_max).probs
-        ns = np.arange(n_max + 1)
-        _write_csv(path, ["n", "p_no_crystal", "p_pa"], zip(ns, pnd_off, pnd_on))
-        betas, series = ns, [("epsilon=0", pnd_off), (f"epsilon={eps:g}", pnd_on)]
+        x = np.arange(args.n_max + 1)
+        series = [(label, analytic.photon_distribution(analytic.steady_record(q), args.n_max).probs)
+                  for label, q in (("epsilon=0", p_on.with_epsilon(0.0)),
+                                   (f"epsilon={eps:g}", p_on))]
+        header = ["n", "p_no_crystal", "p_pa"]
         title, xlabel, ylabel = "steady-state photon number distribution", "n", "P(n)"
 
-    if args.format == "svg":
-        _write_svg(os.path.join(out_dir, f"fig{n}.svg"), betas, series, title, xlabel, ylabel)
-    print(path)
-    return EXIT_OK
+    # --out names a directory here, created on demand
+    args.out = os.path.join(args.out or os.environ.get(OUT_DIR_ENV, "."), "")
+    os.makedirs(args.out, exist_ok=True)
+    return _emit(args, f"fig{n}.csv", header, zip(x, *(y for _, y in series)),
+                 (x, series, title, xlabel, ylabel))
 
 
-def verify_point(
-    p: SystemParams,
-    dim: int = 150,
-    n_traj: int = 20000,
-    dt: float | None = None,
-    t_end: float | None = None,
-    seed: int = 7041,
-    sigma: float = 3.0,
-    oracle_rtol: float = 1e-3,
-    pnd_atol: float = 1e-4,
-    moments_rtol: float = 1e-8,
-):
+MOMENTS_RTOL = 1e-8
+
+
+def verify_point(p: SystemParams, *, dim, n_traj, dt, t_end, seed, sigma, oracle_rtol, pnd_atol):
     """Run all four engines at one parameter point and tabulate agreement.
 
-    Returns (rows, ok); each row is (check, reference, value, bound, status).
+    dt and t_end may be None for the Monte Carlo defaults.  Returns (rows, ok);
+    each row is (check, reference, value, bound, status).
     """
-    c = coefficients(p)
     var = analytic.variance_steady(p)
     record = analytic.steady_record(p)
-    s_plus, s_minus = analytic.steady_alpha_sq(c)
+    s_plus, s_minus = analytic.steady_alpha_sq(coefficients(p))
 
     rows = []
 
     def check(name, reference, value, bound):
-        ok = abs(value - reference) <= bound
-        rows.append((name, reference, value, bound, "PASS" if ok else "FAIL"))
-        return ok
+        status = "PASS" if abs(value - reference) <= bound else "FAIL"
+        rows.append((name, reference, value, bound, status))
 
-    ok = True
     lin = moments.steady_from_linear_solve(p)
-    ok &= check("moments n_cl vs analytic", record.n_cl, lin.n_cl,
-                moments_rtol * max(abs(record.n_cl), 1e-30))
-    ok &= check("moments <a+^2> vs analytic", s_plus, lin.var_flow_plus,
-                moments_rtol * abs(s_plus))
-    ok &= check("moments <a-^2> vs analytic", s_minus, lin.var_flow_minus,
-                moments_rtol * max(abs(s_minus), 1e-30))
+    check("moments n_cl vs analytic", record.n_cl, lin.n_cl,
+          MOMENTS_RTOL * max(abs(record.n_cl), 1e-30))
+    check("moments <a+^2> vs analytic", s_plus, lin.var_flow_plus, MOMENTS_RTOL * abs(s_plus))
+    check("moments <a-^2> vs analytic", s_minus, lin.var_flow_minus,
+          MOMENTS_RTOL * max(abs(s_minus), 1e-30))
 
-    rho = fock.steady_state(p, dim)
-    obs = fock.observables(rho)
-    ok &= check("oracle mean_n vs analytic", record.n_cl, obs.mean_n,
-                oracle_rtol * max(abs(record.n_cl), 1e-12))
-    ok &= check("oracle var_plus vs analytic", var.plus, obs.var_plus, oracle_rtol * var.plus)
-    ok &= check("oracle var_minus vs analytic", var.minus, obs.var_minus,
-                oracle_rtol * var.minus)
+    obs = fock.observables(fock.steady_state(p, dim))
+    check("oracle mean_n vs analytic", record.n_cl, obs.mean_n,
+          oracle_rtol * max(abs(record.n_cl), 1e-12))
+    check("oracle var_plus vs analytic", var.plus, obs.var_plus, oracle_rtol * var.plus)
+    check("oracle var_minus vs analytic", var.minus, obs.var_minus, oracle_rtol * var.minus)
     n_head = min(dim // 2, 64)
     pnd = analytic.photon_distribution(record, n_head).probs
-    delta = float(np.abs(obs.pnd[: n_head + 1] - pnd).max())
-    okP = delta <= pnd_atol
-    rows.append(("oracle P(n) vs closed form (max |delta|)", 0.0, delta, pnd_atol,
-                 "PASS" if okP else "FAIL"))
-    ok &= okP
+    check("oracle P(n) vs closed form (max |delta|)", 0.0,
+          float(np.abs(obs.pnd[: n_head + 1] - pnd).max()), pnd_atol)
 
     dt, t_end = _mc_times(p, dt, t_end)
     series = montecarlo.run(p, n_traj, t_end, dt, seed, sample_times=[t_end])
-    ok &= check("mc <a+^2> vs analytic", s_plus, float(np.real(series.plus_sq[-1])),
-                sigma * float(series.plus_sq_se[-1]))
-    ok &= check("mc <a-^2> vs analytic", s_minus, float(np.real(series.minus_sq[-1])),
-                sigma * float(series.minus_sq_se[-1]))
-    ok &= check("mc n_cl vs analytic", record.n_cl, float(np.real(series.n_cl[-1])),
-                sigma * float(series.n_cl_se[-1]))
-    return rows, ok
+    check("mc <a+^2> vs analytic", s_plus, float(np.real(series.plus_sq[-1])),
+          sigma * float(series.plus_sq_se[-1]))
+    check("mc <a-^2> vs analytic", s_minus, float(np.real(series.minus_sq[-1])),
+          sigma * float(series.minus_sq_se[-1]))
+    check("mc n_cl vs analytic", record.n_cl, float(np.real(series.n_cl[-1])),
+          sigma * float(series.n_cl_se[-1]))
+    return rows, all(row[4] == "PASS" for row in rows)
 
 
 def _cmd_verify(args) -> int:
@@ -529,23 +483,12 @@ def _cmd_verify(args) -> int:
 def _cmd_mc(args) -> int:
     p = _make_params(args.a, args.kappa, args.beta, args.epsilon, args.epsilon_rel)
     dt, t_end = _mc_times(p, args.dt, args.t_end)
-    series = montecarlo.run(p, args.n_traj, t_end, dt, args.seed)
-    rows = [
-        (
-            t,
-            np.real(series.alpha_sq[i]), series.alpha_sq_se[i],
-            np.real(series.n_cl[i]), series.n_cl_se[i],
-            np.real(series.plus_sq[i]), series.plus_sq_se[i],
-            np.real(series.minus_sq[i]), series.minus_sq_se[i],
-        )
-        for i, t in enumerate(series.times)
-    ]
+    s = montecarlo.run(p, args.n_traj, t_end, dt, args.seed)
     header = ["t", "alpha_sq", "alpha_sq_se", "n_cl", "n_cl_se",
               "plus_sq", "plus_sq_se", "minus_sq", "minus_sq_se"]
-    path = _out_path(args, "mc.csv")
-    _write_csv(path, header, rows)
-    print(path)
-    return EXIT_OK
+    return _emit(args, "mc.csv", header,
+                 zip(s.times, np.real(s.alpha_sq), s.alpha_sq_se, np.real(s.n_cl), s.n_cl_se,
+                     np.real(s.plus_sq), s.plus_sq_se, np.real(s.minus_sq), s.minus_sq_se))
 
 
 def _cmd_oracle(args) -> int:
@@ -562,10 +505,7 @@ def _cmd_oracle(args) -> int:
         obs.mean_n, obs.var_plus, obs.var_minus, obs.mean_a_sq.real,
         rho.trace_err, rho.boundary_pop,
     )
-    path = _out_path(args, "oracle.csv")
-    _write_csv(path, header, [row])
-    print(path)
-    return EXIT_OK
+    return _emit(args, "oracle.csv", header, [row])
 
 
 # ---------------------------------------------------------------------------
@@ -581,47 +521,43 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("coeffs", help="master-equation coefficients over a beta sweep")
+    sp.set_defaults(run=_cmd_coeffs)
     _add_system_args(sp, beta_range=True)
     _add_out_args(sp)
 
-    sp = sub.add_parser("variance", help="steady-state quadrature variances over a beta sweep")
-    _add_system_args(sp, beta_range=True)
-    sp.add_argument("--engine", choices=["analytic", "oracle", "mc"], default="analytic")
-    sp.add_argument("--dim", type=int, default=150, help="Fock truncation (oracle engine)")
-    sp.add_argument("--n-traj", type=int, default=20000)
-    sp.add_argument("--dt", type=float, default=None)
-    sp.add_argument("--t-end", type=float, default=None)
-    sp.add_argument("--seed", type=int, default=7041)
-    sp.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                    help="worker processes for oracle/mc sweeps")
-    _add_out_args(sp)
+    for name, what, run, t_end_help in (
+        ("variance", "steady-state quadrature variances", _cmd_variance,
+         "mc engine: integration end (default 10 / lambda_minus)"),
+        ("mean-photon", "mean photon number", _cmd_mean_photon,
+         "analytic engine: evaluate the transient at this time; "
+         "mc engine: integration end (default 10 / lambda_minus)"),
+    ):
+        sp = sub.add_parser(name, help=f"{what} over a beta sweep")
+        sp.set_defaults(run=run)
+        _add_system_args(sp, beta_range=True)
+        sp.add_argument("--engine", choices=["analytic", "oracle", "mc"], default="analytic")
+        sp.add_argument("--dim", type=int, default=150, help="Fock truncation (oracle engine)")
+        _add_mc_args(sp, t_end_help)
+        sp.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+                        help="worker processes for oracle/mc sweeps")
+        _add_out_args(sp, plot=True)
 
     sp = sub.add_parser("spectrum", help="output squeezing spectrum on a frequency grid")
+    sp.set_defaults(run=_cmd_spectrum)
     _add_system_args(sp)
     sp.add_argument("--omega", type=str, default="0:5:0.01", help="value or start:stop:step")
-    _add_out_args(sp)
-
-    sp = sub.add_parser("mean-photon", help="mean photon number over a beta sweep")
-    _add_system_args(sp, beta_range=True)
-    sp.add_argument("--engine", choices=["analytic", "oracle", "mc"], default="analytic")
-    sp.add_argument("--dim", type=int, default=150)
-    sp.add_argument("--n-traj", type=int, default=20000)
-    sp.add_argument("--dt", type=float, default=None)
-    sp.add_argument("--t-end", type=float, default=None,
-                    help="analytic engine: evaluate the transient at this time; "
-                         "mc engine: integration end (oracle reports steady state)")
-    sp.add_argument("--seed", type=int, default=7041)
-    sp.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    _add_out_args(sp)
+    _add_out_args(sp, plot=True)
 
     sp = sub.add_parser("pnd", help="photon number distribution at steady state")
+    sp.set_defaults(run=_cmd_pnd)
     _add_system_args(sp)
     sp.add_argument("--engine", choices=["analytic", "oracle"], default="analytic")
     sp.add_argument("--n-max", type=int, default=64)
-    sp.add_argument("--dim", type=int, default=150)
-    _add_out_args(sp)
+    sp.add_argument("--dim", type=int, default=150, help="Fock truncation (oracle engine)")
+    _add_out_args(sp, plot=True)
 
     sp = sub.add_parser("figure", help="reproduce a figure preset (2..6)")
+    sp.set_defaults(run=_cmd_figure)
     sp.add_argument("n", type=int, choices=[2, 3, 4, 5, 6])
     sp.add_argument("--a", type=str, default=None,
                     help="gain override; figure 3 accepts a comma list (default 25,50,100)")
@@ -632,31 +568,27 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="figure 4 evaluation frequency (spectrum-vs-beta plots use omega=0)")
     sp.add_argument("--beta-step", type=float, default=1e-3)
     sp.add_argument("--n-max", type=int, default=32, help="figure 6 photon cutoff")
-    _add_out_args(sp)
+    _add_out_args(sp, plot=True, target="output directory for figN.csv (and figN.svg)")
 
     sp = sub.add_parser("verify", help="cross-check all four engines at one parameter point")
     _add_system_args(sp)
     sp.add_argument("--dim", type=int, default=256)
-    sp.add_argument("--n-traj", type=int, default=20000)
-    sp.add_argument("--dt", type=float, default=None)
-    sp.add_argument("--t-end", type=float, default=None)
-    sp.add_argument("--seed", type=int, default=7041)
+    _add_mc_args(sp)
     sp.add_argument("--sigma", type=float, default=3.0, help="Monte Carlo tolerance in standard errors")
     sp.add_argument("--oracle-rtol", type=float, default=1e-3)
     sp.add_argument("--pnd-atol", type=float, default=1e-4)
     # default point: squeezed, all engines converge in seconds
-    sp.set_defaults(a=25.0, beta=0.1, epsilon_rel=0.5)
+    sp.set_defaults(run=_cmd_verify, a=25.0, beta=0.1, epsilon_rel=0.5)
     _add_out_args(sp)
 
     sp = sub.add_parser("mc", help="doubled-phase-space moment time series")
+    sp.set_defaults(run=_cmd_mc)
     _add_system_args(sp)
-    sp.add_argument("--n-traj", type=int, default=20000)
-    sp.add_argument("--dt", type=float, default=None)
-    sp.add_argument("--t-end", type=float, default=None)
-    sp.add_argument("--seed", type=int, default=7041)
+    _add_mc_args(sp)
     _add_out_args(sp)
 
     sp = sub.add_parser("oracle", help="truncated-Fock observables (steady state or transient)")
+    sp.set_defaults(run=_cmd_oracle)
     _add_system_args(sp)
     sp.add_argument("--dim", type=int, default=150)
     sp.add_argument("--dt", type=float, default=None)
@@ -666,23 +598,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DISPATCH = {
-    "coeffs": _cmd_coeffs,
-    "variance": _cmd_variance,
-    "spectrum": _cmd_spectrum,
-    "mean-photon": _cmd_mean_photon,
-    "pnd": _cmd_pnd,
-    "figure": _cmd_figure,
-    "verify": _cmd_verify,
-    "mc": _cmd_mc,
-    "oracle": _cmd_oracle,
-}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        return args.run(args)
     except InvalidParameterError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_INVALID

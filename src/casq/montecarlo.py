@@ -310,6 +310,9 @@ def two_time_correlation(
     if n_traj < 2 * groups:
         raise InvalidParameterError(f"need n_traj >= {2 * groups} for {groups} error groups")
     stride = max(int(round(spacing[0] / dt)), 1)
+    if abs(spacing[0] / dt - stride) > 1e-9 * stride:
+        raise InvalidParameterError(
+            f"tau spacing {spacing[0]:g} is not a whole number of steps dt={dt:g}")
     d_tau = stride * dt
     n_lags = tau.size
     tau = np.arange(n_lags) * d_tau

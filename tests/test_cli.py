@@ -1,5 +1,6 @@
 """CLI contract: CSV layouts, figure presets, exit codes, determinism."""
 
+import hashlib
 import os
 import shutil
 import subprocess
@@ -106,6 +107,13 @@ def test_mean_photon_transient_flag(tmp_path):
                      "--epsilon", "0.2", "--t-end", "200", "--out", str(out)]) == 0
     _, rows = read_csv(out)
     assert float(rows[0][2]) == pytest.approx(1.0 / 6.0, rel=1e-9)
+
+
+def test_mean_photon_transient_svg(tmp_path):
+    assert cli.main(["mean-photon", "--a", "25", "--beta", "0:0.2:0.05", "--epsilon", "0.1",
+                     "--t-end", "5", "--format", "svg", "--out", str(tmp_path / "n.csv")]) == 0
+    svg = (tmp_path / "n.svg").read_text(encoding="utf-8")
+    assert svg.startswith("<svg") and "mean photon number at t=5 (analytic)" in svg
 
 
 class TestFigures:
@@ -299,6 +307,61 @@ class TestExitCodes:
         assert cli.main(["mc", "--a", "4", "--beta", "0.2", "--epsilon-rel-threshold", "0.5",
                          "--n-traj", "64", flag, "0", "--out", str(tmp_path / "mc.csv")]) == 2
 
+    @pytest.mark.parametrize("n_max", ["-1", "-3", "8"])
+    def test_oracle_pnd_n_max_outside_basis(self, tmp_path, n_max, capsys):
+        out = tmp_path / "pnd.csv"
+        assert cli.main(["pnd", "--engine", "oracle", "--a", "0", "--beta", "0", "--epsilon", "0",
+                         "--dim", "8", "--n-max", n_max, "--out", str(out)]) == 2
+        assert "--n-max must lie in [0, dim - 1]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_oracle_pnd_n_max_at_basis_edge(self, tmp_path):
+        out = tmp_path / "pnd.csv"
+        assert cli.main(["pnd", "--engine", "oracle", "--a", "0", "--beta", "0", "--epsilon", "0",
+                         "--dim", "8", "--n-max", "7", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert [r[0] for r in rows] == [str(n) for n in range(8)]
+
+    @pytest.mark.parametrize("args", [
+        ["2", "--a", "25,abc"], ["3", "--a", "25,abc"], ["2", "--a", ""],
+        ["2", "--a", "25,50"], ["4", "--a", "25,50"], ["5", "--a", "25,50"], ["6", "--a", "25,50"],
+    ], ids=["fig2-token", "fig3-token", "fig2-empty", "fig2-list", "fig4-list", "fig5-list",
+            "fig6-list"])
+    def test_figure_gain_rejected(self, tmp_path, args):
+        assert cli.main(["figure", *args, "--beta-step", "0.01",
+                         "--out", str(tmp_path) + os.sep]) == 2
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("args", [
+        ["mean-photon", "--engine", "oracle", "--t-end", "5"],
+        ["variance", "--engine", "oracle", "--dt", "0.01"],
+        ["variance", "--t-end", "5"],
+        ["mean-photon", "--t-end", "5", "--dt", "0.01"],
+        ["variance", "--jobs", "-3"],
+        ["mean-photon", "--jobs", "0"],
+        ["mean-photon", "--t-end", "5", "--jobs", "-1"],
+    ], ids=["oracle-t-end", "oracle-dt", "analytic-t-end", "transient-dt", "jobs-negative",
+            "jobs-zero", "transient-jobs"])
+    def test_ignored_sweep_option_rejected(self, tmp_path, args):
+        out = tmp_path / "out.csv"
+        # a point every engine handles at once, so only the option can fail
+        assert cli.main([*args, "--a", "0", "--beta", "0", "--epsilon", "0.2", "--dim", "32",
+                         "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["coeffs", "--beta", "0"],
+        ["verify", "--a", "0", "--beta", "0", "--epsilon", "0", "--dim", "16", "--n-traj", "200",
+         "--t-end", "1"],
+        ["mc", "--a", "4", "--beta", "0.2", "--epsilon-rel-threshold", "0.5", "--n-traj", "64"],
+        ["oracle", "--a", "0", "--beta", "0", "--epsilon", "0", "--dim", "8"],
+    ], ids=["coeffs", "verify", "mc", "oracle"])
+    def test_format_rejected_where_nothing_is_plotted(self, tmp_path, args):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*args, "--format", "svg", "--out", str(tmp_path) + os.sep])
+        assert exc.value.code == 2
+        assert not list(tmp_path.iterdir())
+
 
 def test_pooled_oracle_sweep_matches_serial(tmp_path):
     args = ["variance", "--engine", "oracle", "--a", "25", "--kappa", "0.8",
@@ -313,6 +376,61 @@ def test_pooled_oracle_sweep_matches_serial(tmp_path):
     beta, eps, vp, vm, mean_n = (float(v) for v in rows[0])
     ref = analytic.variance_steady(SystemParams(a=25, kappa=0.8, beta=beta, epsilon=eps))
     assert vm == pytest.approx(ref.minus, rel=2e-2)  # coarse sanity; precision is tested elsewhere
+
+
+# SHA-256 of every file each command writes, recorded before the CLI's output
+# path was refactored; figure CSVs must stay byte-identical across refactors.
+# Never regenerate these to make the test pass.
+GOLDEN_DIGESTS = {
+    ("figure", "2", "--format", "svg"): {
+        "fig2.csv": "2e35d3dfb46d565139a27dcadf4322aac79b8b2f8a1d0d9c494dfcc399b496f2",
+        "fig2.svg": "ec36c3ebf40886328fab047c690766bc95d48568be1708e3a68b16904f171774",
+    },
+    ("figure", "3", "--format", "svg"): {
+        "fig3.csv": "0ffdc8280db6e5627358c748b6cb8aa98d10bf9bb47747f2c862bdb0932b1b63",
+        "fig3.svg": "50895c5ff06708a81a54678085b24c5b4ea21c16e1d2bf01edae17d962e70c01",
+    },
+    ("figure", "4", "--format", "svg"): {
+        "fig4.csv": "f1e9ab2b20f1d1e0896a36ad6a29f6887b45b0fc2a7c278bcfd977fc00d4f0c3",
+        "fig4.svg": "0e491eafefb989b1d8b40cbd296dcc1f0fdfd39e98e71c7a0f7ba35c3cdc70ed",
+    },
+    ("figure", "5", "--format", "svg"): {
+        "fig5.csv": "92e8943f807e34590fd3184b241ebe55fa82a83207abdc54838b2e0df8cea059",
+        "fig5.svg": "5a34f48229f9b8d408bae19ec9a29cf3b78647bb177ee50d4a02a65123edaccb",
+    },
+    ("figure", "6", "--format", "svg"): {
+        "fig6.csv": "fac1be947e33b2c931575fa1d3c6214705201da3069659eca9c991dbf52d7bee",
+        "fig6.svg": "6da24216c75735e5db3b2f9c3b73fee2b52007a4fab92ae62361d93509d38b10",
+    },
+    ("coeffs",): {
+        "coeffs.csv": "a92f4dd4c61a68b4e94c3be235381d415f349e145160d59796be8e1ce96b579e",
+    },
+    ("variance", "--a", "25", "--beta", "0:2:0.01", "--epsilon", "0.3", "--format", "svg"): {
+        "variance.csv": "7ccf343e0c94c5222ff880eb27ac355243aa916c40e43b59c4da6d9828a61650",
+        "variance.svg": "29f96c56b42d0e30d0f52e7327353c45ec61b5a61452d80abb81a84087392894",
+    },
+    ("mean-photon", "--a", "25", "--beta", "0:2:0.01", "--epsilon", "0.3", "--format", "svg"): {
+        "mean_photon.csv": "fbc4df0fc0dce5799156e6628cf6091414723b1570c002bf121b9795577b8b36",
+        "mean_photon.svg": "169fad929c89baa9303f50fd45095f285d51809548dcf1e5dab99bf5073064dd",
+    },
+    ("spectrum", "--a", "25", "--beta", "0.1", "--epsilon-rel-threshold", "0.5",
+     "--format", "svg"): {
+        "spectrum.csv": "e465aa1d76a3f4d119f6c019e5495fdbc510e3019d8da0eaa279d0d9dadede70",
+        "spectrum.svg": "e93d319baf37d37da431f073161a9571de780b7b2856e041a7c2a95f89cfd4e9",
+    },
+    ("pnd", "--a", "100", "--beta", "0.067", "--epsilon", "0.3", "--format", "svg"): {
+        "pnd.csv": "96948bc77590d9e2fe93ffc0f95242dcca3882541fb4b65956246859150d4dda",
+        "pnd.svg": "a49a4abeb625b98c641e084bc7d95698d92208d2181b618018e97dbc6dffacd7",
+    },
+}
+
+
+@pytest.mark.parametrize("args", list(GOLDEN_DIGESTS), ids=lambda a: a[0] + a[1] if a[0] == "figure" else a[0])
+def test_output_bytes_match_golden_digests(tmp_path, args):
+    assert cli.main([*args, "--out", str(tmp_path) + os.sep]) == 0
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in tmp_path.iterdir()}
+    assert written == GOLDEN_DIGESTS[args]
 
 
 def test_env_var_output_dir(tmp_path, monkeypatch, capsys):

@@ -300,6 +300,13 @@ class TestTwoTimeCorrelation:
         with pytest.raises(InvalidParameterError):
             montecarlo.two_time_correlation(MODULE_POINT, [0.0, 0.1], 100, 0.01, **kwargs)
 
+    @pytest.mark.parametrize("tau", [[0.0, 0.015, 0.03], [0.0, 0.001, 0.002]],
+                             ids=["1.5-steps", "0.1-steps"])
+    def test_tau_spacing_off_step_grid_rejected(self, tau):
+        # the spacing used to be rounded to whole steps: [0, 0.02, 0.04], [0, 0.01, 0.02]
+        with pytest.raises(InvalidParameterError, match="whole number of steps"):
+            montecarlo.two_time_correlation(MODULE_POINT, tau, 100, 0.01, seed=1)
+
     def test_tau_grid_validation(self):
         with pytest.raises(InvalidParameterError):
             montecarlo.two_time_correlation(MODULE_POINT, [0.5, 1.0], 100, 0.005, seed=1)
