@@ -10,7 +10,10 @@ SVG output is a convenience rendering of the same series.  Exit codes:
     5  I/O failure
 """
 
+from __future__ import annotations
+
 import argparse
+import functools
 import math
 import os
 import sys
@@ -125,13 +128,12 @@ def _out_path(args, default_name: str) -> str:
     return os.path.join(os.environ.get(OUT_DIR_ENV, "."), default_name)
 
 
-def _emit(args, default_name, header, rows, plot=None) -> int:
-    """Write rows as CSV to the --out path and print that path.
+def _emit(args, path, header, rows, plot=None) -> int:
+    """Write rows as CSV to path and print that path.
 
     plot is (x, series, title, xlabel, ylabel); with --format svg it is
     rendered next to the CSV, under the same name with an .svg suffix.
     """
-    path = _out_path(args, default_name)
     _write_csv(path, header, rows)
     if plot is not None and args.format == "svg":
         _write_svg(os.path.splitext(path)[0] + ".svg", *plot)
@@ -153,7 +155,9 @@ def _grid_coefficients(a, kappa, betas, epsilon=None, epsilon_rel=None):
     """Coefficients, threshold drives and threshold tolerance over an ascending beta grid.
 
     The knobs are validated as _make_params validates one point: at both ends
-    of the grid, which bound every beta, and for a relative drive at every point.
+    of the grid, which bound every beta.  A relative drive needs a positive
+    threshold drive at every point; its fraction is then checked where that
+    drive is largest, which bounds every drive it sets.
     """
     _make_params(a, kappa, float(betas[-1]), epsilon, None)
     p = _make_params(a, kappa, float(betas[0]), epsilon, None)
@@ -162,21 +166,22 @@ def _grid_coefficients(a, kappa, betas, epsilon=None, epsilon_rel=None):
         bad = betas[eps_th <= 0]
         if bad.size:  # raises the error with_relative_drive gives at the first one
             SystemParams(a=a, kappa=kappa, beta=float(bad[0])).with_relative_drive(epsilon_rel)
+        _make_params(a, kappa, float(betas[np.argmax(eps_th)]), None, epsilon_rel)
         c = _coefficients(a, kappa, betas, epsilon_rel * eps_th)[0]
     return c, eps_th, threshold_tolerance(p)
 
 
-def _stable_points(name, betas, keep, reason):
-    """betas[keep] of the sweep `name` ("sweep", "figure 4", ...).
+def _stable_points(betas, keep, clipped, empty):
+    """betas[keep]; reports the others on stderr as `clipped` points.
 
-    Reports the clipped points on stderr and raises NotStableError if none is kept.
+    Raises NotStableError with the message `empty` if none is kept.
     """
     skipped = betas[~keep]
     if skipped.size:
-        print(f"clipped {skipped.size} {name.replace(' ', '-')} points {reason} "
+        print(f"clipped {skipped.size} {clipped} "
               f"(beta in [{skipped.min():g}, {skipped.max():g}])", file=sys.stderr)
     if not keep.any():
-        raise NotStableError(f"{name}: no stable sweep points")
+        raise NotStableError(empty)
     return betas[keep]
 
 
@@ -225,18 +230,20 @@ def _add_mc_args(sub, t_end_help="Monte Carlo integration end (default 10 / lamb
 # sweep engines (module-level so worker processes can import them)
 # ---------------------------------------------------------------------------
 
-def _point_variances(task):
-    engine, a, kappa, beta, epsilon, dim, n_traj, dt, t_end, seed = task
-    p = SystemParams(a=a, kappa=kappa, beta=beta, epsilon=epsilon)
-    if engine == "analytic":
+def _point_variances(args, beta, epsilon):
+    """(beta, epsilon, var_plus, var_minus, mean_n) of --engine at one sweep point."""
+    p = SystemParams(a=args.a, kappa=args.kappa, beta=beta, epsilon=epsilon)
+    if args.engine == "analytic":
         v = analytic.variance_steady(p)
-        mean_n = analytic.steady_record(p).n_cl if math.isfinite(v.plus) else math.inf
+        rec = analytic.steady_record(p) if math.isfinite(v.plus) else None
+        mean_n = rec.n_cl if rec else math.inf
         return beta, epsilon, v.plus, v.minus, mean_n
-    if engine == "oracle":
-        obs = fock.observables(fock.steady_state(p, dim))
+    if args.engine == "oracle":
+        rho = fock.steady_state(p, args.dim)
+        obs = fock.observables(rho)
         return beta, epsilon, obs.var_plus, obs.var_minus, obs.mean_n
-    dt, t_end = _mc_times(p, dt, t_end)  # engine == "mc"
-    series = montecarlo.run(p, n_traj, t_end, dt, seed, sample_times=[t_end])
+    dt, t_end = _mc_times(p, args.dt, args.t_end)  # engine == "mc"
+    series = montecarlo.run(p, args.n_traj, t_end, dt, args.seed, sample_times=[t_end])
     return (
         beta,
         epsilon,
@@ -256,20 +263,17 @@ def _beta_grid(args):
 
 
 def _sweep(args):
-    """(beta, epsilon, var_plus, var_minus, mean_n) of --engine at the stable points of --beta."""
+    """_point_variances at the stable points of --beta."""
     if args.engine != "mc" and (args.dt is not None or args.t_end is not None):
         raise InvalidParameterError(f"--dt and --t-end are not used by the {args.engine} engine")
     betas, eps, keep = _beta_grid(args)
-    tasks = [
-        (args.engine, args.a, args.kappa, float(beta), float(epsilon),
-         args.dim, args.n_traj, args.dt, args.t_end, args.seed)
-        for beta, epsilon in zip(_stable_points("sweep", betas, keep, "with lambda_minus <= 0"),
-                                 eps[keep])
-    ]
-    if args.jobs > 1 and len(tasks) > 1:
+    betas = _stable_points(betas, keep, "sweep points with lambda_minus <= 0",
+                           "entire sweep lies at or above threshold")
+    point = functools.partial(_point_variances, args)
+    if args.jobs > 1 and betas.size > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            return list(pool.map(_point_variances, tasks))
-    return [_point_variances(t) for t in tasks]
+            return list(pool.map(point, betas.tolist(), eps[keep].tolist()))
+    return list(map(point, betas.tolist(), eps[keep].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -280,23 +284,25 @@ def _cmd_coeffs(args) -> int:
     betas = _parse_range(args.beta)
     c, eps_th, _ = _grid_coefficients(args.a, args.kappa, betas, args.epsilon, args.epsilon_rel)
     header = ["beta", "R", "S", "U", "V", "B", "lambda_minus", "lambda_plus", "epsilon_threshold"]
-    return _emit(args, "coeffs.csv", header,
+    return _emit(args, _out_path(args, "coeffs.csv"), header,
                  zip(betas, c.r, c.s, c.u, c.v, c.b, c.lambda_minus, c.lambda_plus, eps_th))
 
 
 def _cmd_variance(args) -> int:
     rows = _sweep(args)
     arr = np.array(rows, dtype=float)
-    return _emit(args, "variance.csv", ["beta", "epsilon", "var_plus", "var_minus", "mean_n"], rows,
+    return _emit(args, _out_path(args, "variance.csv"),
+                 ["beta", "epsilon", "var_plus", "var_minus", "mean_n"], rows,
                  (arr[:, 0], [("var_plus", arr[:, 2]), ("var_minus", arr[:, 3])],
                   f"steady-state quadrature variances ({args.engine})", "beta", "variance"))
 
 
 def _cmd_spectrum(args) -> int:
     p = _make_params(args.a, args.kappa, args.beta, args.epsilon, args.epsilon_rel)
-    curve = analytic.spectrum(p, _parse_range(args.omega))
+    omegas = _parse_range(args.omega)
+    curve = analytic.spectrum(p, omegas)
     series = [("s_plus", curve.s_plus), ("s_minus", curve.s_minus)]
-    return _emit(args, "spectrum.csv", ["omega", "s_plus", "s_minus"],
+    return _emit(args, _out_path(args, "spectrum.csv"), ["omega", "s_plus", "s_minus"],
                  zip(curve.omega, curve.s_plus, curve.s_minus),
                  (curve.omega, series, "output squeezing spectrum", "omega", "S(omega)"))
 
@@ -315,7 +321,7 @@ def _cmd_mean_photon(args) -> int:
         rows = [(beta, eps, mean_n) for beta, eps, _vp, _vm, mean_n in _sweep(args)]
         title = f"steady-state mean photon number ({args.engine})"
     arr = np.array(rows, dtype=float)
-    return _emit(args, "mean_photon.csv", ["beta", "epsilon", "mean_n"], rows,
+    return _emit(args, _out_path(args, "mean_photon.csv"), ["beta", "epsilon", "mean_n"], rows,
                  (arr[:, 0], [("mean_n", arr[:, 2])], title, "beta", "<n>"))
 
 
@@ -325,11 +331,13 @@ def _cmd_pnd(args) -> int:
         if not 0 <= args.n_max <= args.dim - 1:
             raise InvalidParameterError(
                 f"--n-max must lie in [0, dim - 1] = [0, {args.dim - 1}], got {args.n_max}")
-        probs = fock.observables(fock.steady_state(p, args.dim)).pnd[: args.n_max + 1]
+        rho = fock.steady_state(p, args.dim)
+        probs = fock.observables(rho).pnd[: args.n_max + 1]
     else:
-        probs = analytic.photon_distribution(analytic.steady_record(p), args.n_max).probs
+        record = analytic.steady_record(p)
+        probs = analytic.photon_distribution(record, args.n_max).probs
     ns = np.arange(probs.size)
-    return _emit(args, "pnd.csv", ["n", "p"], zip(ns, probs),
+    return _emit(args, _out_path(args, "pnd.csv"), ["n", "p"], zip(ns, probs),
                  (ns, [("P(n)", probs)], f"photon number distribution ({args.engine})",
                   "n", "P(n)"))
 
@@ -375,8 +383,9 @@ def _cmd_figure(args) -> int:
     elif n == 4:
         betas = _figure_grid(args.beta_step)
         c, eps_th, tol = _grid_coefficients(a, kappa, betas)
-        x = _stable_points("figure 4", betas, (eps_th > 0) & (c.lambda_minus > tol),
-                           "outside the stable region")
+        x = _stable_points(betas, (eps_th > 0) & (c.lambda_minus > tol),
+                           "figure-4 points outside the stable region",
+                           "figure 4: no stable sweep points")
         dotted = analytic._spectra(_grid_coefficients(a, kappa, x)[0],
                                    a, kappa, x, args.omega, tol)[1]
         solid = analytic._spectra(_grid_coefficients(a, kappa, x, epsilon_rel=1.0)[0],
@@ -388,9 +397,9 @@ def _cmd_figure(args) -> int:
         betas = _figure_grid(args.beta_step)
         c_on, _, tol = _grid_coefficients(a, kappa, betas, eps)
         c_off = _grid_coefficients(a, kappa, betas)[0]
-        x = _stable_points("figure 5", betas,
-                           (c_on.lambda_minus > tol) & (c_off.lambda_minus > tol),
-                           "at or above threshold")
+        x = _stable_points(betas, (c_on.lambda_minus > tol) & (c_off.lambda_minus > tol),
+                           "figure-5 points at or above threshold",
+                           "figure 5: no stable sweep points")
         off = analytic._steady_moments(_grid_coefficients(a, kappa, x)[0])[1]
         on = analytic._steady_moments(_grid_coefficients(a, kappa, x, eps)[0])[1]
         series = [("epsilon=0", off), (f"epsilon={eps:g}", on)]
@@ -398,19 +407,20 @@ def _cmd_figure(args) -> int:
         title, xlabel, ylabel = "steady-state mean photon number", "beta", "<n>"
     else:  # n == 6
         beta = args.beta if args.beta is not None else 0.067
+        n_max = args.n_max
         p_on = SystemParams(a=a, kappa=kappa, beta=beta, epsilon=eps)
-        x = np.arange(args.n_max + 1)
-        series = [(label, analytic.photon_distribution(analytic.steady_record(q), args.n_max).probs)
-                  for label, q in (("epsilon=0", p_on.with_epsilon(0.0)),
-                                   (f"epsilon={eps:g}", p_on))]
+        p_off = p_on.with_epsilon(0.0)
+        pnd_off = analytic.photon_distribution(analytic.steady_record(p_off), n_max).probs
+        pnd_on = analytic.photon_distribution(analytic.steady_record(p_on), n_max).probs
+        x = np.arange(n_max + 1)
+        series = [("epsilon=0", pnd_off), (f"epsilon={eps:g}", pnd_on)]
         header = ["n", "p_no_crystal", "p_pa"]
         title, xlabel, ylabel = "steady-state photon number distribution", "n", "P(n)"
 
-    # --out names a directory here, created on demand
-    args.out = os.path.join(args.out or os.environ.get(OUT_DIR_ENV, "."), "")
-    os.makedirs(args.out, exist_ok=True)
-    return _emit(args, f"fig{n}.csv", header, zip(x, *(y for _, y in series)),
-                 (x, series, title, xlabel, ylabel))
+    out_dir = args.out or os.environ.get(OUT_DIR_ENV, ".")  # a directory, created on demand
+    os.makedirs(out_dir, exist_ok=True)
+    return _emit(args, os.path.join(out_dir, f"fig{n}.csv"), header,
+                 zip(x, *(y for _, y in series)), (x, series, title, xlabel, ylabel))
 
 
 MOMENTS_RTOL = 1e-8
@@ -422,9 +432,10 @@ def verify_point(p: SystemParams, *, dim, n_traj, dt, t_end, seed, sigma, oracle
     dt and t_end may be None for the Monte Carlo defaults.  Returns (rows, ok);
     each row is (check, reference, value, bound, status).
     """
+    c = coefficients(p)
     var = analytic.variance_steady(p)
     record = analytic.steady_record(p)
-    s_plus, s_minus = analytic.steady_alpha_sq(coefficients(p))
+    s_plus, s_minus = analytic.steady_alpha_sq(c)
 
     rows = []
 
@@ -439,7 +450,8 @@ def verify_point(p: SystemParams, *, dim, n_traj, dt, t_end, seed, sigma, oracle
     check("moments <a-^2> vs analytic", s_minus, lin.var_flow_minus,
           MOMENTS_RTOL * max(abs(s_minus), 1e-30))
 
-    obs = fock.observables(fock.steady_state(p, dim))
+    rho = fock.steady_state(p, dim)
+    obs = fock.observables(rho)
     check("oracle mean_n vs analytic", record.n_cl, obs.mean_n,
           oracle_rtol * max(abs(record.n_cl), 1e-12))
     check("oracle var_plus vs analytic", var.plus, obs.var_plus, oracle_rtol * var.plus)
@@ -486,7 +498,7 @@ def _cmd_mc(args) -> int:
     s = montecarlo.run(p, args.n_traj, t_end, dt, args.seed)
     header = ["t", "alpha_sq", "alpha_sq_se", "n_cl", "n_cl_se",
               "plus_sq", "plus_sq_se", "minus_sq", "minus_sq_se"]
-    return _emit(args, "mc.csv", header,
+    return _emit(args, _out_path(args, "mc.csv"), header,
                  zip(s.times, np.real(s.alpha_sq), s.alpha_sq_se, np.real(s.n_cl), s.n_cl_se,
                      np.real(s.plus_sq), s.plus_sq_se, np.real(s.minus_sq), s.minus_sq_se))
 
@@ -505,7 +517,7 @@ def _cmd_oracle(args) -> int:
         obs.mean_n, obs.var_plus, obs.var_minus, obs.mean_a_sq.real,
         rho.trace_err, rho.boundary_pop,
     )
-    return _emit(args, "oracle.csv", header, [row])
+    return _emit(args, _out_path(args, "oracle.csv"), header, [row])
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,15 @@ def test_coeffs_relative_drive_needs_positive_threshold(tmp_path, system):
                      "--out", str(tmp_path / "coeffs.csv")]) == 2
 
 
+@pytest.mark.parametrize("command", ["coeffs", "variance", "mean-photon"])
+@pytest.mark.parametrize("fraction", ["-0.5", "nan", "inf"])
+def test_relative_drive_fraction_validated(tmp_path, command, fraction):
+    out = tmp_path / "out.csv"
+    assert cli.main([command, "--a", "25", "--beta", "0:0.5:0.1",
+                     "--epsilon-rel-threshold", fraction, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_variance_sweep_matches_library(tmp_path):
     out = tmp_path / "var.csv"
     assert cli.main(["variance", "--a", "25", "--kappa", "0.8", "--beta", "0:0.2:0.1",
@@ -425,7 +434,8 @@ GOLDEN_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("args", list(GOLDEN_DIGESTS), ids=lambda a: a[0] + a[1] if a[0] == "figure" else a[0])
+@pytest.mark.parametrize("args", list(GOLDEN_DIGESTS),
+                         ids=lambda a: a[0] + a[1] if a[0] == "figure" else a[0])
 def test_output_bytes_match_golden_digests(tmp_path, args):
     assert cli.main([*args, "--out", str(tmp_path) + os.sep]) == 0
     written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
