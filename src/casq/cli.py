@@ -57,6 +57,11 @@ def _write_csv(path, header, rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _xml_text(text: str) -> str:
+    """text escaped for an XML text node."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _write_svg(path, x, series, title, xlabel, ylabel) -> None:
     """Minimal deterministic polyline plot; series is [(label, yarray), ...]."""
     width, height, pad = 720, 480, 60
@@ -79,12 +84,12 @@ def _write_svg(path, x, series, title, xlabel, ylabel) -> None:
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" font-size="15">{title}</text>',
+        f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" font-size="15">{_xml_text(title)}</text>',
         f'<line x1="{pad}" y1="{height - pad}" x2="{width - pad}" y2="{height - pad}" stroke="black"/>',
         f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{height - pad}" stroke="black"/>',
-        f'<text x="{width / 2:.1f}" y="{height - 16}" text-anchor="middle" font-size="12">{xlabel}</text>',
+        f'<text x="{width / 2:.1f}" y="{height - 16}" text-anchor="middle" font-size="12">{_xml_text(xlabel)}</text>',
         f'<text x="18" y="{height / 2:.1f}" text-anchor="middle" font-size="12" '
-        f'transform="rotate(-90 18 {height / 2:.1f})">{ylabel}</text>',
+        f'transform="rotate(-90 18 {height / 2:.1f})">{_xml_text(ylabel)}</text>',
         f'<text x="{pad}" y="{height - pad + 16}" font-size="10">{_fmt(x_lo)}</text>',
         f'<text x="{width - pad}" y="{height - pad + 16}" text-anchor="end" font-size="10">{_fmt(x_hi)}</text>',
         f'<text x="{pad - 4}" y="{height - pad}" text-anchor="end" font-size="10">{_fmt(y_lo)}</text>',
@@ -98,7 +103,7 @@ def _write_svg(path, x, series, title, xlabel, ylabel) -> None:
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         parts.append(
             f'<text x="{width - pad - 4}" y="{pad + 16 + 14 * i}" text-anchor="end" '
-            f'font-size="11" fill="{color}">{label}</text>'
+            f'font-size="11" fill="{color}">{_xml_text(label)}</text>'
         )
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -361,40 +366,57 @@ def _figure_gains(args):
     return gains
 
 
+# the options each figure preset reads besides --a, --kappa and --out
+_FIGURE_OPTIONS = {
+    2: ("beta_step",),
+    3: ("beta_step",),
+    4: ("beta_step", "omega"),
+    5: ("beta_step", "epsilon"),
+    6: ("beta", "epsilon", "n_max"),
+}
+
+
 def _cmd_figure(args) -> int:
     n, kappa = args.n, args.kappa
+    ignored = [name for name in ("beta", "epsilon", "omega", "beta_step", "n_max")
+               if getattr(args, name) is not None and name not in _FIGURE_OPTIONS[n]]
+    if ignored:
+        flags = ", ".join("--" + name.replace("_", "-") for name in ignored)
+        raise InvalidParameterError(f"figure {n} does not read {flags}")
     gains = _figure_gains(args)
     for g in gains:
         SystemParams(a=g, kappa=kappa, beta=0.0)  # validates the knobs
     a = gains[0]
     eps = 0.3 if args.epsilon is None else args.epsilon
+    beta_step = 1e-3 if args.beta_step is None else args.beta_step
+    omega = 0.0 if args.omega is None else args.omega
 
     if n == 2:
-        x = _figure_grid(args.beta_step)
+        x = _figure_grid(beta_step)
         series = [("no crystal", analytic.no_crystal_minus_curve(a, kappa, x)),
                   ("threshold", analytic.threshold_minus_curve(a, kappa, x))]
         header = ["beta", "var_minus_no_crystal", "var_minus_threshold"]
         title, xlabel, ylabel = "squeezed-quadrature variance", "beta", "variance"
     elif n == 3:
-        x = _figure_grid(args.beta_step)
+        x = _figure_grid(beta_step)
         series = [(f"A={g:g}", analytic.threshold_minus_curve(g, kappa, x)) for g in gains]
         header = ["beta"] + [f"var_minus_threshold_a{g:g}" for g in gains]
         title, xlabel, ylabel = "at-threshold variance vs gain", "beta", "variance"
     elif n == 4:
-        betas = _figure_grid(args.beta_step)
+        betas = _figure_grid(beta_step)
         c, eps_th, tol = _grid_coefficients(a, kappa, betas)
         x = _stable_points(betas, (eps_th > 0) & (c.lambda_minus > tol),
                            "figure-4 points outside the stable region",
                            "figure 4: no stable sweep points")
         dotted = analytic._spectra(_grid_coefficients(a, kappa, x)[0],
-                                   a, kappa, x, args.omega, tol)[1]
+                                   a, kappa, x, omega, tol)[1]
         solid = analytic._spectra(_grid_coefficients(a, kappa, x, epsilon_rel=1.0)[0],
-                                  a, kappa, x, args.omega, tol)[1]
+                                  a, kappa, x, omega, tol)[1]
         series = [("no crystal", dotted), ("threshold", solid)]
         header = ["beta", "s_minus_no_crystal", "s_minus_threshold"]
-        title, xlabel, ylabel = f"squeezing spectrum at omega={args.omega:g}", "beta", "S_-"
+        title, xlabel, ylabel = f"squeezing spectrum at omega={omega:g}", "beta", "S_-"
     elif n == 5:
-        betas = _figure_grid(args.beta_step)
+        betas = _figure_grid(beta_step)
         c_on, _, tol = _grid_coefficients(a, kappa, betas, eps)
         c_off = _grid_coefficients(a, kappa, betas)[0]
         x = _stable_points(betas, (c_on.lambda_minus > tol) & (c_off.lambda_minus > tol),
@@ -407,7 +429,7 @@ def _cmd_figure(args) -> int:
         title, xlabel, ylabel = "steady-state mean photon number", "beta", "<n>"
     else:  # n == 6
         beta = args.beta if args.beta is not None else 0.067
-        n_max = args.n_max
+        n_max = 32 if args.n_max is None else args.n_max
         p_on = SystemParams(a=a, kappa=kappa, beta=beta, epsilon=eps)
         p_off = p_on.with_epsilon(0.0)
         pnd_off = analytic.photon_distribution(analytic.steady_record(p_off), n_max).probs
@@ -574,12 +596,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a", type=str, default=None,
                     help="gain override; figure 3 accepts a comma list (default 25,50,100)")
     sp.add_argument("--kappa", type=float, default=0.8)
-    sp.add_argument("--beta", type=float, default=None, help="figure 6 operating point")
-    sp.add_argument("--epsilon", type=float, default=None, help="figures 5 and 6 drive")
-    sp.add_argument("--omega", type=float, default=0.0,
-                    help="figure 4 evaluation frequency (spectrum-vs-beta plots use omega=0)")
-    sp.add_argument("--beta-step", type=float, default=1e-3)
-    sp.add_argument("--n-max", type=int, default=32, help="figure 6 photon cutoff")
+    sp.add_argument("--beta", type=float, default=None,
+                    help="figure 6 operating point (default 0.067)")
+    sp.add_argument("--epsilon", type=float, default=None,
+                    help="figures 5 and 6 drive (default 0.3)")
+    sp.add_argument("--omega", type=float, default=None,
+                    help="figure 4 evaluation frequency (default 0)")
+    sp.add_argument("--beta-step", type=float, default=None,
+                    help="figures 2 to 5 beta grid step (default 0.001)")
+    sp.add_argument("--n-max", type=int, default=None,
+                    help="figure 6 photon cutoff (default 32)")
     _add_out_args(sp, plot=True, target="output directory for figN.csv (and figN.svg)")
 
     sp = sub.add_parser("verify", help="cross-check all four engines at one parameter point")

@@ -26,6 +26,15 @@ stepped in that form:
 
 with alpha = (x+ - x-)/2 and alpha_dag = (x+ + x-)/2.
 
+Layout: each trajectory draws its normals _BLOCK steps at a time into a
+tile of _TILE trajectories, and the tile is copied transposed into a
+time-major (_BLOCK, 2, chunk) block, so a step reads one contiguous row
+per quadrature.  The block and the tile, and in two_time_correlation the
+(2, chunk, records) record array and the lag-product array, are allocated
+once per call and reused by every trajectory chunk (sliced for a partial
+last chunk); all lags of a chunk are contracted in one einsum pass over a
+sliding window of its records.
+
 Reproducibility: every trajectory owns a counter-based Philox stream
 spawned from (seed, trajectory index), and reductions run over fixed-size
 trajectory chunks in index order (numpy pairwise summation within a
@@ -40,6 +49,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidParameterError, NotStableError, TrajectoryBlowupError
 from .params import Coefficients, SystemParams, coefficients
@@ -63,6 +73,7 @@ BLOWUP_LIMIT = 1e6
 _RUN_CHUNK = 4096
 _CORR_CHUNK = 2048
 _BLOCK = 512  # steps of normals drawn per generator call
+_TILE = 64  # trajectories drawn before their normals are transposed into the block
 
 
 @dataclass(frozen=True)
@@ -126,7 +137,8 @@ def _paths(p: SystemParams, n_traj: int, dt: float, n_steps: int, seed: int,
     step in `record_steps` (step 0 is the vacuum start), chunks in index
     order, where x_+- = alpha_dag +- alpha.  Each trajectory draws its
     normals from its own Philox stream, spawned from (seed, trajectory
-    index), _BLOCK steps at a time; after every block a magnitude
+    index), _BLOCK steps at a time, into the time-major block the module
+    docstring describes.  After every block a magnitude
     max(|alpha|, |alpha_dag|) above BLOWUP_LIMIT raises TrajectoryBlowupError.
     """
     c = coefficients(p)
@@ -141,24 +153,30 @@ def _paths(p: SystemParams, n_traj: int, dt: float, n_steps: int, seed: int,
     sdt = math.sqrt(dt)
     gain_p, gain_m = 2.0 * amp_p * sdt, -2.0 * amp_m * sdt
     children = np.random.SeedSequence(seed).spawn(n_traj)
+    # block[j, q, k]: normal of quadrature q for trajectory lo + k at step done + j
+    block = np.empty((_BLOCK, 2, min(chunk_size, n_traj)))
+    tile = np.empty((_TILE, _BLOCK, 2))
 
     for lo in range(0, n_traj, chunk_size):
         hi = min(lo + chunk_size, n_traj)
+        width = hi - lo
         gens = [np.random.Generator(np.random.Philox(child)) for child in children[lo:hi]]
-        xp = np.zeros(hi - lo, dtype=dtype)
-        xm = np.zeros(hi - lo, dtype=dtype)
+        xp = np.zeros(width, dtype=dtype)
+        xm = np.zeros(width, dtype=dtype)
         if 0 in record_steps:
             yield lo, hi, 0, xp, xm
 
         done = 0
-        buf = np.empty((hi - lo, _BLOCK, 2))
         while done < n_steps:
             todo = min(_BLOCK, n_steps - done)
-            for k, g in enumerate(gens):
-                buf[k, :todo] = g.standard_normal((todo, 2))
+            for t0 in range(0, width, _TILE):
+                t1 = min(t0 + _TILE, width)
+                for k in range(t0, t1):
+                    gens[k].standard_normal(out=tile[k - t0, :todo])
+                block[:todo, :, t0:t1] = tile[: t1 - t0, :todo].transpose(1, 2, 0)
             for j in range(todo):
-                xp = keep_p * xp + gain_p * buf[:, j, 0]
-                xm = keep_m * xm + gain_m * buf[:, j, 1]
+                xp = keep_p * xp + gain_p * block[j, 0, :width]
+                xm = keep_m * xm + gain_m * block[j, 1, :width]
                 if done + j + 1 in record_steps:
                     yield lo, hi, done + j + 1, xp, xm
             done += todo
@@ -193,8 +211,10 @@ def run(
             f"stochastic run requires lambda_minus > 0, got {c.lambda_minus:.6g}",
             lambda_minus=c.lambda_minus,
         )
-    if dt <= 0 or t_end <= 0 or n_traj < 2:
-        raise InvalidParameterError("need dt > 0, t_end > 0, n_traj >= 2")
+    if not (math.isfinite(dt) and dt > 0 and math.isfinite(t_end) and t_end > 0) or n_traj < 2:
+        raise InvalidParameterError(
+            f"need finite dt > 0, finite t_end > 0, n_traj >= 2; got dt={dt}, t_end={t_end}, "
+            f"n_traj={n_traj}")
 
     n_steps = max(int(round(t_end / dt)), 1)
     if sample_times is None:
@@ -330,39 +350,39 @@ def two_time_correlation(
     record_steps = (n_records - 1) * stride
 
     dtype = _noise_setup(c)[0]
-    group_sum_p = np.zeros((groups, n_lags), dtype=dtype)
-    group_sum_m = np.zeros((groups, n_lags), dtype=dtype)
+    width = min(_CORR_CHUNK, n_traj)
+    # rec[q, k, r]: quadrature q (x+, x-) of trajectory lo + k at record r;
+    # corr[q, k, l]: its lag-l product averaged over the time origins
+    rec = np.empty((2, width, n_records), dtype=dtype)
+    corr = np.empty((2, width, n_lags), dtype=dtype)
+    group_sum = np.zeros((2, groups, n_lags), dtype=dtype)
     group_count = np.zeros(groups, dtype=int)
     total = burn_steps + record_steps
     for lo, hi, s, xp, xm in _paths(
         p, n_traj, dt, total, seed, _CORR_CHUNK, range(burn_steps, total + 1, stride)
     ):
+        w = hi - lo
         r = (s - burn_steps) // stride
-        if r == 0:
-            rec_p = np.empty((hi - lo, n_records), dtype=dtype)
-            rec_m = np.empty((hi - lo, n_records), dtype=dtype)
-        rec_p[:, r] = xp
-        rec_m[:, r] = xm
+        rec[0, :w, r] = xp
+        rec[1, :w, r] = xm
         if r < n_records - 1:
             continue
 
         # the chunk's last record is in: reduce the chunk to lag products
-        corr_p = np.empty((hi - lo, n_lags), dtype=dtype)
-        corr_m = np.empty((hi - lo, n_lags), dtype=dtype)
-        base_p = rec_p[:, :n_origins]
-        base_m = rec_m[:, :n_origins]
-        for k in range(n_lags):
-            corr_p[:, k] = (base_p * rec_p[:, k : k + n_origins]).mean(axis=1)
-            corr_m[:, k] = (base_m * rec_m[:, k : k + n_origins]).mean(axis=1)
+        chunk_rec, chunk_corr = rec[:, :w], corr[:, :w]
+        for x, out in zip(chunk_rec, chunk_corr):
+            np.einsum("no,nko->nk", x[:, :n_origins],
+                      sliding_window_view(x, n_origins, axis=1), out=out)
+        chunk_corr /= n_origins
 
         gid = np.arange(lo, hi) % groups
         for g in range(groups):
             mask = gid == g
             if mask.any():
-                group_sum_p[g] += corr_p[mask].sum(axis=0)
-                group_sum_m[g] += corr_m[mask].sum(axis=0)
+                group_sum[:, g] += chunk_corr[:, mask].sum(axis=1)
                 group_count[g] += int(mask.sum())
 
+    group_sum_p, group_sum_m = group_sum
     group_p = group_sum_p / group_count[:, None]
     group_m = group_sum_m / group_count[:, None]
     corr_plus = (group_sum_p.sum(axis=0) / n_traj).astype(complex)

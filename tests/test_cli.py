@@ -207,8 +207,8 @@ class TestFigures:
     ])
     def test_zero_epsilon_draws_undriven_curve(self, tmp_path, n, columns):
         out = str(tmp_path) + os.sep
-        assert cli.main(["figure", str(n), "--epsilon", "0", "--beta-step", "0.01",
-                         "--out", out]) == 0
+        grid = ["--beta-step", "0.01"] if n == 5 else []
+        assert cli.main(["figure", str(n), "--epsilon", "0", *grid, "--out", out]) == 0
         rows = np.genfromtxt(tmp_path / f"fig{n}.csv", delimiter=",", names=True)
         np.testing.assert_array_equal(rows[columns[0]], rows[columns[1]])
 
@@ -316,6 +316,18 @@ class TestExitCodes:
         assert cli.main(["mc", "--a", "4", "--beta", "0.2", "--epsilon-rel-threshold", "0.5",
                          "--n-traj", "64", flag, "0", "--out", str(tmp_path / "mc.csv")]) == 2
 
+    @pytest.mark.parametrize("command", [["mc"], ["variance", "--engine", "mc"]],
+                             ids=["mc", "variance-mc"])
+    @pytest.mark.parametrize("flag, value", [("--dt", "nan"), ("--t-end", "inf"),
+                                             ("--t-end", "nan")],
+                             ids=["dt-nan", "t-end-inf", "t-end-nan"])
+    def test_mc_non_finite_time_rejected(self, tmp_path, command, flag, value, capsys):
+        out = tmp_path / "out.csv"
+        assert cli.main([*command, "--a", "4", "--beta", "0.2", "--epsilon-rel-threshold", "0.5",
+                         "--n-traj", "64", flag, value, "--out", str(out)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("n_max", ["-1", "-3", "8"])
     def test_oracle_pnd_n_max_outside_basis(self, tmp_path, n_max, capsys):
         out = tmp_path / "pnd.csv"
@@ -337,8 +349,21 @@ class TestExitCodes:
     ], ids=["fig2-token", "fig3-token", "fig2-empty", "fig2-list", "fig4-list", "fig5-list",
             "fig6-list"])
     def test_figure_gain_rejected(self, tmp_path, args):
-        assert cli.main(["figure", *args, "--beta-step", "0.01",
-                         "--out", str(tmp_path) + os.sep]) == 2
+        grid = [] if args[0] == "6" else ["--beta-step", "0.01"]
+        assert cli.main(["figure", *args, *grid, "--out", str(tmp_path) + os.sep]) == 2
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("args", [
+        ["2", "--epsilon", "0.5"], ["2", "--omega", "3"], ["2", "--beta", "1"],
+        ["2", "--n-max", "3"], ["3", "--omega", "1"], ["4", "--epsilon", "0.2"],
+        ["4", "--n-max", "3"], ["5", "--omega", "1"], ["5", "--beta", "0.1"],
+        ["6", "--beta-step", "0.01"], ["6", "--omega", "1"],
+    ], ids=["fig2-epsilon", "fig2-omega", "fig2-beta", "fig2-n-max", "fig3-omega",
+            "fig4-epsilon", "fig4-n-max", "fig5-omega", "fig5-beta", "fig6-beta-step",
+            "fig6-omega"])
+    def test_figure_option_the_preset_ignores_rejected(self, tmp_path, args, capsys):
+        assert cli.main(["figure", *args, "--out", str(tmp_path) + os.sep]) == 2
+        assert f"figure {args[0]} does not read {args[1]}" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("args", [
@@ -389,7 +414,9 @@ def test_pooled_oracle_sweep_matches_serial(tmp_path):
 
 # SHA-256 of every file each command writes, recorded before the CLI's output
 # path was refactored; figure CSVs must stay byte-identical across refactors.
-# Never regenerate these to make the test pass.
+# Never regenerate these to make the test pass.  fig5.svg and mean_photon.svg
+# were re-recorded once, when SVG text began to be XML-escaped: their y label
+# `<n>` is now written `&lt;n&gt;`, and no other byte moved.
 GOLDEN_DIGESTS = {
     ("figure", "2", "--format", "svg"): {
         "fig2.csv": "2e35d3dfb46d565139a27dcadf4322aac79b8b2f8a1d0d9c494dfcc399b496f2",
@@ -405,7 +432,7 @@ GOLDEN_DIGESTS = {
     },
     ("figure", "5", "--format", "svg"): {
         "fig5.csv": "92e8943f807e34590fd3184b241ebe55fa82a83207abdc54838b2e0df8cea059",
-        "fig5.svg": "5a34f48229f9b8d408bae19ec9a29cf3b78647bb177ee50d4a02a65123edaccb",
+        "fig5.svg": "765fce5fa3775438800f90a3f995c2dc320ee9ce6d3154d626090f67b8054190",
     },
     ("figure", "6", "--format", "svg"): {
         "fig6.csv": "fac1be947e33b2c931575fa1d3c6214705201da3069659eca9c991dbf52d7bee",
@@ -420,7 +447,7 @@ GOLDEN_DIGESTS = {
     },
     ("mean-photon", "--a", "25", "--beta", "0:2:0.01", "--epsilon", "0.3", "--format", "svg"): {
         "mean_photon.csv": "fbc4df0fc0dce5799156e6628cf6091414723b1570c002bf121b9795577b8b36",
-        "mean_photon.svg": "169fad929c89baa9303f50fd45095f285d51809548dcf1e5dab99bf5073064dd",
+        "mean_photon.svg": "f0aa6c3a37291d883289a194c20acb8a55e664fc961af889b998d869c870ea17",
     },
     ("spectrum", "--a", "25", "--beta", "0.1", "--epsilon-rel-threshold", "0.5",
      "--format", "svg"): {
@@ -441,6 +468,14 @@ def test_output_bytes_match_golden_digests(tmp_path, args):
     written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in tmp_path.iterdir()}
     assert written == GOLDEN_DIGESTS[args]
+
+
+@pytest.mark.parametrize("args", [a for a in GOLDEN_DIGESTS if "svg" in a],
+                         ids=lambda a: a[0] + a[1] if a[0] == "figure" else a[0])
+def test_golden_svgs_are_well_formed_xml(tmp_path, args):
+    assert cli.main([*args, "--out", str(tmp_path) + os.sep]) == 0
+    (svg,) = tmp_path.glob("*.svg")
+    assert ET.parse(svg).getroot().tag == "{http://www.w3.org/2000/svg}svg"
 
 
 def test_env_var_output_dir(tmp_path, monkeypatch, capsys):

@@ -215,6 +215,13 @@ class TestRun:
         with pytest.raises(InvalidParameterError):
             montecarlo.run(MODULE_POINT, 64, 1.0, 0.2, seed=1)
 
+    @pytest.mark.parametrize("dt, t_end", [
+        (math.nan, 1.0), (math.inf, 1.0), (0.01, math.nan), (0.01, math.inf),
+    ], ids=["dt-nan", "dt-inf", "t_end-nan", "t_end-inf"])
+    def test_non_finite_time_rejected(self, dt, t_end):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            montecarlo.run(MODULE_POINT, 64, t_end, dt, seed=1)
+
     def test_blowup_guard(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "BLOWUP_LIMIT", 1e-12)
         with pytest.raises(TrajectoryBlowupError):
@@ -287,6 +294,26 @@ class TestTwoTimeCorrelation:
             rec = np.stack([ref[s][1] + sign * ref[s][0] for s in steps], axis=1)
             lag = np.stack([(rec[:, :n_origins] * rec[:, k:k + n_origins]).mean(axis=1)
                             for k in range(tau.size)], axis=1)
+            want = np.stack([lag[g::groups].mean(axis=0) for g in range(groups)])
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_many_lag_products_match_direct_loop(self):
+        # 40 lags over 25 time origins, so every record sits in many lag
+        # windows; 3000 trajectories fill one 2048-trajectory chunk and part
+        # of a second; the lag products are checked against the per-lag loop
+        tau = np.arange(40) * 0.02
+        n_traj, dt, groups, seed = 3000, 0.01, 6, 2718
+        est = montecarlo.two_time_correlation(MODULE_POINT, tau, n_traj, dt, seed,
+                                              t_burn=1.0, t_avg=0.5, groups=groups)
+        stride, burn, n_origins = 2, 100, 25
+        n_records = tau.size + n_origins - 1
+        steps = [burn + r * stride for r in range(n_records)]
+        ref = em_reference(MODULE_POINT, n_traj, dt, steps[-1], seed, steps)
+        for sign, got in ((1.0, est.group_plus), (-1.0, est.group_minus)):
+            rec = np.stack([ref[s][1] + sign * ref[s][0] for s in steps], axis=1)
+            lag = np.empty((n_traj, tau.size))
+            for k in range(tau.size):
+                lag[:, k] = (rec[:, :n_origins] * rec[:, k:k + n_origins]).mean(axis=1)
             want = np.stack([lag[g::groups].mean(axis=0) for g in range(groups)])
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
