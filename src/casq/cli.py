@@ -41,6 +41,11 @@ EXIT_NOT_STABLE = 3
 EXIT_MISMATCH = 4
 EXIT_IO = 5
 
+# defaults of options that only some engines read (the parser leaves them None)
+ORACLE_DIM = 150
+MC_N_TRAJ = 20000
+MC_SEED = 7041
+
 
 def _fmt(value) -> str:
     if isinstance(value, str):
@@ -200,6 +205,22 @@ def _mc_times(p: SystemParams, dt, t_end):
     return dt, t_end
 
 
+def _mc_settings(p: SystemParams, args):
+    """(n_traj, dt, t_end, seed) at p: --n-traj, --dt, --t-end and --seed, else their defaults."""
+    dt, t_end = _mc_times(p, args.dt, args.t_end)
+    n_traj = MC_N_TRAJ if args.n_traj is None else args.n_traj
+    seed = MC_SEED if args.seed is None else args.seed
+    return n_traj, dt, t_end, seed
+
+
+def _reject_unread(args, names, reads, what) -> None:
+    """Raise InvalidParameterError for any option in `names` given but not in `reads`."""
+    ignored = [name for name in names if getattr(args, name) is not None and name not in reads]
+    if ignored:
+        flags = ", ".join("--" + name.replace("_", "-") for name in ignored)
+        raise InvalidParameterError(f"{what} does not read {flags}")
+
+
 def _add_system_args(sub, beta_range=False):
     sub.add_argument("--a", type=float, default=100.0, help="linear gain coefficient A")
     sub.add_argument("--kappa", type=float, default=0.8, help="cavity damping constant")
@@ -224,19 +245,23 @@ def _add_out_args(sub, plot=False, target=f"output file (or directory ending in 
 
 
 def _add_mc_args(sub, t_end_help="Monte Carlo integration end (default 10 / lambda_minus)"):
-    sub.add_argument("--n-traj", type=int, default=20000, help="Monte Carlo trajectories")
+    sub.add_argument("--n-traj", type=int, default=None,
+                     help=f"Monte Carlo trajectories (default {MC_N_TRAJ})")
     sub.add_argument("--dt", type=float, default=None,
                      help="Monte Carlo step (default from the decay rates)")
     sub.add_argument("--t-end", type=float, default=None, help=t_end_help)
-    sub.add_argument("--seed", type=int, default=7041, help="Monte Carlo seed")
+    sub.add_argument("--seed", type=int, default=None, help=f"Monte Carlo seed (default {MC_SEED})")
 
 
 # ---------------------------------------------------------------------------
 # sweep engines (module-level so worker processes can import them)
 # ---------------------------------------------------------------------------
 
-def _point_variances(args, beta, epsilon):
-    """(beta, epsilon, var_plus, var_minus, mean_n) of --engine at one sweep point."""
+def _point_variances(args, mc_jobs, beta, epsilon):
+    """(beta, epsilon, var_plus, var_minus, mean_n) of --engine at one sweep point.
+
+    mc_jobs is the worker-process count of a Monte Carlo point.
+    """
     p = SystemParams(a=args.a, kappa=args.kappa, beta=beta, epsilon=epsilon)
     if args.engine == "analytic":
         v = analytic.variance_steady(p)
@@ -244,11 +269,11 @@ def _point_variances(args, beta, epsilon):
         mean_n = rec.n_cl if rec else math.inf
         return beta, epsilon, v.plus, v.minus, mean_n
     if args.engine == "oracle":
-        rho = fock.steady_state(p, args.dim)
+        rho = fock.steady_state(p, ORACLE_DIM if args.dim is None else args.dim)
         obs = fock.observables(rho)
         return beta, epsilon, obs.var_plus, obs.var_minus, obs.mean_n
-    dt, t_end = _mc_times(p, args.dt, args.t_end)  # engine == "mc"
-    series = montecarlo.run(p, args.n_traj, t_end, dt, args.seed, sample_times=[t_end])
+    n_traj, dt, t_end, seed = _mc_settings(p, args)  # engine == "mc"
+    series = montecarlo.run(p, n_traj, t_end, dt, seed, sample_times=[t_end], jobs=mc_jobs)
     return (
         beta,
         epsilon,
@@ -267,17 +292,27 @@ def _beta_grid(args):
     return betas, np.broadcast_to(c.epsilon, betas.shape), c.lambda_minus > tol
 
 
+# the engine options of the variance and mean-photon sweeps, and the ones each engine reads
+_SWEEP_OPTIONS = ("dim", "n_traj", "dt", "t_end", "seed")
+_ENGINE_OPTIONS = {"analytic": (), "oracle": ("dim",), "mc": ("n_traj", "dt", "t_end", "seed")}
+
+
 def _sweep(args):
-    """_point_variances at the stable points of --beta."""
-    if args.engine != "mc" and (args.dt is not None or args.t_end is not None):
-        raise InvalidParameterError(f"--dt and --t-end are not used by the {args.engine} engine")
+    """_point_variances at the stable points of --beta.
+
+    The points run on --jobs processes; a Monte Carlo point then runs in
+    its own process, and in --jobs processes when the points run serially.
+    """
+    _reject_unread(args, _SWEEP_OPTIONS, _ENGINE_OPTIONS[args.engine],
+                   f"the {args.engine} engine")
     betas, eps, keep = _beta_grid(args)
     betas = _stable_points(betas, keep, "sweep points with lambda_minus <= 0",
                            "entire sweep lies at or above threshold")
-    point = functools.partial(_point_variances, args)
     if args.jobs > 1 and betas.size > 1:
+        point = functools.partial(_point_variances, args, 1)
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             return list(pool.map(point, betas.tolist(), eps[keep].tolist()))
+    point = functools.partial(_point_variances, args, args.jobs)
     return list(map(point, betas.tolist(), eps[keep].tolist()))
 
 
@@ -314,8 +349,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_mean_photon(args) -> int:
     if args.engine == "analytic" and args.t_end is not None:
-        if args.dt is not None:
-            raise InvalidParameterError("--dt is not used by the analytic engine")
+        _reject_unread(args, _SWEEP_OPTIONS, ("t_end",), "the analytic engine")
         betas, eps, _ = _beta_grid(args)
         rows = [(beta, epsilon, analytic.mean_photon_number(
                     SystemParams(a=args.a, kappa=args.kappa, beta=float(beta),
@@ -331,12 +365,14 @@ def _cmd_mean_photon(args) -> int:
 
 
 def _cmd_pnd(args) -> int:
+    _reject_unread(args, ("dim",), _ENGINE_OPTIONS[args.engine], f"the {args.engine} engine")
     p = _make_params(args.a, args.kappa, args.beta, args.epsilon, args.epsilon_rel)
     if args.engine == "oracle":
-        if not 0 <= args.n_max <= args.dim - 1:
+        dim = ORACLE_DIM if args.dim is None else args.dim
+        if not 0 <= args.n_max <= dim - 1:
             raise InvalidParameterError(
-                f"--n-max must lie in [0, dim - 1] = [0, {args.dim - 1}], got {args.n_max}")
-        rho = fock.steady_state(p, args.dim)
+                f"--n-max must lie in [0, dim - 1] = [0, {dim - 1}], got {args.n_max}")
+        rho = fock.steady_state(p, dim)
         probs = fock.observables(rho).pnd[: args.n_max + 1]
     else:
         record = analytic.steady_record(p)
@@ -378,11 +414,8 @@ _FIGURE_OPTIONS = {
 
 def _cmd_figure(args) -> int:
     n, kappa = args.n, args.kappa
-    ignored = [name for name in ("beta", "epsilon", "omega", "beta_step", "n_max")
-               if getattr(args, name) is not None and name not in _FIGURE_OPTIONS[n]]
-    if ignored:
-        flags = ", ".join("--" + name.replace("_", "-") for name in ignored)
-        raise InvalidParameterError(f"figure {n} does not read {flags}")
+    _reject_unread(args, ("beta", "epsilon", "omega", "beta_step", "n_max"), _FIGURE_OPTIONS[n],
+                   f"figure {n}")
     gains = _figure_gains(args)
     for g in gains:
         SystemParams(a=g, kappa=kappa, beta=0.0)  # validates the knobs
@@ -496,10 +529,10 @@ def verify_point(p: SystemParams, *, dim, n_traj, dt, t_end, seed, sigma, oracle
 
 def _cmd_verify(args) -> int:
     p = _make_params(args.a, args.kappa, args.beta, args.epsilon, args.epsilon_rel)
+    n_traj, dt, t_end, seed = _mc_settings(p, args)
     rows, ok = verify_point(
-        p, dim=args.dim, n_traj=args.n_traj, dt=args.dt, t_end=args.t_end,
-        seed=args.seed, sigma=args.sigma, oracle_rtol=args.oracle_rtol,
-        pnd_atol=args.pnd_atol,
+        p, dim=args.dim, n_traj=n_traj, dt=dt, t_end=t_end, seed=seed,
+        sigma=args.sigma, oracle_rtol=args.oracle_rtol, pnd_atol=args.pnd_atol,
     )
     widths = (42, 16, 16, 12, 6)
     print(f"{'check':<{widths[0]}}{'reference':>{widths[1]}}{'value':>{widths[2]}}"
@@ -516,8 +549,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_mc(args) -> int:
     p = _make_params(args.a, args.kappa, args.beta, args.epsilon, args.epsilon_rel)
-    dt, t_end = _mc_times(p, args.dt, args.t_end)
-    s = montecarlo.run(p, args.n_traj, t_end, dt, args.seed)
+    n_traj, dt, t_end, seed = _mc_settings(p, args)
+    s = montecarlo.run(p, n_traj, t_end, dt, seed)
     header = ["t", "alpha_sq", "alpha_sq_se", "n_cl", "n_cl_se",
               "plus_sq", "plus_sq_se", "minus_sq", "minus_sq_se"]
     return _emit(args, _out_path(args, "mc.csv"), header,
@@ -526,6 +559,8 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.t_end is None and args.dt is not None:
+        raise InvalidParameterError("the steady state does not read --dt")
     p = _make_params(args.a, args.kappa, args.beta, args.epsilon, args.epsilon_rel)
     if args.t_end is None:
         rho = fock.steady_state(p, args.dim)
@@ -570,10 +605,11 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(run=run)
         _add_system_args(sp, beta_range=True)
         sp.add_argument("--engine", choices=["analytic", "oracle", "mc"], default="analytic")
-        sp.add_argument("--dim", type=int, default=150, help="Fock truncation (oracle engine)")
+        sp.add_argument("--dim", type=int, default=None,
+                        help=f"Fock truncation (oracle engine, default {ORACLE_DIM})")
         _add_mc_args(sp, t_end_help)
-        sp.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                        help="worker processes for oracle/mc sweeps")
+        sp.add_argument("--jobs", type=int, default=montecarlo.usable_cores(),
+                        help="worker processes for the sweep (default: the usable cores)")
         _add_out_args(sp, plot=True)
 
     sp = sub.add_parser("spectrum", help="output squeezing spectrum on a frequency grid")
@@ -587,7 +623,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_system_args(sp)
     sp.add_argument("--engine", choices=["analytic", "oracle"], default="analytic")
     sp.add_argument("--n-max", type=int, default=64)
-    sp.add_argument("--dim", type=int, default=150, help="Fock truncation (oracle engine)")
+    sp.add_argument("--dim", type=int, default=None,
+                    help=f"Fock truncation (oracle engine, default {ORACLE_DIM})")
     _add_out_args(sp, plot=True)
 
     sp = sub.add_parser("figure", help="reproduce a figure preset (2..6)")
@@ -628,8 +665,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("oracle", help="truncated-Fock observables (steady state or transient)")
     sp.set_defaults(run=_cmd_oracle)
     _add_system_args(sp)
-    sp.add_argument("--dim", type=int, default=150)
-    sp.add_argument("--dt", type=float, default=None)
+    sp.add_argument("--dim", type=int, default=ORACLE_DIM)
+    sp.add_argument("--dt", type=float, default=None, help="RK4 step of the --t-end transient")
     sp.add_argument("--t-end", type=float, default=None,
                     help="integrate to this time instead of solving for the steady state")
     _add_out_args(sp)

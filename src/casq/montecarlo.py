@@ -26,26 +26,38 @@ stepped in that form:
 
 with alpha = (x+ - x-)/2 and alpha_dag = (x+ + x-)/2.
 
-Layout: each trajectory draws its normals _BLOCK steps at a time into a
-tile of _TILE trajectories, and the tile is copied transposed into a
-time-major (_BLOCK, 2, chunk) block, so a step reads one contiguous row
-per quadrature.  The block and the tile, and in two_time_correlation the
-(2, chunk, records) record array and the lag-product array, are allocated
-once per call and reused by every trajectory chunk (sliced for a partial
-last chunk); all lags of a chunk are contracted in one einsum pass over a
-sliding window of its records.
+Layout: the trajectories are split into work units of _UNIT trajectories
+(aligned to 0, so no unit crosses a reduction chunk), and _unit steps one
+unit.  Each trajectory draws its normals _BLOCK steps at a time into a tile
+of _TILE trajectories, and the tile is copied transposed into a time-major
+(_BLOCK, 2, width) block, so a step reads one contiguous row per
+quadrature.  A unit returns per-trajectory arrays only: x+- at the
+sampled steps for run, and for two_time_correlation the lag products of
+its (2, width, records) record array, all lags contracted in one einsum
+pass over a sliding window of the records and averaged over the time
+origins.  The units run on a fork-context process pool created for the
+call, one worker per usable core unless `jobs` says otherwise, and shut
+down before the call returns or raises; with one worker or one unit they
+run in the calling process.  The workers call no BLAS.
 
-Reproducibility: every trajectory owns a counter-based Philox stream
-spawned from (seed, trajectory index), and reductions run over fixed-size
-trajectory chunks in index order (numpy pairwise summation within a
-chunk), so identical (seed, n_traj, dt, t_end) give bitwise-identical
-moment series.
+Reproducibility: every trajectory owns a counter-based Philox stream,
+SeedSequence(seed, spawn_key=(trajectory index,)), so no unit depends on
+another.  The calling process joins the unit results of each fixed-size
+trajectory chunk in index order and reduces the chunks in index order
+(numpy pairwise summation within a chunk), so identical (seed, n_traj, dt,
+t_end) give bitwise-identical moment series and correlation estimates for
+any `jobs`.
 """
 
 from __future__ import annotations
 
 import cmath
+import contextlib
+import functools
 import math
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +84,7 @@ BLOWUP_LIMIT = 1e6
 # trajectory's whole record, so it works in half the chunk
 _RUN_CHUNK = 4096
 _CORR_CHUNK = 2048
+_UNIT = 2048  # trajectories per work unit; divides both chunk sizes
 _BLOCK = 512  # steps of normals drawn per generator call
 _TILE = 64  # trajectories drawn before their normals are transposed into the block
 
@@ -129,18 +142,42 @@ def _noise_setup(c: Coefficients):
     return complex, noise.amp_plus, noise.amp_minus
 
 
-def _paths(p: SystemParams, n_traj: int, dt: float, n_steps: int, seed: int,
-           chunk_size: int, record_steps):
-    """Euler-Maruyama paths of n_traj vacuum-start trajectories, chunk by chunk.
+def usable_cores() -> int:
+    """CPU cores this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    Yields (lo, hi, step, x_plus, x_minus) for trajectories lo..hi-1 at each
-    step in `record_steps` (step 0 is the vacuum start), chunks in index
-    order, where x_+- = alpha_dag +- alpha.  Each trajectory draws its
-    normals from its own Philox stream, spawned from (seed, trajectory
-    index), _BLOCK steps at a time, into the time-major block the module
-    docstring describes.  After every block a magnitude
-    max(|alpha|, |alpha_dag|) above BLOWUP_LIMIT raises TrajectoryBlowupError.
-    """
+
+def _workers(jobs) -> int:
+    """The jobs argument of run and two_time_correlation: None means usable_cores()."""
+    if jobs is None:
+        return usable_cores()
+    if jobs < 1:
+        raise InvalidParameterError(f"jobs must be >= 1, got {jobs}")
+    return jobs
+
+
+@dataclass(frozen=True)
+class _Kernel:
+    """What a work unit needs to step its trajectories and reduce their records."""
+
+    p: SystemParams  # named in the blow-up message
+    seed: int
+    dtype: type
+    keep_p: float
+    keep_m: float
+    gain_p: float | complex
+    gain_m: float | complex
+    n_steps: int
+    record_steps: tuple  # ascending steps whose x+- are recorded; 0 is the vacuum start
+    n_origins: int | None  # set by two_time_correlation: time origins of the lag products
+    limit: float  # BLOWUP_LIMIT when the call began
+
+
+def _kernel(p: SystemParams, dt: float, seed: int, n_steps: int, record_steps,
+            n_origins: int | None = None) -> _Kernel:
+    """The _Kernel of one call; rejects a step too coarse for the rates and a negative seed."""
     c = coefficients(p)
     if dt * max(c.lambda_plus, abs(c.lambda_minus)) >= 0.05:
         raise InvalidParameterError(
@@ -149,46 +186,120 @@ def _paths(p: SystemParams, n_traj: int, dt: float, n_steps: int, seed: int,
     if seed < 0:
         raise InvalidParameterError(f"seed must be >= 0, got {seed}")
     dtype, amp_p, amp_m = _noise_setup(c)
-    keep_p, keep_m = 1.0 - c.lambda_minus * dt, 1.0 - c.lambda_plus * dt
     sdt = math.sqrt(dt)
-    gain_p, gain_m = 2.0 * amp_p * sdt, -2.0 * amp_m * sdt
-    children = np.random.SeedSequence(seed).spawn(n_traj)
-    # block[j, q, k]: normal of quadrature q for trajectory lo + k at step done + j
-    block = np.empty((_BLOCK, 2, min(chunk_size, n_traj)))
+    return _Kernel(
+        p=p, seed=seed, dtype=dtype,
+        keep_p=1.0 - c.lambda_minus * dt, keep_m=1.0 - c.lambda_plus * dt,
+        gain_p=2.0 * amp_p * sdt, gain_m=-2.0 * amp_m * sdt,
+        n_steps=n_steps, record_steps=tuple(record_steps), n_origins=n_origins,
+        limit=BLOWUP_LIMIT,
+    )
+
+
+def _unit(k: _Kernel, lo: int, hi: int):
+    """Euler-Maruyama paths of the vacuum-start trajectories lo..hi-1: (result, blowup).
+
+    result holds x_+- = alpha_dag +- alpha at k.record_steps as
+    (records, 2, width); when k.n_origins is set it holds instead each
+    trajectory's lag products averaged over that many time origins, as
+    (2, width, lags).  Trajectory i draws its normals from its own Philox
+    stream, SeedSequence(k.seed, spawn_key=(i,)) (child i of
+    SeedSequence(k.seed).spawn), _BLOCK steps at a time, into the
+    time-major block the module docstring describes.  After every block a
+    magnitude max(|alpha|, |alpha_dag|) above k.limit stops the unit and
+    returns (None, (step, peak)); otherwise blowup is None.  Nothing here
+    calls BLAS, so the unit is safe in a forked worker.
+    """
+    width = hi - lo
+    index = {s: r for r, s in enumerate(k.record_steps)}
+    if k.n_origins is None:
+        rec = out = np.empty((len(index), 2, width), dtype=k.dtype)
+    else:
+        # rec[q, i, r]: quadrature q (x+, x-) of trajectory lo + i at record r
+        rec = np.empty((2, width, len(index)), dtype=k.dtype)
+        out = rec.transpose(2, 0, 1)
+    gens = [np.random.Generator(np.random.Philox(np.random.SeedSequence(k.seed, spawn_key=(i,))))
+            for i in range(lo, hi)]
+    # block[j, q, i]: normal of quadrature q for trajectory lo + i at step done + j
+    block = np.empty((_BLOCK, 2, width))
     tile = np.empty((_TILE, _BLOCK, 2))
+    keep_p, keep_m, gain_p, gain_m = k.keep_p, k.keep_m, k.gain_p, k.gain_m
+    xp = np.zeros(width, dtype=k.dtype)
+    xm = np.zeros(width, dtype=k.dtype)
+    if 0 in index:
+        out[index[0]] = 0.0
 
-    for lo in range(0, n_traj, chunk_size):
-        hi = min(lo + chunk_size, n_traj)
-        width = hi - lo
-        gens = [np.random.Generator(np.random.Philox(child)) for child in children[lo:hi]]
-        xp = np.zeros(width, dtype=dtype)
-        xm = np.zeros(width, dtype=dtype)
-        if 0 in record_steps:
-            yield lo, hi, 0, xp, xm
+    done = 0
+    while done < k.n_steps:
+        todo = min(_BLOCK, k.n_steps - done)
+        for t0 in range(0, width, _TILE):
+            t1 = min(t0 + _TILE, width)
+            for i in range(t0, t1):
+                gens[i].standard_normal(out=tile[i - t0, :todo])
+            block[:todo, :, t0:t1] = tile[: t1 - t0, :todo].transpose(1, 2, 0)
+        for j in range(todo):
+            xp = keep_p * xp + gain_p * block[j, 0]
+            xm = keep_m * xm + gain_m * block[j, 1]
+            r = index.get(done + j + 1)
+            if r is not None:
+                out[r, 0] = xp
+                out[r, 1] = xm
+        done += todo
+        peak = 0.5 * max(
+            float(np.abs(xp - xm).max(initial=0.0)),
+            float(np.abs(xp + xm).max(initial=0.0)),
+        )
+        if peak > k.limit:
+            return None, (done, peak)
 
-        done = 0
-        while done < n_steps:
-            todo = min(_BLOCK, n_steps - done)
-            for t0 in range(0, width, _TILE):
-                t1 = min(t0 + _TILE, width)
-                for k in range(t0, t1):
-                    gens[k].standard_normal(out=tile[k - t0, :todo])
-                block[:todo, :, t0:t1] = tile[: t1 - t0, :todo].transpose(1, 2, 0)
-            for j in range(todo):
-                xp = keep_p * xp + gain_p * block[j, 0, :width]
-                xm = keep_m * xm + gain_m * block[j, 1, :width]
-                if done + j + 1 in record_steps:
-                    yield lo, hi, done + j + 1, xp, xm
-            done += todo
-            peak = 0.5 * max(
-                float(np.abs(xp - xm).max(initial=0.0)),
-                float(np.abs(xp + xm).max(initial=0.0)),
-            )
-            if peak > BLOWUP_LIMIT:
+    if k.n_origins is None:
+        return rec, None
+    n = k.n_origins
+    corr = np.empty((2, width, len(index) - n + 1), dtype=k.dtype)
+    for x, lags in zip(rec, corr):
+        np.einsum("no,nko->nk", x[:, :n], sliding_window_view(x, n, axis=1), out=lags)
+    corr /= n
+    return corr, None
+
+
+def _chunks(k: _Kernel, n_traj: int, chunk_size: int, jobs: int):
+    """Yield (lo, hi, result) for each chunk of chunk_size trajectories, in index order.
+
+    result joins the _unit results of trajectories lo..hi-1 along their
+    trajectory axis.  The units (_UNIT trajectories each, so none crosses a
+    chunk) run on min(jobs, units) forked worker processes, or in this
+    process through builtin map when that is one, when fork is unavailable,
+    or inside a daemonic process, which may not start children.  The pool
+    is shut down before this generator returns, raises or is closed.  The
+    first chunk with a unit that blew up raises TrajectoryBlowupError at the
+    earliest failing step among its units, with the largest magnitude any
+    of them reached there: the step and peak a whole-chunk check reports.
+    """
+    los = range(0, n_traj, _UNIT)
+    his = [min(lo + _UNIT, n_traj) for lo in los]
+    workers, pool = min(jobs, len(los)), None
+    if (workers > 1 and "fork" in multiprocessing.get_all_start_methods()
+            and not multiprocessing.current_process().daemon):
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        results = (pool.map if pool else map)(functools.partial(_unit, k), los, his)
+        axis = -1 if k.n_origins is None else 1
+        for lo in range(0, n_traj, chunk_size):
+            hi = min(lo + chunk_size, n_traj)
+            parts = [next(results) for _ in range(lo, hi, _UNIT)]
+            failed = [blowup for _, blowup in parts if blowup is not None]
+            if failed:
+                step = min(s for s, _ in failed)
+                peak = max(v for s, v in failed if s == step)
                 raise TrajectoryBlowupError(
-                    f"trajectory magnitude {peak:.3e} exceeded {BLOWUP_LIMIT:.1e} "
-                    f"at step {done} (params {p})"
+                    f"trajectory magnitude {peak:.3e} exceeded {k.limit:.1e} "
+                    f"at step {step} (params {k.p})"
                 )
+            arrays = [result for result, _ in parts]
+            yield lo, hi, arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=axis)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def run(
@@ -198,12 +309,16 @@ def run(
     dt: float,
     seed: int,
     sample_times=None,
+    jobs: int | None = None,
 ) -> MomentSeries:
     """Integrate n_traj vacuum-start trajectories and record ensemble moments.
 
     Moments are recorded at `sample_times` (default: 25 evenly spaced
     points plus t = 0), each snapped to the step grid.  Trajectory
-    magnitudes above 1e6 abort with TrajectoryBlowupError.
+    magnitudes above 1e6 abort with TrajectoryBlowupError.  The
+    trajectories are stepped by `jobs` worker processes (default: the
+    usable cores; 1 runs in this process); the result does not depend on
+    jobs.
     """
     c = coefficients(p)
     if c.lambda_minus <= 0:
@@ -215,6 +330,7 @@ def run(
         raise InvalidParameterError(
             f"need finite dt > 0, finite t_end > 0, n_traj >= 2; got dt={dt}, t_end={t_end}, "
             f"n_traj={n_traj}")
+    jobs = _workers(jobs)
 
     n_steps = max(int(round(t_end / dt)), 1)
     if sample_times is None:
@@ -224,20 +340,21 @@ def run(
     if not np.all((sample_times >= -0.5 * dt) & (sample_times <= t_end + 0.5 * dt)):
         raise InvalidParameterError(f"sample_times must lie in [0, t_end = {t_end:g}]")
     sample_steps = sorted({min(int(round(t / dt)), n_steps) for t in sample_times})
-    sample_index = {s: i for i, s in enumerate(sample_steps)}
     n_samples = len(sample_steps)
+    kernel = _kernel(p, dt, seed, n_steps, sample_steps)
 
     # alpha, alpha_dag, alpha^2, alpha_dag*alpha, x_plus^2, x_minus^2
     sums = np.zeros((n_samples, 6), dtype=complex)
     sums_abs2 = np.zeros((n_samples, 6))
-    for _, _, s, xp, xm in _paths(p, n_traj, dt, n_steps, seed, _RUN_CHUNK, sample_index):
-        i = sample_index[s]
-        alpha, alpha_dag = 0.5 * (xp - xm), 0.5 * (xp + xm)
-        rows = (alpha, alpha_dag, alpha * alpha, alpha_dag * alpha, xp * xp, xm * xm)
-        for j, row in enumerate(rows):
-            sums[i, j] += row.sum()
-            mags = np.abs(row)
-            sums_abs2[i, j] += float(mags @ mags)
+    with contextlib.closing(_chunks(kernel, n_traj, _RUN_CHUNK, jobs)) as chunks:
+        for _, _, rec in chunks:
+            for i, (xp, xm) in enumerate(rec):
+                alpha, alpha_dag = 0.5 * (xp - xm), 0.5 * (xp + xm)
+                rows = (alpha, alpha_dag, alpha * alpha, alpha_dag * alpha, xp * xp, xm * xm)
+                for j, row in enumerate(rows):
+                    sums[i, j] += row.sum()
+                    mags = np.abs(row)
+                    sums_abs2[i, j] += float(mags @ mags)
 
     means = sums / n_traj
     var = np.maximum(sums_abs2 / n_traj - np.abs(means) ** 2, 0.0)
@@ -303,6 +420,7 @@ def two_time_correlation(
     t_burn: float | None = None,
     t_avg: float | None = None,
     groups: int = 10,
+    jobs: int | None = None,
 ) -> CorrelationEstimate:
     """Estimate the stationary lag products of alpha_+- = alpha_dag +- alpha.
 
@@ -310,6 +428,8 @@ def two_time_correlation(
     sampled on the uniform tau grid; products are averaged over time
     origins spanning t_avg (default 5 * tau_max) and over trajectories.
     Standard errors come from `groups` independent trajectory groups.
+    `jobs` is as in `run`: worker processes, default the usable cores; the
+    result does not depend on it.
     """
     c = coefficients(p)
     if c.lambda_minus <= 0:
@@ -317,8 +437,8 @@ def two_time_correlation(
             f"stationary correlation requires lambda_minus > 0, got {c.lambda_minus:.6g}",
             lambda_minus=c.lambda_minus,
         )
-    if not dt > 0:
-        raise InvalidParameterError(f"dt must be > 0, got {dt}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise InvalidParameterError(f"dt must be finite and > 0, got {dt}")
     tau = np.atleast_1d(np.asarray(tau_grid, dtype=float))
     if tau.size < 2 or tau[0] != 0.0:
         raise InvalidParameterError("tau_grid must start at 0 and hold >= 2 points")
@@ -329,6 +449,7 @@ def two_time_correlation(
         raise InvalidParameterError(f"need groups >= 2 for standard errors, got {groups}")
     if n_traj < 2 * groups:
         raise InvalidParameterError(f"need n_traj >= {2 * groups} for {groups} error groups")
+    jobs = _workers(jobs)
     stride = max(int(round(spacing[0] / dt)), 1)
     if abs(spacing[0] / dt - stride) > 1e-9 * stride:
         raise InvalidParameterError(
@@ -349,38 +470,21 @@ def two_time_correlation(
     n_records = n_lags + n_origins - 1
     record_steps = (n_records - 1) * stride
 
-    dtype = _noise_setup(c)[0]
-    width = min(_CORR_CHUNK, n_traj)
-    # rec[q, k, r]: quadrature q (x+, x-) of trajectory lo + k at record r;
-    # corr[q, k, l]: its lag-l product averaged over the time origins
-    rec = np.empty((2, width, n_records), dtype=dtype)
-    corr = np.empty((2, width, n_lags), dtype=dtype)
-    group_sum = np.zeros((2, groups, n_lags), dtype=dtype)
-    group_count = np.zeros(groups, dtype=int)
     total = burn_steps + record_steps
-    for lo, hi, s, xp, xm in _paths(
-        p, n_traj, dt, total, seed, _CORR_CHUNK, range(burn_steps, total + 1, stride)
-    ):
-        w = hi - lo
-        r = (s - burn_steps) // stride
-        rec[0, :w, r] = xp
-        rec[1, :w, r] = xm
-        if r < n_records - 1:
-            continue
+    kernel = _kernel(p, dt, seed, total, range(burn_steps, total + 1, stride), n_origins)
 
-        # the chunk's last record is in: reduce the chunk to lag products
-        chunk_rec, chunk_corr = rec[:, :w], corr[:, :w]
-        for x, out in zip(chunk_rec, chunk_corr):
-            np.einsum("no,nko->nk", x[:, :n_origins],
-                      sliding_window_view(x, n_origins, axis=1), out=out)
-        chunk_corr /= n_origins
-
-        gid = np.arange(lo, hi) % groups
-        for g in range(groups):
-            mask = gid == g
-            if mask.any():
-                group_sum[:, g] += chunk_corr[:, mask].sum(axis=1)
-                group_count[g] += int(mask.sum())
+    # corr[q, i, l]: lag-l product of quadrature q (x+, x-) of trajectory
+    # lo + i, averaged over the time origins
+    group_sum = np.zeros((2, groups, n_lags), dtype=kernel.dtype)
+    group_count = np.zeros(groups, dtype=int)
+    with contextlib.closing(_chunks(kernel, n_traj, _CORR_CHUNK, jobs)) as chunks:
+        for lo, hi, corr in chunks:
+            gid = np.arange(lo, hi) % groups
+            for g in range(groups):
+                mask = gid == g
+                if mask.any():
+                    group_sum[:, g] += corr[:, mask].sum(axis=1)
+                    group_count[g] += int(mask.sum())
 
     group_sum_p, group_sum_m = group_sum
     group_p = group_sum_p / group_count[:, None]

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import casq
-from casq import analytic, cli
+from casq import analytic, cli, montecarlo
 
 try:
     import tomllib
@@ -379,8 +379,27 @@ class TestExitCodes:
     def test_ignored_sweep_option_rejected(self, tmp_path, args):
         out = tmp_path / "out.csv"
         # a point every engine handles at once, so only the option can fail
-        assert cli.main([*args, "--a", "0", "--beta", "0", "--epsilon", "0.2", "--dim", "32",
+        dim = ["--dim", "32"] if "oracle" in args else []
+        assert cli.main([*args, "--a", "0", "--beta", "0", "--epsilon", "0.2", *dim,
                          "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, flags", [
+        (["pnd", "--dim", "3"], "--dim"),
+        (["variance", "--dim", "32"], "--dim"),
+        (["variance", "--n-traj", "3", "--seed", "5"], "--n-traj, --seed"),
+        (["mean-photon", "--seed", "5"], "--seed"),
+        (["mean-photon", "--t-end", "5", "--n-traj", "64"], "--n-traj"),
+        (["variance", "--engine", "oracle", "--n-traj", "64"], "--n-traj"),
+        (["mean-photon", "--engine", "mc", "--dim", "32"], "--dim"),
+        (["oracle", "--dim", "8", "--dt", "0.01"], "--dt"),
+    ], ids=["pnd-dim", "analytic-dim", "analytic-n-traj-seed", "analytic-seed",
+            "transient-n-traj", "oracle-n-traj", "mc-dim", "steady-state-dt"])
+    def test_option_the_engine_ignores_rejected(self, tmp_path, args, flags, capsys):
+        out = tmp_path / "out.csv"
+        assert cli.main([*args, "--a", "0", "--beta", "0", "--epsilon", "0.2",
+                         "--out", str(out)]) == 2
+        assert f"does not read {flags}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("args", [
@@ -410,6 +429,26 @@ def test_pooled_oracle_sweep_matches_serial(tmp_path):
     beta, eps, vp, vm, mean_n = (float(v) for v in rows[0])
     ref = analytic.variance_steady(SystemParams(a=25, kappa=0.8, beta=beta, epsilon=eps))
     assert vm == pytest.approx(ref.minus, rel=2e-2)  # coarse sanity; precision is tested elsewhere
+
+
+@pytest.mark.parametrize("beta, n_traj", [("0.1:0.2:0.1", "64"), ("0.1", "4100")],
+                         ids=["pooled-points", "pooled-trajectories"])
+def test_pooled_mc_sweep_matches_serial(tmp_path, beta, n_traj):
+    # two points run on a pool of two; one point of three work units runs
+    # its trajectories on two processes
+    args = ["variance", "--engine", "mc", "--a", "4", "--kappa", "0.8", "--beta", beta,
+            "--epsilon-rel-threshold", "0.5", "--n-traj", n_traj, "--dt", "0.01",
+            "--t-end", "1", "--seed", "3"]
+    pooled = tmp_path / "pooled.csv"
+    serial = tmp_path / "serial.csv"
+    assert cli.main(args + ["--jobs", "2", "--out", str(pooled)]) == 0
+    assert cli.main(args + ["--jobs", "1", "--out", str(serial)]) == 0
+    assert pooled.read_bytes() == serial.read_bytes()
+
+
+def test_jobs_default_is_the_usable_cores():
+    args = cli._build_parser().parse_args(["variance"])
+    assert args.jobs == montecarlo.usable_cores() >= 1
 
 
 # SHA-256 of every file each command writes, recorded before the CLI's output

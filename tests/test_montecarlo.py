@@ -6,7 +6,10 @@ Stochastic assertions run at fixed seeds, sized so the acceptance bands
 (3 standard errors unless stated) hold with comfortable z-scores.
 """
 
+import dataclasses
 import math
+import multiprocessing
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +20,12 @@ from casq.params import Coefficients, SystemParams, coefficients
 
 
 MODULE_POINT = SystemParams(a=4, kappa=0.8, beta=0.2).with_relative_drive(0.5)
+
+
+def assert_fields_equal(a, b):
+    for field in dataclasses.fields(a):
+        np.testing.assert_array_equal(getattr(a, field.name), getattr(b, field.name),
+                                      err_msg=field.name)
 
 
 def em_reference(p, n_traj, dt, n_steps, seed, record_steps):
@@ -49,6 +58,10 @@ def em_reference(p, n_traj, dt, n_steps, seed, record_steps):
         if k + 1 in record_steps:
             out[k + 1] = (alpha, alpha_dag)
     return {s: out[s] for s in record_steps}
+
+
+def small_run_n_cl(jobs):
+    return montecarlo.run(MODULE_POINT, 4096, 0.1, 0.01, seed=1, jobs=jobs).n_cl
 
 
 class TestNoiseFactorization:
@@ -121,13 +134,13 @@ class TestRun:
         assert np.all(series.minus_sq_se == 0)
 
     def test_bitwise_reproducible(self):
-        kw = dict(n_traj=512, t_end=2.0, dt=0.01, seed=97)
-        s1 = montecarlo.run(MODULE_POINT, **kw)
-        s2 = montecarlo.run(MODULE_POINT, **kw)
-        np.testing.assert_array_equal(s1.n_cl, s2.n_cl)
-        np.testing.assert_array_equal(s1.plus_sq, s2.plus_sq)
-        np.testing.assert_array_equal(s1.minus_sq_se, s2.minus_sq_se)
-        s3 = montecarlo.run(MODULE_POINT, n_traj=512, t_end=2.0, dt=0.01, seed=98)
+        # 6444 trajectories are four 2048-trajectory work units: one full
+        # 4096-trajectory chunk and a partial one that ends in a partial unit
+        kw = dict(n_traj=6444, t_end=2.0, dt=0.01, seed=97)
+        s1 = montecarlo.run(MODULE_POINT, **kw, jobs=1)
+        assert_fields_equal(s1, montecarlo.run(MODULE_POINT, **kw, jobs=1))
+        assert_fields_equal(s1, montecarlo.run(MODULE_POINT, **kw, jobs=2))
+        s3 = montecarlo.run(MODULE_POINT, **{**kw, "seed": 98}, jobs=1)
         assert not np.array_equal(s1.n_cl, s3.n_cl)
 
     def test_moments_track_ode_solution(self):
@@ -227,6 +240,48 @@ class TestRun:
         with pytest.raises(TrajectoryBlowupError):
             montecarlo.run(MODULE_POINT, 64, 1.0, 0.01, seed=1)
 
+    @pytest.mark.parametrize("limit, peak, step", [
+        (5.6, "5.766e+00", 512), (5.7, "5.766e+00", 512), (6.0, "6.539e+00", 1536),
+        (6.6, "6.742e+00", 512),
+    ])
+    def test_blowup_reported_alike_in_workers(self, monkeypatch, limit, peak, step):
+        # block-end peaks of the three work units over steps 512..2048 are
+        # 5.67 5.82 6.54 5.99 / 5.77 5.70 6.52 6.07 / 6.74 5.50 7.03 6.52;
+        # a check over the whole 4096-trajectory chunk reports the peak and
+        # step pinned here.  At 5.6 both units of the first chunk fail at
+        # once, at 5.7 they fail at different steps, at 6.0 the second
+        # chunk's unit fails first but the first chunk is reported, and at
+        # 6.6 only the second chunk fails
+        monkeypatch.setattr(montecarlo, "BLOWUP_LIMIT", limit)
+        pattern = rf"magnitude {re.escape(peak)} exceeded \S+ at step {step} "
+        messages = []
+        for jobs in (1, 2):
+            with pytest.raises(TrajectoryBlowupError, match=pattern) as exc:
+                montecarlo.run(MODULE_POINT, 6144, 20.48, 0.01, seed=1, jobs=jobs)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_no_workers_rejected(self, jobs):
+        with pytest.raises(InvalidParameterError, match="jobs"):
+            montecarlo.run(MODULE_POINT, 64, 1.0, 0.01, seed=1, jobs=jobs)
+
+    def test_one_unit_runs_without_a_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was created")
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+        montecarlo.run(MODULE_POINT, 2048, 0.1, 0.01, seed=1, jobs=2)
+        montecarlo.two_time_correlation(MODULE_POINT, [0.0, 0.1], 2048, 0.01, seed=1,
+                                        t_burn=0.1, jobs=2)
+        montecarlo.run(MODULE_POINT, 4096, 0.1, 0.01, seed=1, jobs=1)
+
+    def test_daemonic_process_runs_in_process(self):
+        # a multiprocessing.Pool worker is daemonic and may not start children
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            got = pool.apply_async(small_run_n_cl, (2,)).get(timeout=60)
+        np.testing.assert_array_equal(got, small_run_n_cl(1))
+
     @pytest.mark.parametrize("outside", [-0.5, 3.0])
     def test_sample_time_outside_run_rejected(self, outside):
         with pytest.raises(InvalidParameterError):
@@ -273,6 +328,23 @@ class TestTwoTimeCorrelation:
         for dt in (0.2, 0.0, -0.01):
             with pytest.raises(InvalidParameterError):
                 montecarlo.two_time_correlation(MODULE_POINT, [0.0, 0.2], 100, dt, seed=1)
+
+    @pytest.mark.parametrize("dt", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_step_rejected(self, dt):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            montecarlo.two_time_correlation(MODULE_POINT, [0.0, 0.1], 100, dt, seed=1)
+
+    def test_bitwise_reproducible(self):
+        # 4500 trajectories are three 2048-trajectory chunks, the last partial
+        tau = np.arange(5) * 0.05
+        kw = dict(tau_grid=tau, n_traj=4500, dt=0.01, seed=77, t_burn=1.0, t_avg=0.5)
+        e1 = montecarlo.two_time_correlation(MODULE_POINT, **kw, jobs=1)
+        assert_fields_equal(e1, montecarlo.two_time_correlation(MODULE_POINT, **kw, jobs=1))
+        assert_fields_equal(e1, montecarlo.two_time_correlation(MODULE_POINT, **kw, jobs=2))
+
+    def test_no_workers_rejected(self):
+        with pytest.raises(InvalidParameterError, match="jobs"):
+            montecarlo.two_time_correlation(MODULE_POINT, [0.0, 0.1], 100, 0.01, seed=1, jobs=0)
 
     def test_blowup_guard(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "BLOWUP_LIMIT", 1e-12)
