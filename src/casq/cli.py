@@ -300,15 +300,17 @@ _ENGINE_OPTIONS = {"analytic": (), "oracle": ("dim",), "mc": ("n_traj", "dt", "t
 def _sweep(args):
     """_point_variances at the stable points of --beta.
 
-    The points run on --jobs processes; a Monte Carlo point then runs in
-    its own process, and in --jobs processes when the points run serially.
+    Closed-form points run in this process: each costs microseconds, less
+    than starting a worker.  Other points run on --jobs processes; a Monte
+    Carlo point then runs in its own process, and in --jobs processes when
+    the points run serially.
     """
     _reject_unread(args, _SWEEP_OPTIONS, _ENGINE_OPTIONS[args.engine],
                    f"the {args.engine} engine")
     betas, eps, keep = _beta_grid(args)
     betas = _stable_points(betas, keep, "sweep points with lambda_minus <= 0",
                            "entire sweep lies at or above threshold")
-    if args.jobs > 1 and betas.size > 1:
+    if args.jobs > 1 and betas.size > 1 and args.engine != "analytic":
         point = functools.partial(_point_variances, args, 1)
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             return list(pool.map(point, betas.tolist(), eps[keep].tolist()))

@@ -17,15 +17,18 @@ positivity is monitored (minimum eigenvalue on demand), never enforced.
 One sparse operator on vec(rho) holds the generator for both solvers.
 It is real, it commutes with transposition rho -> rho^T, and every term
 shifts m - n by 0 or +-2, so the even and odd m - n sectors never mix.
-Time evolution uses classical RK4, one sparse matvec per stage, on the
-parity sectors the initial state occupies (the even sector alone for a
-vacuum start), with hermitization each step.  The steady state is found
-by integrating an unconditionally stable implicit Euler scheme built on
-one sparse LU factorization of the same operator until the residual
-|L rho|_1 drops below 1e-10 |rho|_1; explicit stepping is hopeless here
-because the generator's fast scales grow linearly with the truncation.
-That solve runs on the real symmetric even sector, the entries m <= n
-with m - n even (about a quarter of vec(rho)), under a fill-reducing
+Both solvers therefore work on real folded blocks: the real part of a
+Hermitian rho is symmetric and its imaginary part antisymmetric, each
+evolves on its own, and each is held by its entries m <= n (m < n for
+the imaginary part) of one parity.  Time evolution uses classical RK4,
+one sparse matvec per stage, on the blocks the initial state occupies
+(the real even block alone for a vacuum start), so the state stays
+Hermitian by construction.  The steady state is found by integrating an
+unconditionally stable implicit Euler scheme built on one sparse LU
+factorization of the real even block until the residual |L rho|_1 drops
+below 1e-10 |rho|_1; explicit stepping is hopeless here because the
+generator's fast scales grow linearly with the truncation.  That block
+is about a quarter of vec(rho), and its LU uses a fill-reducing
 minimum-degree ordering.
 
 Truncation is guarded: population on the boundary level above 1e-6 aborts
@@ -154,6 +157,29 @@ def _sparse_generator(dim: int, coeffs: Coefficients) -> sp.csc_matrix:
     return gen.tocsc()
 
 
+def _fold(dim: int, parities, sign: int):
+    """One real block of rho, folded by the transposition symmetry.
+
+    The block's unknowns are the entries (m, n) with m - n mod 2 in
+    parities and m <= n for sign +1 (the symmetric real part of a
+    Hermitian rho) or m < n for sign -1 (its antisymmetric imaginary
+    part), in row-major order.  The generator maps such a block onto
+    itself, so gen[keep] @ fold is the generator on its unknowns.
+    Returns keep, their positions in vec(rho); diag, which of them lie
+    on the diagonal; and fold, the dim^2 x keep.size map writing each
+    unknown to (m, n) and sign times it to (n, m).
+    """
+    m, n = np.divmod(np.arange(dim * dim), dim)
+    upper = m <= n if sign > 0 else m < n
+    keep = np.flatnonzero(upper & np.isin((n - m) % 2, parities))
+    mirror = np.flatnonzero(m[keep] != n[keep])
+    rows = np.concatenate([keep, (n * dim + m)[keep[mirror]]])
+    cols = np.concatenate([np.arange(keep.size), mirror])
+    values = np.concatenate([np.ones(keep.size), np.full(mirror.size, float(sign))])
+    fold = sp.csr_matrix((values, (rows, cols)), shape=(dim * dim, keep.size))
+    return keep, m[keep] == n[keep], fold
+
+
 # ---------------------------------------------------------------------------
 # time evolution and steady state
 # ---------------------------------------------------------------------------
@@ -198,52 +224,60 @@ def evolve(
 ) -> DensityMatrix:
     """RK4 propagation of the master equation for a time t_end.
 
-    Each RK4 stage is one sparse matvec with the generator, restricted to
-    the parity sectors (even or odd m - n) that rho0 occupies: the
-    generator never mixes them, so an empty sector stays exactly zero.
-    The state is hermitized after every step.  The truncated generator
-    conserves trace exactly, so a trace drift above TRACE_TOL or any
-    |rho_mn| > 1 can only come from an unstable step: StepSizeError.
-    Population on the boundary level above boundary_tol raises
-    TruncationError at the end; pass boundary_tol=None to disable that
-    guard (diagnostics are still recorded).
+    The state is held as real folded blocks: the real parts of rho_mn
+    with m <= n and the imaginary parts with m < n, each split by the
+    parity of m - n.  The generator maps each block onto itself, so
+    only the blocks the Hermitian part of rho0 occupies are stepped (the
+    real even block alone for a vacuum start), each RK4 stage is one
+    sparse matvec on them, and the state is Hermitian by construction.
+    A non-Hermitian rho0 evolves as its Hermitian part.  The truncated
+    generator conserves trace exactly, so a trace drift above TRACE_TOL
+    or any |rho_mn| > 1 can only come from an unstable step:
+    StepSizeError.  Population on the boundary level above boundary_tol
+    raises TruncationError at the end; pass boundary_tol=None to disable
+    that guard (diagnostics are still recorded).
     """
-    if t_end < 0:
-        raise InvalidParameterError(f"t_end must be >= 0, got {t_end}")
+    if not (math.isfinite(t_end) and t_end >= 0):
+        raise InvalidParameterError(f"t_end must be finite and >= 0, got {t_end}")
     c = coefficients(p)
     dim = rho0.dim
     if dt is None:
         dt = _default_dt(p, c, dim)
-    if dt <= 0:
-        raise InvalidParameterError(f"dt must be > 0, got {dt}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise InvalidParameterError(f"dt must be finite and > 0, got {dt}")
 
+    herm = 0.5 * (rho0.data + rho0.data.conj().T)
     levels = np.arange(dim)
-    parity = ((levels[:, None] - levels[None, :]) % 2).ravel()
-    keep = np.flatnonzero(np.isin(parity, parity[rho0.data.ravel() != 0]))
-    gen = _sparse_generator(dim, c).tocsr()[keep][:, keep].astype(complex)
-    flat = np.zeros(dim * dim, dtype=complex)
-    rho = rho0.data.astype(complex)
+    parity = (levels[:, None] - levels[None, :]) % 2
+    keep_re, on_diag, fold_re = _fold(dim, np.unique(parity[herm.real != 0]), 1)
+    keep_im, _, fold_im = _fold(dim, np.unique(parity[herm.imag != 0]), -1)
+    full = _sparse_generator(dim, c).tocsr()
+    gen = sp.block_diag([full[keep_re] @ fold_re, full[keep_im] @ fold_im], format="csr")
+    x = np.concatenate([herm.real.ravel()[keep_re], herm.imag.ravel()[keep_im]])
+    diag = np.flatnonzero(on_diag)
+    # |rho_mn|^2 sums the squares of the unknowns that share (m, n)
+    _, entry = np.unique(np.concatenate([keep_re, keep_im]), return_inverse=True)
     n_steps = max(int(round(t_end / dt)), 1) if t_end > 0 else 0
     if n_steps:
         dt = t_end / n_steps
     for step in range(n_steps):
-        x = rho.reshape(-1)[keep]
         k1 = gen @ x
         k2 = gen @ (x + 0.5 * dt * k1)
         k3 = gen @ (x + 0.5 * dt * k2)
         k4 = gen @ (x + dt * k3)
-        flat[keep] = x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        rho = flat.reshape(dim, dim)
-        rho = 0.5 * (rho + rho.conj().T)
+        x = x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
-        trace_err = abs(rho.trace().real - 1.0)
-        peak = np.abs(rho).max()
+        trace_err = abs(x[diag].sum() - 1.0)
+        peak = math.sqrt(np.bincount(entry, weights=x * x, minlength=1).max())
         if not (trace_err <= TRACE_TOL and peak <= 1.0):  # also trips on NaN
             raise StepSizeError(
                 f"unstable step: trace drift {trace_err:.3e}, max |rho_mn| {peak:.3e} "
                 f"at step {step + 1}; reduce dt ({dt:.3e})"
             )
-    return _checked_state(rho, boundary_tol)
+    rho = np.empty(dim * dim, dtype=complex)
+    rho.real = fold_re @ x[:keep_re.size]
+    rho.imag = fold_im @ x[keep_re.size:]
+    return _checked_state(rho.reshape(dim, dim), boundary_tol)
 
 
 def steady_state(
@@ -290,20 +324,10 @@ def steady_state(
             lambda_minus=c.lambda_minus,
         )
 
-    # unknowns: rho_mn with m <= n and m - n even, in row-major order;
-    # red maps every entry of vec(rho) to its unknown, odd entries to a
-    # trailing zero
-    levels = np.arange(dim)
-    m, n = np.meshgrid(levels, levels, indexing="ij")
-    keep = np.flatnonzero(((n - m) % 2 == 0) & (m <= n))
-    col = np.full((dim, dim), keep.size)
-    col.ravel()[keep] = np.arange(keep.size)
-    red = np.minimum(col, col.T).ravel()
-    even = np.flatnonzero(red < keep.size)
-    fold = sp.csr_matrix((np.ones(even.size), (even, red[even])), shape=(dim * dim, keep.size))
+    keep, diag, fold = _fold(dim, [0], 1)
     gen = (_sparse_generator(dim, c).tocsr()[keep] @ fold).tocsc()
-    weight = np.where(m == n, 1.0, 2.0).ravel()[keep]
-    diag_pos = col[levels, levels]
+    weight = np.where(diag, 1.0, 2.0)
+    diag_pos = np.flatnonzero(diag)
     dt = dt_factor / c.lambda_minus
     system = (sp.identity(keep.size, format="csc") - dt * gen).tocsc()
     lu = spla.splu(system, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1)
@@ -333,7 +357,7 @@ def steady_state(
             residual=residual,
         )
 
-    rho = np.append(x, 0.0)[red].reshape(dim, dim).astype(complex)
+    rho = (fold @ x).reshape(dim, dim).astype(complex)
     return _checked_state(
         rho, boundary_tol,
         iterations=iterations, residual=residual, lu_nnz=lu.nnz,

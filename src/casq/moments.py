@@ -19,6 +19,7 @@ transient oracle for the closed-form module and the Monte Carlo engine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,37 +42,43 @@ class MomentState:
     var_flow_minus: float
 
 
-def _rhs(y: np.ndarray, c) -> np.ndarray:
+def _step_map(c, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """The RK4 step z <- P z + q of the moment system on z = (Re y, Im y).
+
+    y = (<alpha>, <alpha^2>, <alpha* alpha>, <alpha_+^2>, <alpha_-^2>)
+    obeys dy/dt = A y + B y* + d with A, B and d real, so z obeys
+    dz/dt = M z + (d, 0) with M = diag(A + B, A - B).  For an affine
+    system one classical RK4 step of size h = dt is exactly
+    P = I + hM S and q = h S (d, 0), S = I + hM/2 + (hM)^2/6 + (hM)^3/24.
+    """
     decay, x = c.decay, c.coupling
-    mean, asq, ncl, vp, vm = y
-    return np.array(
-        [
-            -decay * mean + x * np.conj(mean),
-            -2.0 * decay * asq + 2.0 * x * ncl + (c.epsilon - 2.0 * c.v),
-            -2.0 * decay * ncl + x * (np.conj(asq) + asq) + 2.0 * c.r,
-            -2.0 * c.lambda_minus * vp + 2.0 * c.diffusion_plus,
-            -2.0 * c.lambda_plus * vm + 2.0 * c.diffusion_minus,
-        ],
-        dtype=complex,
-    )
+    a = np.diag([-decay, -2.0 * decay, -2.0 * decay, -2.0 * c.lambda_minus, -2.0 * c.lambda_plus])
+    a[1, 2] = 2.0 * x
+    a[2, 1] = x
+    b = np.zeros((5, 5))
+    b[0, 0] = x
+    b[2, 1] = x
+    hm = dt * np.block([[a + b, np.zeros((5, 5))], [np.zeros((5, 5)), a - b]])
+    eye = np.eye(10)
+    s = eye + hm @ (eye / 2.0 + hm @ (eye / 6.0 + hm / 24.0))
+    drive = np.zeros(10)
+    drive[1:5] = [c.epsilon - 2.0 * c.v, 2.0 * c.r, 2.0 * c.diffusion_plus, 2.0 * c.diffusion_minus]
+    return eye + hm @ s, dt * (s @ drive)
 
 
 def _integrate(y0: np.ndarray, c, t_end: float, dt: float, record_every: int):
     states = []
-    y = y0.copy()
     n_steps = max(int(round(t_end / dt)), 1)
     dt = t_end / n_steps
+    step_map, shift = _step_map(c, dt)
+    z = np.concatenate([y0.real, y0.imag])
     t = 0.0
     for step in range(n_steps + 1):
         if step % record_every == 0 or step == n_steps:
-            states.append((t, y.copy()))
+            states.append((t, z[:5] + 1j * z[5:]))
         if step == n_steps:
             break
-        k1 = _rhs(y, c)
-        k2 = _rhs(y + 0.5 * dt * k1, c)
-        k3 = _rhs(y + 0.5 * dt * k2, c)
-        k4 = _rhs(y + dt * k3, c)
-        y = y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        z = step_map @ z + shift
         t = (step + 1) * dt
     return states
 
@@ -91,13 +98,13 @@ def propagate(
     additionally re-integrates the final point at dt/2 and raises
     StepSizeError if the two disagree beyond the RK4 error budget.
     """
-    if t_end < 0:
-        raise InvalidParameterError(f"t_end must be >= 0, got {t_end}")
+    if not (math.isfinite(t_end) and t_end >= 0):
+        raise InvalidParameterError(f"t_end must be finite and >= 0, got {t_end}")
     c = coefficients(p)
     if dt is None:
         dt = 0.01 / max(c.lambda_plus, abs(c.lambda_minus), 1.0)
-    if dt <= 0:
-        raise InvalidParameterError(f"dt must be > 0, got {dt}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise InvalidParameterError(f"dt must be finite and > 0, got {dt}")
 
     if initial is None:
         y0 = np.zeros(5, dtype=complex)

@@ -328,6 +328,17 @@ class TestExitCodes:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [("--t-end", "nan"), ("--t-end", "inf"),
+                                             ("--dt", "nan"), ("--dt", "inf")],
+                             ids=["t-end-nan", "t-end-inf", "dt-nan", "dt-inf"])
+    def test_oracle_non_finite_time_rejected(self, tmp_path, flag, value, capsys):
+        out = tmp_path / "oracle.csv"
+        times = [flag, value] if flag == "--t-end" else ["--t-end", "1", flag, value]
+        assert cli.main(["oracle", "--a", "4", "--beta", "0.2", "--epsilon-rel-threshold", "0.5",
+                         "--dim", "16", *times, "--out", str(out)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("n_max", ["-1", "-3", "8"])
     def test_oracle_pnd_n_max_outside_basis(self, tmp_path, n_max, capsys):
         out = tmp_path / "pnd.csv"
@@ -444,6 +455,19 @@ def test_pooled_mc_sweep_matches_serial(tmp_path, beta, n_traj):
     assert cli.main(args + ["--jobs", "2", "--out", str(pooled)]) == 0
     assert cli.main(args + ["--jobs", "1", "--out", str(serial)]) == 0
     assert pooled.read_bytes() == serial.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["variance", "mean-photon"])
+def test_analytic_sweep_runs_in_process(tmp_path, monkeypatch, command):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("an analytic sweep started a process pool")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    args = (command, "--a", "25", "--beta", "0:2:0.01", "--epsilon", "0.3", "--format", "svg")
+    assert cli.main([*args, "--jobs", "2", "--out", str(tmp_path) + os.sep]) == 0
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in tmp_path.iterdir()}
+    assert written == GOLDEN_DIGESTS[args]
 
 
 def test_jobs_default_is_the_usable_cores():

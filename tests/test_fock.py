@@ -283,6 +283,55 @@ class TestEvolve:
         np.testing.assert_allclose(got.data, rho, rtol=0, atol=1e-13)
         assert np.abs(np.diag(got.data, k=1)).max() > 1e-3
 
+    def test_vacuum_start_matches_whole_state_rk4(self):
+        # the folded real even block steps the same RK4 as the whole state
+        p = SystemParams(a=4, kappa=0.8, beta=0.2).with_relative_drive(0.5)
+        gen = fock._sparse_generator(24, coefficients(p))
+        dt, n_steps = 1e-3, 300
+        rho = fock.vacuum(24).data.real.ravel()
+        for _ in range(n_steps):  # plain RK4 on the whole state
+            k1 = gen @ rho
+            k2 = gen @ (rho + 0.5 * dt * k1)
+            k3 = gen @ (rho + 0.5 * dt * k2)
+            k4 = gen @ (rho + dt * k3)
+            rho = rho + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        got = fock.evolve(fock.vacuum(24), p, n_steps * dt, dt=dt, boundary_tol=None)
+        np.testing.assert_allclose(got.data, rho.reshape(24, 24), rtol=0, atol=1e-13)
+        assert not got.data.imag.any()
+        assert np.array_equal(got.data, got.data.T)
+
+    def test_non_hermitian_start_evolves_as_its_hermitian_part(self, rng):
+        p = SystemParams(a=12, kappa=1.1, beta=0.6, epsilon=0.4)
+        block = np.zeros((20, 20), dtype=complex)
+        block[:12, :12] = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+        rho0 = block @ block.conj().T
+        rho0 /= np.trace(rho0).real
+        skew = np.zeros((20, 20), dtype=complex)
+        skew[:10, :10] = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))
+        skew = 0.01 * (skew - skew.conj().T)
+        got = fock.evolve(fock.DensityMatrix(dim=20, data=rho0 + skew), p, 0.05, dt=1e-3,
+                          boundary_tol=None)
+        want = fock.evolve(fock.DensityMatrix(dim=20, data=rho0), p, 0.05, dt=1e-3,
+                           boundary_tol=None)
+        np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-15)
+        assert np.array_equal(got.data, got.data.conj().T)
+
+    def test_coherence_magnitude_combines_real_and_imaginary_parts(self):
+        # each part of rho_01 stays below 1 but |rho_01| does not
+        data = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+        data[0, 1], data[1, 0] = 0.8 + 0.8j, 0.8 - 0.8j
+        p = SystemParams(a=0, kappa=0.8, beta=0)
+        with pytest.raises(StepSizeError, match="at step 1;"):
+            fock.evolve(fock.DensityMatrix(dim=4, data=data), p, 1e-3, dt=1e-3)
+
+    @pytest.mark.parametrize("t_end, dt", [(math.nan, None), (math.inf, None),
+                                           (1.0, math.nan), (1.0, math.inf)],
+                             ids=["t-end-nan", "t-end-inf", "dt-nan", "dt-inf"])
+    def test_non_finite_time_rejected(self, t_end, dt):
+        p = SystemParams(a=4, kappa=0.8, beta=0.2).with_relative_drive(0.5)
+        with pytest.raises(InvalidParameterError, match="finite"):
+            fock.evolve(fock.vacuum(8), p, t_end, dt=dt)
+
 
 class TestSteadyState:
     @pytest.mark.parametrize("dim", [64, 128])

@@ -1,12 +1,50 @@
 """Moment-ODE propagation against closed-form limits and the linear solve."""
 
+import math
+
+import numpy as np
 import pytest
 
 from casq import analytic, moments
-from casq.errors import NotStableError, StepSizeError
+from casq.errors import InvalidParameterError, NotStableError, StepSizeError
 from casq.params import SystemParams, coefficients
 
 from conftest import stable_params
+
+
+def rk4_reference(p, t_end, n_records=200):
+    """The moment RK4 with its four right-hand sides built at every stage.
+
+    Returns the (t, y) records of propagate at its default step, from
+    vacuum, y = (<alpha>, <alpha^2>, <alpha* alpha>, <alpha_+^2>, <alpha_-^2>).
+    """
+    c = coefficients(p)
+
+    def rhs(y):
+        mean, asq, ncl, vp, vm = y
+        return np.array([
+            -c.decay * mean + c.coupling * np.conj(mean),
+            -2.0 * c.decay * asq + 2.0 * c.coupling * ncl + (c.epsilon - 2.0 * c.v),
+            -2.0 * c.decay * ncl + c.coupling * (np.conj(asq) + asq) + 2.0 * c.r,
+            -2.0 * c.lambda_minus * vp + 2.0 * c.diffusion_plus,
+            -2.0 * c.lambda_plus * vm + 2.0 * c.diffusion_minus,
+        ], dtype=complex)
+
+    dt = 0.01 / max(c.lambda_plus, abs(c.lambda_minus), 1.0)
+    n_steps = max(int(round(t_end / dt)), 1)
+    record_every = max(n_steps // n_records, 1)
+    dt = t_end / n_steps
+    y = np.zeros(5, dtype=complex)
+    records = [(0.0, y)]
+    for step in range(1, n_steps + 1):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * dt * k1)
+        k3 = rhs(y + 0.5 * dt * k2)
+        k4 = rhs(y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        if step % record_every == 0 or step == n_steps:
+            records.append((step * dt, y))
+    return records
 
 
 def test_vacuum_with_no_drive_stays_zero():
@@ -20,6 +58,25 @@ def test_mean_alpha_identically_zero_from_vacuum(rng):
     for p in stable_params(rng, 5, lambda_ratio_max=8.0):
         states = moments.propagate(p, 3.0)
         assert all(s.mean_alpha == 0 for s in states)
+
+
+def test_step_map_matches_rk4_reference(rng):
+    for p in stable_params(rng, 4, lambda_ratio_max=8.0):
+        t_end = 3.0 / coefficients(p).lambda_minus
+        got = moments.propagate(p, t_end)
+        want = rk4_reference(p, t_end)
+        assert [s.t for s in got] == [t for t, _ in want]
+        for s, (_, y) in zip(got, want):
+            fields = [s.mean_alpha, s.alpha_sq, s.n_cl, s.var_flow_plus, s.var_flow_minus]
+            np.testing.assert_allclose(fields, y, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("t_end, dt", [(math.nan, None), (math.inf, None),
+                                       (1.0, math.nan), (1.0, math.inf)],
+                         ids=["t-end-nan", "t-end-inf", "dt-nan", "dt-inf"])
+def test_non_finite_time_rejected(t_end, dt):
+    with pytest.raises(InvalidParameterError, match="finite"):
+        moments.propagate(SystemParams(a=25, kappa=0.8, beta=0.1, epsilon=0.3), t_end, dt=dt)
 
 
 def test_long_time_matches_steady_closed_forms(rng):
