@@ -14,22 +14,25 @@ a a+ are taken between the truncated matrices, so the truncated model
 conserves trace exactly.  The U/V part is not of Lindblad form, so
 positivity is monitored (minimum eigenvalue on demand), never enforced.
 
-One sparse operator on vec(rho) holds the generator for both solvers.
-It is real, it commutes with transposition rho -> rho^T, and every term
-shifts m - n by 0 or +-2, so the even and odd m - n sectors never mix.
-Both solvers therefore work on real folded blocks: the real part of a
-Hermitian rho is symmetric and its imaginary part antisymmetric, each
-evolves on its own, and each is held by its entries m <= n (m < n for
-the imaginary part) of one parity.  Time evolution uses classical RK4,
-one sparse matvec per stage, on the blocks the initial state occupies
-(the real even block alone for a vacuum start), so the state stays
-Hermitian by construction.  The steady state is found by integrating an
-unconditionally stable implicit Euler scheme built on one sparse LU
-factorization of the real even block until the residual |L rho|_1 drops
-below 1e-10 |rho|_1; explicit stepping is hopeless here because the
-generator's fast scales grow linearly with the truncation.  That block
-is about a quarter of vec(rho), and its LU uses a fill-reducing
-minimum-degree ordering.
+The generator is held once, as a quadratic form in (a, a+) whose terms
+c X rho Y each have single-band factors X and Y.  It is real, it commutes
+with transposition rho -> rho^T, and every term shifts m - n by 0 or +-2,
+so the even and odd m - n sectors never mix.  Both solvers therefore work
+on real folded blocks: the real part of a Hermitian rho is symmetric and
+its imaginary part antisymmetric, each evolves on its own, and each is
+held by its entries m <= n (m < n for the imaginary part) of one parity.
+One builder assembles the generator on such a block directly, term by
+term on its unknowns; no operator on the whole of vec(rho) is formed.
+Time evolution uses classical RK4, one sparse matvec per stage, on the
+blocks the initial state occupies (the real even block alone for a
+vacuum start), so the state stays Hermitian by construction.  The steady
+state is found by integrating an unconditionally stable implicit Euler
+scheme built on one sparse LU factorization of the real even block until
+the residual |L rho|_1 drops below 1e-10 |rho|_1; explicit stepping is
+hopeless here because the generator's fast scales grow linearly with the
+truncation.  That block is about a quarter of vec(rho).  On the grid
+((m + n)/2, (n - m)/2) it is a 9-point stencil, so its unknowns are
+numbered in a nested-dissection order, which keeps the LU fill low.
 
 Truncation is guarded: population on the boundary level above 1e-6 aborts
 with a suggestion to enlarge the basis.  Runs at (or within 0.1% of) the
@@ -68,11 +71,20 @@ __all__ = [
 BOUNDARY_TOL = 1e-6
 TRACE_TOL = 1e-4
 THRESHOLD_MARGIN = 1e-3
+DISSECTION_LEAF = 32  # nested dissection stops at this many grid points
 
 
 def _check_dim(dim: int) -> None:
     if not dim >= 2:
         raise InvalidParameterError(f"dim must be >= 2, got {dim}")
+
+
+def _check_boundary_tol(boundary_tol: float | None) -> None:
+    # None switches the guard off; NaN would do so silently
+    if boundary_tol is not None and not (math.isfinite(boundary_tol) and boundary_tol >= 0):
+        raise InvalidParameterError(
+            f"boundary_tol must be None or finite and >= 0, got {boundary_tol}"
+        )
 
 
 @dataclass
@@ -129,55 +141,117 @@ def vacuum(dim: int) -> DensityMatrix:
 # generator
 # ---------------------------------------------------------------------------
 
-def _sparse_generator(dim: int, coeffs: Coefficients) -> sp.csc_matrix:
-    """The master-equation generator as a sparse real operator on row-major vec(rho).
+def _terms(coeffs: Coefficients):
+    """The generator as a quadratic form in X = (a, a+).
 
-    a a+ is the product of truncated ladder matrices ((a a+)[dim-1, dim-1] =
-    dim - 1, not dim), which makes tr(L rho) = 0 for every rho.
+    L rho = sum over i, j of K_ij X_i rho X_j + M_ij X_i X_j rho
+    + N_ij rho X_i X_j; returns K, M and N.  tr(L rho) = 0 is
+    K^T + M + N = 0.
     """
-    sq = np.sqrt(np.arange(1.0, dim))
-    a = sp.diags(sq, 1, format="csr")
-    adag = a.T.tocsr()
-    eye = sp.identity(dim, format="csr")
-
-    def left(x):
-        return sp.kron(x, eye, format="csr")
-
-    def right(x):
-        return sp.kron(eye, x.T, format="csr")
-
-    a2 = (a @ a).tocsr()
-    adag2 = (adag @ adag).tocsr()
-    gen = (0.5 * coeffs.epsilon) * (right(a2) - left(a2) + left(adag2) - right(adag2))
-    gen += coeffs.r * (2.0 * left(adag) @ right(a) - left(a @ adag) - right(a @ adag))
-    gen += coeffs.s * (2.0 * left(a) @ right(adag) - left(adag @ a) - right(adag @ a))
-    gen += (coeffs.u + coeffs.v) * (left(adag) @ right(adag) + left(a) @ right(a))
-    gen -= coeffs.u * (right(adag2) + left(a2))
-    gen -= coeffs.v * (right(a2) + left(adag2))
-    return gen.tocsc()
+    half = 0.5 * coeffs.epsilon
+    r, s, u, v = coeffs.r, coeffs.s, coeffs.u, coeffs.v
+    k = np.array([[u + v, 2.0 * s], [2.0 * r, u + v]])
+    m = np.array([[-half - u, -r], [-s, half - v]])
+    n = np.array([[half - v, -r], [-s, -half - u]])
+    return k, m, n
 
 
-def _fold(dim: int, parities, sign: int):
-    """One real block of rho, folded by the transposition symmetry.
+def _ladder(dim: int, shift: int, rows: np.ndarray) -> np.ndarray:
+    """Entries X[row, row + shift] of the truncated a (shift +1) or a+ (shift -1).
 
-    The block's unknowns are the entries (m, n) with m - n mod 2 in
-    parities and m <= n for sign +1 (the symmetric real part of a
-    Hermitian rho) or m < n for sign -1 (its antisymmetric imaginary
-    part), in row-major order.  The generator maps such a block onto
-    itself, so gen[keep] @ fold is the generator on its unknowns.
-    Returns keep, their positions in vec(rho); diag, which of them lie
-    on the diagonal; and fold, the dim^2 x keep.size map writing each
-    unknown to (m, n) and sign times it to (n, m).
+    A row or column outside the basis gives 0, so a product of these
+    entries is an entry of the product of the truncated matrices: in
+    particular (a a+)[dim-1, dim-1] = 0, which keeps tr(L rho) = 0 exact.
+    """
+    cols = rows + shift
+    inside = (rows >= 0) & (rows < dim) & (cols >= 0) & (cols < dim)
+    return np.sqrt(np.maximum(rows, cols) * inside)
+
+
+def _block(dim: int, coeffs: Coefficients, m: np.ndarray, n: np.ndarray,
+           sign: int) -> sp.csc_matrix:
+    """The generator on one real folded block of rho.
+
+    The unknowns are the entries (m, n), in the order given, of the real
+    part of a Hermitian rho (sign +1: symmetric, m <= n) or of its
+    imaginary part (sign -1: antisymmetric, m < n).  They must fill whole
+    parity sectors of m - n, which the generator maps onto themselves.
+    Each term c X rho Y reads (X rho Y)_mn = X[m, m+dx] rho[m+dx, n-dy]
+    Y[n-dy, n] and is evaluated on the unknowns alone; rho[k, l] is the
+    unknown of (min(k, l), max(k, l)), times sign when k > l.
+    """
+    index = np.full((dim, dim), -1, dtype=np.int32)
+    index[m, n] = np.arange(m.size)
+    k_mat, m_mat, n_mat = _terms(coeffs)
+    rows, cols, vals = [], [], []
+    for i, si in enumerate((1, -1)):
+        for j, sj in enumerate((1, -1)):
+            for dk, dl, value in (
+                (si, -sj, k_mat[i, j] * _ladder(dim, si, m) * _ladder(dim, sj, n - sj)),
+                (si + sj, 0, m_mat[i, j] * _ladder(dim, si, m) * _ladder(dim, sj, m + si)),
+                (0, -si - sj,
+                 n_mat[i, j] * _ladder(dim, si, n - si - sj) * _ladder(dim, sj, n - sj)),
+            ):
+                k, l = m + dk, n + dl
+                if sign < 0:
+                    value = np.where(k > l, -value, value) * (k != l)
+                live = np.flatnonzero(value)
+                k, l = k[live], l[live]
+                rows.append(live)
+                cols.append(index[np.minimum(k, l), np.maximum(k, l)])
+                vals.append(value[live])
+    return sp.csc_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(m.size, m.size),
+    )
+
+
+def _unknowns(dim: int, parities, sign: int):
+    """(m, n) of one real block's unknowns, in row-major order.
+
+    The block is the real part (sign +1, m <= n) or the imaginary part
+    (sign -1, m < n) of rho on the given parities of m - n.
     """
     m, n = np.divmod(np.arange(dim * dim), dim)
-    upper = m <= n if sign > 0 else m < n
-    keep = np.flatnonzero(upper & np.isin((n - m) % 2, parities))
-    mirror = np.flatnonzero(m[keep] != n[keep])
-    rows = np.concatenate([keep, (n * dim + m)[keep[mirror]]])
-    cols = np.concatenate([np.arange(keep.size), mirror])
-    values = np.concatenate([np.ones(keep.size), np.full(mirror.size, float(sign))])
-    fold = sp.csr_matrix((values, (rows, cols)), shape=(dim * dim, keep.size))
-    return keep, m[keep] == n[keep], fold
+    keep = (m <= n if sign > 0 else m < n) & np.isin((n - m) % 2, parities)
+    return m[keep], n[keep]
+
+
+def _dissected_even_block(dim: int):
+    """(m, n) of the real even block's unknowns in nested-dissection order.
+
+    On the grid (i, j) = ((m + n)/2, (n - m)/2) every generator term moves
+    i and j by at most 1, so one grid line separates the points on either
+    side of it.  The point set is cut at the median of its longer axis;
+    the two halves are numbered first (recursively), then the cut line,
+    down to DISSECTION_LEAF points.  Each separator is then eliminated
+    after everything it separates, as in A. George, SIAM J. Numer. Anal.
+    10, 345 (1973).
+    """
+    m, n = _unknowns(dim, [0], 1)
+    order = []
+
+    def dissect(points, i, j):
+        if points.size <= DISSECTION_LEAF:
+            order.append(points)
+            return
+        axis = i if i.max() - i.min() >= j.max() - j.min() else j
+        cut = np.partition(axis, axis.size // 2)[axis.size // 2]
+        for side in (axis < cut, axis > cut):
+            dissect(points[side], i[side], j[side])
+        order.append(points[axis == cut])
+
+    dissect(np.arange(m.size), (m + n) // 2, (n - m) // 2)
+    order = np.concatenate(order)
+    return m[order], n[order]
+
+
+def _unfold(dim: int, m: np.ndarray, n: np.ndarray, x: np.ndarray, sign: int) -> np.ndarray:
+    """The dim x dim real matrix holding x at (m, n) and sign * x at (n, m)."""
+    out = np.zeros((dim, dim))
+    out[n, m] = sign * x
+    out[m, n] = x
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +313,7 @@ def evolve(
     """
     if not (math.isfinite(t_end) and t_end >= 0):
         raise InvalidParameterError(f"t_end must be finite and >= 0, got {t_end}")
+    _check_boundary_tol(boundary_tol)
     c = coefficients(p)
     dim = rho0.dim
     if dt is None:
@@ -249,14 +324,16 @@ def evolve(
     herm = 0.5 * (rho0.data + rho0.data.conj().T)
     levels = np.arange(dim)
     parity = (levels[:, None] - levels[None, :]) % 2
-    keep_re, on_diag, fold_re = _fold(dim, np.unique(parity[herm.real != 0]), 1)
-    keep_im, _, fold_im = _fold(dim, np.unique(parity[herm.imag != 0]), -1)
-    full = _sparse_generator(dim, c).tocsr()
-    gen = sp.block_diag([full[keep_re] @ fold_re, full[keep_im] @ fold_im], format="csr")
-    x = np.concatenate([herm.real.ravel()[keep_re], herm.imag.ravel()[keep_im]])
-    diag = np.flatnonzero(on_diag)
+    m_re, n_re = _unknowns(dim, np.unique(parity[herm.real != 0]), 1)
+    m_im, n_im = _unknowns(dim, np.unique(parity[herm.imag != 0]), -1)
+    gen = sp.block_diag(
+        [_block(dim, c, m_re, n_re, 1), _block(dim, c, m_im, n_im, -1)], format="csr"
+    )
+    x = np.concatenate([herm.real[m_re, n_re], herm.imag[m_im, n_im]])
+    diag = np.flatnonzero(m_re == n_re)
     # |rho_mn|^2 sums the squares of the unknowns that share (m, n)
-    _, entry = np.unique(np.concatenate([keep_re, keep_im]), return_inverse=True)
+    _, entry = np.unique(np.concatenate([m_re * dim + n_re, m_im * dim + n_im]),
+                         return_inverse=True)
     n_steps = max(int(round(t_end / dt)), 1) if t_end > 0 else 0
     if n_steps:
         dt = t_end / n_steps
@@ -274,10 +351,10 @@ def evolve(
                 f"unstable step: trace drift {trace_err:.3e}, max |rho_mn| {peak:.3e} "
                 f"at step {step + 1}; reduce dt ({dt:.3e})"
             )
-    rho = np.empty(dim * dim, dtype=complex)
-    rho.real = fold_re @ x[:keep_re.size]
-    rho.imag = fold_im @ x[keep_re.size:]
-    return _checked_state(rho.reshape(dim, dim), boundary_tol)
+    rho = np.empty((dim, dim), dtype=complex)
+    rho.real = _unfold(dim, m_re, n_re, x[:m_re.size], 1)
+    rho.imag = _unfold(dim, m_im, n_im, x[m_re.size:], -1)
+    return _checked_state(rho, boundary_tol)
 
 
 def steady_state(
@@ -296,9 +373,10 @@ def steady_state(
     even and odd m - n, and the vacuum is real, symmetric and diagonal,
     so every iterate is a real symmetric matrix on the even sector.  The
     solve runs on those unknowns alone, rho_mn with m <= n and m - n
-    even (the operator folded so that rho_mn and rho_nm share a column),
-    and the LU uses a minimum-degree ordering on A^T + A with a
-    diagonal-favouring pivot threshold, which keeps its fill low.  The
+    even (rho_mn and rho_nm share one unknown).  They are numbered in a
+    nested-dissection order of their grid and the generator is assembled
+    directly in that order, which the LU keeps (permc_spec NATURAL, with
+    a diagonal-favouring pivot threshold); that keeps its fill low.  The
     residual keeps its whole-matrix meaning: off-diagonal unknowns count
     twice in both 1-norms.  The returned state is exactly symmetric and
     records the step count, the final residual and the LU non-zeros.
@@ -308,12 +386,13 @@ def steady_state(
     the returned DensityMatrix.
     """
     _check_dim(dim)
-    if not tol > 0:
-        raise InvalidParameterError(f"tol must be > 0, got {tol}")
-    if not max_steps >= 1:
-        raise InvalidParameterError(f"max_steps must be >= 1, got {max_steps}")
-    if not dt_factor > 0:
-        raise InvalidParameterError(f"dt_factor must be > 0, got {dt_factor}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise InvalidParameterError(f"tol must be finite and > 0, got {tol}")
+    if not (isinstance(max_steps, (int, np.integer)) and max_steps >= 1):
+        raise InvalidParameterError(f"max_steps must be an integer >= 1, got {max_steps}")
+    if not (math.isfinite(dt_factor) and dt_factor > 0):
+        raise InvalidParameterError(f"dt_factor must be finite and > 0, got {dt_factor}")
+    _check_boundary_tol(boundary_tol)
     c = coefficients(p)
     eps_th = threshold_epsilon(p)
     if c.lambda_minus <= 0 or eps_th <= 0 or p.epsilon > (1.0 - THRESHOLD_MARGIN) * eps_th:
@@ -324,16 +403,15 @@ def steady_state(
             lambda_minus=c.lambda_minus,
         )
 
-    keep, diag, fold = _fold(dim, [0], 1)
-    gen = (_sparse_generator(dim, c).tocsr()[keep] @ fold).tocsc()
-    weight = np.where(diag, 1.0, 2.0)
-    diag_pos = np.flatnonzero(diag)
+    m, n = _dissected_even_block(dim)
+    gen = _block(dim, c, m, n, 1)
+    weight = np.where(m == n, 1.0, 2.0)
+    diag_pos = np.flatnonzero(m == n)
     dt = dt_factor / c.lambda_minus
-    system = (sp.identity(keep.size, format="csc") - dt * gen).tocsc()
-    lu = spla.splu(system, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1)
+    system = (sp.identity(m.size, format="csc") - dt * gen).tocsc()
+    lu = spla.splu(system, permc_spec="NATURAL", diag_pivot_thresh=0.1)
 
-    x = np.zeros(keep.size)
-    x[diag_pos[0]] = 1.0
+    x = np.where((m == 0) & (n == 0), 1.0, 0.0)
     residual = math.inf
     stall = 0
     for iterations in range(1, max_steps + 1):
@@ -357,7 +435,7 @@ def steady_state(
             residual=residual,
         )
 
-    rho = (fold @ x).reshape(dim, dim).astype(complex)
+    rho = _unfold(dim, m, n, x, 1).astype(complex)
     return _checked_state(
         rho, boundary_tol,
         iterations=iterations, residual=residual, lu_nnz=lu.nnz,

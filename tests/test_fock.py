@@ -27,6 +27,71 @@ VERIFY_POINT = SystemParams(a=25, kappa=0.8, beta=0.1).with_relative_drive(0.5)
 FIG6_POINT = SystemParams(a=100, kappa=0.8, beta=0.067, epsilon=0.3)
 
 
+def kron_generator(dim, coeffs):
+    """Reference generator: a real sparse operator on row-major vec(rho), from kron products.
+
+    a a+ is the product of the truncated ladder matrices, so
+    (a a+)[dim-1, dim-1] = 0 (not dim), which makes tr(L rho) = 0 for
+    every rho.
+    """
+    sq = np.sqrt(np.arange(1.0, dim))
+    a = sp.diags(sq, 1, format="csr")
+    adag = a.T.tocsr()
+    eye = sp.identity(dim, format="csr")
+
+    def left(x):
+        return sp.kron(x, eye, format="csr")
+
+    def right(x):
+        return sp.kron(eye, x.T, format="csr")
+
+    a2 = (a @ a).tocsr()
+    adag2 = (adag @ adag).tocsr()
+    gen = (0.5 * coeffs.epsilon) * (right(a2) - left(a2) + left(adag2) - right(adag2))
+    gen += coeffs.r * (2.0 * left(adag) @ right(a) - left(a @ adag) - right(a @ adag))
+    gen += coeffs.s * (2.0 * left(a) @ right(adag) - left(adag @ a) - right(adag @ a))
+    gen += (coeffs.u + coeffs.v) * (left(adag) @ right(adag) + left(a) @ right(a))
+    gen -= coeffs.u * (right(adag2) + left(a2))
+    gen -= coeffs.v * (right(a2) + left(adag2))
+    return gen.tocsc()
+
+
+def kron_block(gen, parity, sign):
+    """One real folded block of the reference generator, with its unknowns.
+
+    The unknowns are the entries (m, n) with m - n = parity mod 2 and
+    m <= n for sign +1 (m < n for sign -1), in row-major order: the
+    generator's rows at them, with the column of (n, m) added, times sign,
+    to the column of (m, n).  Returns (block, m, n).
+    """
+    dim = math.isqrt(gen.shape[0])
+    m, n = np.divmod(np.arange(dim * dim), dim)
+    keep = np.flatnonzero((m <= n if sign > 0 else m < n) & ((n - m) % 2 == parity))
+    mirror = np.flatnonzero(m[keep] != n[keep])
+    rows = np.concatenate([keep, (n * dim + m)[keep[mirror]]])
+    cols = np.concatenate([np.arange(keep.size), mirror])
+    values = np.concatenate([np.ones(keep.size), np.full(mirror.size, float(sign))])
+    fold = sp.csr_matrix((values, (rows, cols)), shape=(dim * dim, keep.size))
+    return (gen.tocsr()[keep] @ fold).tocsr(), m[keep], n[keep]
+
+
+def assert_same_block(got, want, scale):
+    """Same non-zero pattern, entries within 1e-15 scale.
+
+    scale is the reference operator's largest |entry|, not the folded
+    block's: a folded entry can be a sum that cancels (at dim 2 the odd
+    imaginary block is one such entry, off by 1e-14 relative to itself).
+    """
+    got, want = got.tocsr(copy=True), want.tocsr(copy=True)
+    for mat in (got, want):
+        mat.eliminate_zeros()
+        mat.sort_indices()
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    if want.nnz:
+        assert np.abs(got.data - want.data).max() <= 1e-15 * scale
+
+
 def index_shift_generator(rho, coeffs):
     """Reference drho/dt written with index shifts instead of matrix products.
 
@@ -87,13 +152,14 @@ def even_sector_steady_state(p, dim, tol=1e-10, max_steps=400, dt_factor=10.0):
     """Reference steady state: backward Euler on every even m - n entry.
 
     The solve the library used before it folded the transposition
-    symmetry in: all even-sector unknowns, SuperLU's default COLAMD
-    ordering, and a symmetrization at the end.  Returns (rho, steps).
+    symmetry in: all even-sector unknowns of the kron reference generator,
+    SuperLU's default COLAMD ordering, and a symmetrization at the end.
+    Returns (rho, steps).
     """
     c = coefficients(p)
     levels = np.arange(dim)
     even = np.flatnonzero(((levels[:, None] - levels[None, :]) % 2 == 0).ravel())
-    gen = fock._sparse_generator(dim, c)[even][:, even].tocsc()
+    gen = kron_generator(dim, c)[even][:, even].tocsc()
     diag_pos = np.searchsorted(even, levels * dim + levels)
     lu = spla.splu((sp.identity(even.size, format="csc") - (dt_factor / c.lambda_minus) * gen).tocsc())
     x = np.zeros(even.size)
@@ -112,9 +178,9 @@ def even_sector_steady_state(p, dim, tol=1e-10, max_steps=400, dt_factor=10.0):
 
 
 def sparse_rhs(rho, coeffs):
-    """drho/dt from the library's sparse generator."""
+    """drho/dt from the kron reference generator."""
     n = rho.shape[0]
-    return (fock._sparse_generator(n, coeffs) @ rho.reshape(-1)).reshape(n, n)
+    return (kron_generator(n, coeffs) @ rho.reshape(-1)).reshape(n, n)
 
 
 def random_interior_hermitian(rng, dim=32, support=24):
@@ -177,7 +243,7 @@ class TestGenerator:
         # the steady-state solve folds rho_mn and rho_nm into one unknown and
         # drops the odd m - n sector; both rest on these exact identities
         p = stable_params(np.random.default_rng(seed), 1)[0]
-        gen = fock._sparse_generator(dim, coefficients(p)).tocsr()
+        gen = kron_generator(dim, coefficients(p)).tocsr()
         assert np.isrealobj(gen.data)
         transpose = np.arange(dim * dim).reshape(dim, dim).T.ravel()
         assert abs(gen[transpose][:, transpose] - gen).max() == 0.0
@@ -185,6 +251,32 @@ class TestGenerator:
         odd = ((levels[:, None] - levels[None, :]) % 2 == 1).ravel()
         assert gen[odd][:, ~odd].count_nonzero() == 0
         assert gen[~odd][:, odd].count_nonzero() == 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 24))
+    def test_block_matches_folded_reference(self, seed, dim):
+        # the direct builder on every (parity, sign) block, with its
+        # unknowns in a random order, against the reference's rows and
+        # folded columns
+        rng = np.random.default_rng(seed)
+        c = coefficients(stable_params(rng, 1)[0])
+        gen = kron_generator(dim, c)
+        for parity in (0, 1):
+            for sign in (1, -1):
+                want, m, n = kron_block(gen, parity, sign)
+                order = rng.permutation(m.size)
+                got = fock._block(dim, c, m[order], n[order], sign)
+                assert_same_block(got, want[order][:, order], abs(gen).max())
+
+    @pytest.mark.parametrize("dim", [96, 256])
+    @pytest.mark.parametrize("p", [VERIFY_POINT, FIG6_POINT], ids=["verify", "fig6"])
+    def test_block_matches_folded_reference_at_user_sizes(self, p, dim):
+        c = coefficients(p)
+        gen = kron_generator(dim, c)
+        for parity in (0, 1):
+            for sign in (1, -1):
+                want, m, n = kron_block(gen, parity, sign)
+                assert_same_block(fock._block(dim, c, m, n, sign), want, abs(gen).max())
 
     def test_sparse_matches_dense(self, rng):
         c = coefficients(SystemParams(a=12, kappa=1.1, beta=0.6, epsilon=0.4))
@@ -269,13 +361,18 @@ class TestEvolve:
         block[:12, :12] = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
         rho0 = block @ block.conj().T
         rho0 /= np.trace(rho0).real
+        gen = kron_generator(20, c)
+
+        def rhs(r):
+            return (gen @ r.ravel()).reshape(20, 20)
+
         dt, n_steps = 1e-3, 50
         rho = rho0.copy()
         for _ in range(n_steps):  # plain RK4 on the whole state
-            k1 = sparse_rhs(rho, c)
-            k2 = sparse_rhs(rho + 0.5 * dt * k1, c)
-            k3 = sparse_rhs(rho + 0.5 * dt * k2, c)
-            k4 = sparse_rhs(rho + dt * k3, c)
+            k1 = rhs(rho)
+            k2 = rhs(rho + 0.5 * dt * k1)
+            k3 = rhs(rho + 0.5 * dt * k2)
+            k4 = rhs(rho + dt * k3)
             rho = rho + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
             rho = 0.5 * (rho + rho.conj().T)
         got = fock.evolve(fock.DensityMatrix(dim=20, data=rho0), p, n_steps * dt, dt=dt,
@@ -286,7 +383,7 @@ class TestEvolve:
     def test_vacuum_start_matches_whole_state_rk4(self):
         # the folded real even block steps the same RK4 as the whole state
         p = SystemParams(a=4, kappa=0.8, beta=0.2).with_relative_drive(0.5)
-        gen = fock._sparse_generator(24, coefficients(p))
+        gen = kron_generator(24, coefficients(p))
         dt, n_steps = 1e-3, 300
         rho = fock.vacuum(24).data.real.ravel()
         for _ in range(n_steps):  # plain RK4 on the whole state
@@ -332,6 +429,12 @@ class TestEvolve:
         with pytest.raises(InvalidParameterError, match="finite"):
             fock.evolve(fock.vacuum(8), p, t_end, dt=dt)
 
+    @pytest.mark.parametrize("boundary_tol", [math.nan, -1e-6], ids=["nan", "neg"])
+    def test_bad_boundary_tol_rejected(self, boundary_tol):
+        p = SystemParams(a=4, kappa=0.8, beta=0.2).with_relative_drive(0.5)
+        with pytest.raises(InvalidParameterError, match="boundary_tol"):
+            fock.evolve(fock.vacuum(8), p, 0.1, boundary_tol=boundary_tol)
+
 
 class TestSteadyState:
     @pytest.mark.parametrize("dim", [64, 128])
@@ -350,9 +453,13 @@ class TestSteadyState:
         rho = fock.steady_state(VERIFY_POINT, 256)
         assert 1 <= rho.iterations <= 400
         assert 0 < rho.residual < 1e-10 * np.abs(rho.data).sum()
-        # L + U of the folded, reordered system (the whole even sector
-        # under COLAMD fills to about 5.5 M)
-        assert 0 < rho.lu_nnz < 2_000_000
+        # L + U of the folded system in nested-dissection order; a
+        # minimum-degree ordering on A^T + A fills to 1 286 436 here
+        assert 0 < rho.lu_nnz < 1_286_436
+        m, n = fock._dissected_even_block(256)
+        rows, cols = np.divmod(np.arange(256 * 256), 256)
+        even_upper = np.flatnonzero((rows <= cols) & ((cols - rows) % 2 == 0))
+        assert np.array_equal(np.sort(m * 256 + n), even_upper)
 
     def test_vacuum_projector_without_drive(self):
         rho = fock.steady_state(SystemParams(a=0, kappa=0.8, beta=0, epsilon=0), 16)
@@ -447,6 +554,19 @@ class TestSteadyState:
         ids=["tol-0", "tol-neg", "max_steps-0", "dt_factor-0", "dt_factor-neg"],
     )
     def test_nonpositive_solver_options_rejected(self, option):
+        with pytest.raises(InvalidParameterError, match=next(iter(option))):
+            fock.steady_state(VERIFY_POINT, 64, **option)
+
+    @pytest.mark.parametrize(
+        "option",
+        [{"tol": math.inf}, {"dt_factor": math.inf}, {"max_steps": 2.5},
+         {"boundary_tol": math.nan}, {"boundary_tol": -1e-6}],
+        ids=["tol-inf", "dt_factor-inf", "max_steps-fraction", "boundary_tol-nan",
+             "boundary_tol-neg"],
+    )
+    def test_bad_solver_options_rejected(self, option):
+        # unchecked, each of these returns a wrong state, switches the
+        # truncation guard off silently, or fails inside SuperLU or range()
         with pytest.raises(InvalidParameterError, match=next(iter(option))):
             fock.steady_state(VERIFY_POINT, 64, **option)
 
