@@ -16,37 +16,39 @@ functions of (alpha, alpha_dag) then reproduce every normally ordered
 moment: the sample covariance of the increments is (epsilon - 2V) dt on
 each variable and 2R dt across them.
 
-Drift and diffusion are both diagonal in the quadrature pair
-x+- = alpha_dag +- alpha, so the Euler-Maruyama step on (alpha, alpha_dag)
-is the same scheme as two decoupled scalar updates, and the paths are
-stepped in that form:
-
-    x+ <- (1 - lambda_minus dt) x+ + 2 A+ sqrt(dt) xi1
-    x- <- (1 - lambda_plus dt)  x- - 2 A- sqrt(dt) xi2
-
-with alpha = (x+ - x-)/2 and alpha_dag = (x+ + x-)/2.
+Drift and diffusion are both diagonal in the quadratures x+- = alpha_dag
++- alpha (alpha = (x+ - x-)/2, alpha_dag = (x+ + x-)/2), so the
+Euler-Maruyama step is two decoupled scalar chains x <- k x + g xi:
+k+ = 1 - lambda_minus dt, g+ = 2 A+ sqrt(dt) and k- = 1 - lambda_plus dt,
+g- = -2 A- sqrt(dt).  Such a chain is Gaussian over any D steps (the
+discrete-time form of the exact Ornstein-Uhlenbeck update; Gillespie,
+PRE 54, 2084 (1996)): x <- k**D x + g sqrt((1 - k**(2D)) / (1 - k**2)) zeta
+with one standard normal zeta.  So the chain is drawn only at the steps
+it records, one zeta per quadrature and interval: the recorded states
+keep the joint law of the step-by-step chain, dt bias included, and the
+cost follows the records, not the steps.
 
 Layout: the trajectories are split into work units of _UNIT trajectories
-(aligned to 0, so no unit crosses a reduction chunk), and _unit steps one
-unit.  Each trajectory draws its normals _BLOCK steps at a time into a tile
-of _TILE trajectories, and the tile is copied transposed into a time-major
-(_BLOCK, 2, width) block, so a step reads one contiguous row per
-quadrature.  A unit returns per-trajectory arrays only: x+- at the
-sampled steps for run, and for two_time_correlation the lag products of
-its (2, width, records) record array, all lags contracted in one einsum
-pass over a sliding window of the records and averaged over the time
-origins.  The units run on a fork-context process pool created for the
+(aligned to 0, so no unit crosses a reduction chunk), and _unit computes
+one unit, one interval update per record.  A unit returns per-trajectory
+arrays only: x+- at the sampled steps for run, and for
+two_time_correlation the lag products of its (2, width, records) record
+array, all lags contracted in one einsum pass over a sliding window of
+the records and averaged over the time origins.  The blow-up guard tests
+max(|alpha|, |alpha_dag|) at every recorded step, the only states
+computed.  The units run on a fork-context process pool created for the
 call, one worker per usable core unless `jobs` says otherwise, and shut
 down before the call returns or raises; with one worker or one unit they
 run in the calling process.  The workers call no BLAS.
 
-Reproducibility: every trajectory owns a counter-based Philox stream,
-SeedSequence(seed, spawn_key=(trajectory index,)), so no unit depends on
-another.  The calling process joins the unit results of each fixed-size
-trajectory chunk in index order and reduces the chunks in index order
-(numpy pairwise summation within a chunk), so identical (seed, n_traj, dt,
-t_end) give bitwise-identical moment series and correlation estimates for
-any `jobs`.
+Reproducibility: every unit owns a counter-based Philox stream,
+SeedSequence(seed, spawn_key=(unit index,)), drawn trajectory-major as
+(width, intervals, 2), so a trajectory's draws do not depend on how many
+trajectories follow it in its unit.  The calling process joins the unit
+results of each fixed-size trajectory chunk in index order and reduces
+the chunks in index order (numpy pairwise summation within a chunk), so
+identical (seed, n_traj, dt, t_end) give bitwise-identical moment series
+and correlation estimates for any `jobs`.
 """
 
 from __future__ import annotations
@@ -85,8 +87,6 @@ BLOWUP_LIMIT = 1e6
 _RUN_CHUNK = 4096
 _CORR_CHUNK = 2048
 _UNIT = 2048  # trajectories per work unit; divides both chunk sizes
-_BLOCK = 512  # steps of normals drawn per generator call
-_TILE = 64  # trajectories drawn before their normals are transposed into the block
 
 
 @dataclass(frozen=True)
@@ -135,13 +135,6 @@ class MomentSeries:
     seed: int
 
 
-def _noise_setup(c: Coefficients):
-    noise = factor_noise(c)
-    if noise.is_real:
-        return float, noise.amp_plus.real, noise.amp_minus.real
-    return complex, noise.amp_plus, noise.amp_minus
-
-
 def usable_cores() -> int:
     """CPU cores this process may run on (its affinity mask where the OS has one)."""
     if hasattr(os, "sched_getaffinity"):
@@ -160,22 +153,39 @@ def _workers(jobs) -> int:
 
 @dataclass(frozen=True)
 class _Kernel:
-    """What a work unit needs to step its trajectories and reduce their records."""
+    """What a work unit needs to draw its trajectories and reduce their records."""
 
     p: SystemParams  # named in the blow-up message
     seed: int
     dtype: type
-    keep_p: float
-    keep_m: float
-    gain_p: float | complex
-    gain_m: float | complex
-    n_steps: int
     record_steps: tuple  # ascending steps whose x+- are recorded; 0 is the vacuum start
+    # per interval between the nonzero record steps: drift factor and gain of x+ and x-
+    keep_p: np.ndarray
+    keep_m: np.ndarray
+    gain_p: np.ndarray
+    gain_m: np.ndarray
     n_origins: int | None  # set by two_time_correlation: time origins of the lag products
     limit: float  # BLOWUP_LIMIT when the call began
 
 
-def _kernel(p: SystemParams, dt: float, seed: int, n_steps: int, record_steps,
+def _span(keep: float, gain, gaps):
+    """(keep**gap, g_gap) for each gap of the chain x <- keep x + gain xi.
+
+    gap steps of the chain are x <- keep**gap x + g_gap zeta, one standard
+    normal zeta, with g_gap**2 = gain**2 sum_{j<gap} keep**(2j)
+    = gain**2 (1 - keep**(2 gap)) / (1 - keep**2).
+    """
+    gaps = np.asarray(gaps)
+    if keep == 1.0:
+        return np.ones(gaps.shape), gain * np.sqrt(gaps)
+    log_k = math.log1p(keep - 1.0)
+    one = math.expm1(2.0 * log_k)
+    # the same scalar expm1 for every gap, so that a gap of 1 gives gain exactly
+    spread = [math.sqrt(math.expm1(2.0 * g * log_k) / one) for g in gaps.tolist()]
+    return keep ** gaps, gain * np.array(spread)
+
+
+def _kernel(p: SystemParams, dt: float, seed: int, record_steps,
             n_origins: int | None = None) -> _Kernel:
     """The _Kernel of one call; rejects a step too coarse for the rates and a negative seed."""
     c = coefficients(p)
@@ -185,77 +195,59 @@ def _kernel(p: SystemParams, dt: float, seed: int, n_steps: int, record_steps,
         )
     if seed < 0:
         raise InvalidParameterError(f"seed must be >= 0, got {seed}")
-    dtype, amp_p, amp_m = _noise_setup(c)
+    noise = factor_noise(c)
+    dtype = float if noise.is_real else complex
+    amp_p, amp_m = (a.real if noise.is_real else a for a in (noise.amp_plus, noise.amp_minus))
     sdt = math.sqrt(dt)
-    return _Kernel(
-        p=p, seed=seed, dtype=dtype,
-        keep_p=1.0 - c.lambda_minus * dt, keep_m=1.0 - c.lambda_plus * dt,
-        gain_p=2.0 * amp_p * sdt, gain_m=-2.0 * amp_m * sdt,
-        n_steps=n_steps, record_steps=tuple(record_steps), n_origins=n_origins,
-        limit=BLOWUP_LIMIT,
-    )
+    record_steps = tuple(record_steps)
+    gaps = np.diff([s for s in record_steps if s > 0], prepend=0)
+    keep_p, gain_p = _span(1.0 - c.lambda_minus * dt, 2.0 * amp_p * sdt, gaps)
+    keep_m, gain_m = _span(1.0 - c.lambda_plus * dt, -2.0 * amp_m * sdt, gaps)
+    return _Kernel(p=p, seed=seed, dtype=dtype, record_steps=record_steps,
+                   keep_p=keep_p, keep_m=keep_m, gain_p=gain_p, gain_m=gain_m,
+                   n_origins=n_origins, limit=BLOWUP_LIMIT)
 
 
 def _unit(k: _Kernel, lo: int, hi: int):
-    """Euler-Maruyama paths of the vacuum-start trajectories lo..hi-1: (result, blowup).
+    """The vacuum-start trajectories lo..hi-1 at k.record_steps: (result, blowup).
 
     result holds x_+- = alpha_dag +- alpha at k.record_steps as
     (records, 2, width); when k.n_origins is set it holds instead each
     trajectory's lag products averaged over that many time origins, as
-    (2, width, lags).  Trajectory i draws its normals from its own Philox
-    stream, SeedSequence(k.seed, spawn_key=(i,)) (child i of
-    SeedSequence(k.seed).spawn), _BLOCK steps at a time, into the
-    time-major block the module docstring describes.  After every block a
-    magnitude max(|alpha|, |alpha_dag|) above k.limit stops the unit and
-    returns (None, (step, peak)); otherwise blowup is None.  Nothing here
-    calls BLAS, so the unit is safe in a forked worker.
+    (2, width, lags).  Each interval to a record is one draw, from the
+    unit's Philox stream SeedSequence(k.seed, spawn_key=(lo // _UNIT,)).  A
+    magnitude max(|alpha|, |alpha_dag|) above k.limit at a record stops the
+    unit and returns (None, (step, peak)); otherwise blowup is None.
+    Nothing here calls BLAS, so the unit is safe in a forked worker.
     """
-    width = hi - lo
-    index = {s: r for r, s in enumerate(k.record_steps)}
+    width, records, intervals = hi - lo, len(k.record_steps), k.keep_p.size
     if k.n_origins is None:
-        rec = out = np.empty((len(index), 2, width), dtype=k.dtype)
+        rec = out = np.empty((records, 2, width), dtype=k.dtype)
     else:
         # rec[q, i, r]: quadrature q (x+, x-) of trajectory lo + i at record r
-        rec = np.empty((2, width, len(index)), dtype=k.dtype)
+        rec = np.empty((2, width, records), dtype=k.dtype)
         out = rec.transpose(2, 0, 1)
-    gens = [np.random.Generator(np.random.Philox(np.random.SeedSequence(k.seed, spawn_key=(i,))))
-            for i in range(lo, hi)]
-    # block[j, q, i]: normal of quadrature q for trajectory lo + i at step done + j
-    block = np.empty((_BLOCK, 2, width))
-    tile = np.empty((_TILE, _BLOCK, 2))
-    keep_p, keep_m, gain_p, gain_m = k.keep_p, k.keep_m, k.gain_p, k.gain_m
+    start = records - intervals  # 1 when step 0, the vacuum, is recorded
+    out[:start] = 0.0
+    stream = np.random.SeedSequence(k.seed, spawn_key=(lo // _UNIT,))
+    # zeta[i, r, q]: normal of quadrature q for trajectory lo + i over interval r
+    zeta = np.random.Generator(np.random.Philox(stream)).standard_normal((width, intervals, 2))
     xp = np.zeros(width, dtype=k.dtype)
     xm = np.zeros(width, dtype=k.dtype)
-    if 0 in index:
-        out[index[0]] = 0.0
-
-    done = 0
-    while done < k.n_steps:
-        todo = min(_BLOCK, k.n_steps - done)
-        for t0 in range(0, width, _TILE):
-            t1 = min(t0 + _TILE, width)
-            for i in range(t0, t1):
-                gens[i].standard_normal(out=tile[i - t0, :todo])
-            block[:todo, :, t0:t1] = tile[: t1 - t0, :todo].transpose(1, 2, 0)
-        for j in range(todo):
-            xp = keep_p * xp + gain_p * block[j, 0]
-            xm = keep_m * xm + gain_m * block[j, 1]
-            r = index.get(done + j + 1)
-            if r is not None:
-                out[r, 0] = xp
-                out[r, 1] = xm
-        done += todo
-        peak = 0.5 * max(
-            float(np.abs(xp - xm).max(initial=0.0)),
-            float(np.abs(xp + xm).max(initial=0.0)),
-        )
+    for r in range(intervals):
+        xp = k.keep_p[r] * xp + k.gain_p[r] * zeta[:, r, 0]
+        xm = k.keep_m[r] * xm + k.gain_m[r] * zeta[:, r, 1]
+        out[start + r, 0] = xp
+        out[start + r, 1] = xm
+        peak = 0.5 * max(float(np.abs(xp - xm).max(initial=0.0)),
+                         float(np.abs(xp + xm).max(initial=0.0)))
         if peak > k.limit:
-            return None, (done, peak)
+            return None, (k.record_steps[start + r], peak)
 
     if k.n_origins is None:
         return rec, None
     n = k.n_origins
-    corr = np.empty((2, width, len(index) - n + 1), dtype=k.dtype)
+    corr = np.empty((2, width, records - n + 1), dtype=k.dtype)
     for x, lags in zip(rec, corr):
         np.einsum("no,nko->nk", x[:, :n], sliding_window_view(x, n, axis=1), out=lags)
     corr /= n
@@ -314,11 +306,13 @@ def run(
     """Integrate n_traj vacuum-start trajectories and record ensemble moments.
 
     Moments are recorded at `sample_times` (default: 25 evenly spaced
-    points plus t = 0), each snapped to the step grid.  Trajectory
-    magnitudes above 1e6 abort with TrajectoryBlowupError.  The
-    trajectories are stepped by `jobs` worker processes (default: the
-    usable cores; 1 runs in this process); the result does not depend on
-    jobs.
+    points plus t = 0), each snapped to the step grid.  The Euler-Maruyama
+    chain of step dt is drawn only at those steps, one Gaussian per
+    interval, so the cost follows the number of samples, not t_end / dt.
+    A trajectory magnitude above 1e6 at a sampled step aborts with
+    TrajectoryBlowupError.  The trajectories run on `jobs` worker
+    processes (default: the usable cores; 1 runs in this process); the
+    result does not depend on jobs.
     """
     c = coefficients(p)
     if c.lambda_minus <= 0:
@@ -341,7 +335,7 @@ def run(
         raise InvalidParameterError(f"sample_times must lie in [0, t_end = {t_end:g}]")
     sample_steps = sorted({min(int(round(t / dt)), n_steps) for t in sample_times})
     n_samples = len(sample_steps)
-    kernel = _kernel(p, dt, seed, n_steps, sample_steps)
+    kernel = _kernel(p, dt, seed, sample_steps)
 
     # alpha, alpha_dag, alpha^2, alpha_dag*alpha, x_plus^2, x_minus^2
     sums = np.zeros((n_samples, 6), dtype=complex)
@@ -427,6 +421,8 @@ def two_time_correlation(
     Trajectories are burnt in for t_burn (default 10 / lambda_minus), then
     sampled on the uniform tau grid; products are averaged over time
     origins spanning t_avg (default 5 * tau_max) and over trajectories.
+    The Euler-Maruyama chain of step dt is drawn once over the burn-in and
+    once per tau spacing, so dt sets the chain's law, not the cost.
     Standard errors come from `groups` independent trajectory groups.
     `jobs` is as in `run`: worker processes, default the usable cores; the
     result does not depend on it.
@@ -471,7 +467,7 @@ def two_time_correlation(
     record_steps = (n_records - 1) * stride
 
     total = burn_steps + record_steps
-    kernel = _kernel(p, dt, seed, total, range(burn_steps, total + 1, stride), n_origins)
+    kernel = _kernel(p, dt, seed, range(burn_steps, total + 1, stride), n_origins)
 
     # corr[q, i, l]: lag-l product of quadrature q (x+, x-) of trajectory
     # lo + i, averaged over the time origins

@@ -254,6 +254,21 @@ class TestVerify:
         assert cli.main(["verify", "--n-traj", "3000", "--oracle-rtol", "1e-13"]) == 4
         assert "FAIL" in capsys.readouterr().out
 
+    def test_pnd_row_keeps_three_digits(self, tmp_path):
+        # two oracle states that agree within 1.9e-15 per entry gave these
+        # differences; the row must not carry their round-off
+        name = "oracle P(n) vs closed form (max |delta|)"
+        tables = []
+        for value in (3.95618896532e-08, 3.95618877658e-08):
+            path = tmp_path / f"{value!r}.csv"
+            cli._write_csv(path, ["check", "reference", "value", "bound", "status"],
+                           [cli._check_row(name, 0.0, value, 1e-4, digits=3)])
+            tables.append(path.read_bytes())
+        assert tables[0] == tables[1]
+        assert tables[0].decode().splitlines()[1] == f"{name},0,3.96e-08,0.0001,PASS"
+        # the status is decided before rounding: 1.0004e-4 shows as 1e-4 and fails
+        assert cli._check_row(name, 0.0, 1.0004e-4, 1e-4, digits=3)[2:] == (1e-4, 1e-4, "FAIL")
+
     def test_vacuum_point_trivially_consistent(self):
         assert cli.main(["verify", "--a", "0", "--beta", "0", "--epsilon", "0",
                          "--dim", "16", "--n-traj", "200", "--t-end", "1"]) == 0

@@ -21,6 +21,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from casq import analytic, moments, montecarlo
@@ -80,6 +82,49 @@ def em_reference(p, n_traj, dt, n_steps, seed, record_steps):
     return {s: out[s] for s in record_steps}
 
 
+def em_interval_reference(p, n_traj, dt, seed, record_steps):
+    """The Euler-Maruyama chain on (alpha, alpha_dag) drawn only at record_steps.
+
+    One EM step is z <- M z + B xi with M = I + dt [[-decay, coupling],
+    [coupling, -decay]] and B = sqrt(dt) [[amp_p, amp_m], [amp_p, -amp_m]].
+    B's columns are eigenvectors of M (eigenvalues k_p, k_m), so g steps are
+    z <- M^g z + B diag(s_p, s_m) zeta with s**2 = sum_{j<g} k**(2j).  zeta
+    comes from the unit streams: SeedSequence(seed, spawn_key=(unit,)),
+    (width, intervals, 2) per unit of _UNIT trajectories.  Returns
+    {step: (alpha, alpha_dag)} for each step in record_steps (0 is the vacuum).
+    """
+    c = coefficients(p)
+    noise = montecarlo.factor_noise(c)
+    if noise.is_real:
+        dtype, amp_p, amp_m = float, noise.amp_plus.real, noise.amp_minus.real
+    else:
+        dtype, amp_p, amp_m = complex, noise.amp_plus, noise.amp_minus
+    step = np.eye(2) + dt * np.array([[-c.decay, c.coupling], [c.coupling, -c.decay]])
+    b = math.sqrt(dt) * np.array([[amp_p, amp_m], [amp_p, -amp_m]])
+    k_p, k_m = 1.0 + dt * (c.coupling - c.decay), 1.0 - dt * (c.coupling + c.decay)
+    steps = [s for s in record_steps if s > 0]
+    gaps = np.diff(steps, prepend=0)
+    unit = montecarlo._UNIT
+    zeta = np.concatenate([
+        np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(u,))))
+        .standard_normal((min(lo + unit, n_traj) - lo, gaps.size, 2))
+        for u, lo in enumerate(range(0, n_traj, unit))
+    ])
+    alpha = np.zeros(n_traj, dtype=dtype)
+    alpha_dag = np.zeros(n_traj, dtype=dtype)
+    out = {0: (alpha, alpha_dag)}
+    for r, (s, g) in enumerate(zip(steps, gaps)):
+        m = np.linalg.matrix_power(step, g)
+        s_p, s_m = (math.sqrt(math.fsum(k ** (2 * j) for j in range(g))) for k in (k_p, k_m))
+        w1, w2 = s_p * zeta[:, r, 0], s_m * zeta[:, r, 1]
+        alpha, alpha_dag = (
+            m[0, 0] * alpha + m[0, 1] * alpha_dag + b[0, 0] * w1 + b[0, 1] * w2,
+            m[1, 0] * alpha + m[1, 1] * alpha_dag + b[1, 0] * w1 + b[1, 1] * w2,
+        )
+        out[s] = (alpha, alpha_dag)
+    return {s: out[s] for s in record_steps}
+
+
 def small_run_n_cl(jobs):
     return montecarlo.run(MODULE_POINT, 4096, 0.1, 0.01, seed=1, jobs=jobs).n_cl
 
@@ -120,6 +165,20 @@ class TestNoiseFactorization:
                 2 * c.r, rel=1e-12, abs=1e-12
             )
         assert montecarlo.factor_noise(cases[1]).amp_minus.imag > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(keep=st.floats(0.95, 1.0, exclude_min=True), gap=st.integers(1, 10_000),
+       gain=st.floats(1e-3, 10.0), imaginary=st.booleans())
+def test_interval_gain_sums_the_steps(keep, gap, gain, imaginary):
+    # gap steps of x <- keep x + g xi add variance g**2 sum_{j<gap} keep**(2j)
+    g = 1j * gain if imaginary else gain
+    decay, spread = montecarlo._span(keep, g, [1, gap])
+    assert spread[0] == g and decay[0] == keep
+    want = math.fsum(keep ** (2 * j) * (g * g).real for j in range(gap))
+    got = spread[1] * spread[1]
+    assert got.imag == 0.0
+    assert abs(got.real - want) <= 1e-12 * abs(want)
 
 
 class TestIncrements:
@@ -219,14 +278,14 @@ class TestRun:
         assert predicted - exact == pytest.approx(4 * (preds[0.0075][2] - exact), rel=0.02)
 
     def test_matches_em_reference(self):
-        # 5000 trajectories span two 4096-trajectory chunks and 600 steps span
-        # two 512-step noise blocks; agreement pins the drift (1 - lambda dt)
-        # and the noise gains of the quadrature kernel
+        # 5000 trajectories span two 4096-trajectory chunks and end in a
+        # partial unit; intervals of 5 to 295 steps pin the interval drift
+        # (1 - lambda dt)**g and gains of the quadrature kernel
         n_traj, dt, n_steps, seed = 5000, 0.01, 600, 4242
         steps = [0, 5, 300, 512, 600]
         series = montecarlo.run(MODULE_POINT, n_traj, n_steps * dt, dt, seed,
                                 sample_times=[s * dt for s in steps])
-        ref = em_reference(MODULE_POINT, n_traj, dt, n_steps, seed, steps)
+        ref = em_interval_reference(MODULE_POINT, n_traj, dt, seed, steps)
         for i, s in enumerate(steps):
             alpha, alpha_dag = ref[s]
             plus, minus = alpha_dag + alpha, alpha_dag - alpha
@@ -264,25 +323,56 @@ class TestRun:
             montecarlo.run(MODULE_POINT, 64, 1.0, 0.01, seed=1)
 
     @pytest.mark.parametrize("limit, peak, step", [
-        (5.6, "5.766e+00", 512), (5.7, "5.766e+00", 512), (6.0, "6.539e+00", 1536),
-        (6.6, "6.742e+00", 512),
-    ])
+        (6.25, "6.508e+00", 1024), (6.0, "6.225e+00", 512), (6.4, "6.508e+00", 1024),
+        (6.7, "6.957e+00", 512),
+    ], ids=["first-chunk-same-step", "first-chunk-different-steps",
+            "second-chunk-earlier", "second-chunk-only"])
     def test_blowup_reported_alike_in_workers(self, monkeypatch, limit, peak, step):
-        # block-end peaks of the three work units over steps 512..2048 are
-        # 5.67 5.82 6.54 5.99 / 5.77 5.70 6.52 6.07 / 6.74 5.50 7.03 6.52;
+        # peaks of the three work units at the recorded steps 512..2048 are
+        # 5.92 6.51 5.57 5.90 / 6.23 6.32 6.39 6.31 / 6.96 6.19 6.13 6.31;
         # a check over the whole 4096-trajectory chunk reports the peak and
-        # step pinned here.  At 5.6 both units of the first chunk fail at
-        # once, at 5.7 they fail at different steps, at 6.0 the second
+        # step pinned here.  At 6.25 both units of the first chunk fail at
+        # once, at 6.0 they fail at different steps, at 6.4 the second
         # chunk's unit fails first but the first chunk is reported, and at
-        # 6.6 only the second chunk fails
+        # 6.7 only the second chunk fails
         monkeypatch.setattr(montecarlo, "BLOWUP_LIMIT", limit)
         pattern = rf"magnitude {re.escape(peak)} exceeded \S+ at step {step} "
         messages = []
         for jobs in (1, 2):
             with pytest.raises(TrajectoryBlowupError, match=pattern) as exc:
-                montecarlo.run(MODULE_POINT, 6144, 20.48, 0.01, seed=1, jobs=jobs)
+                montecarlo.run(MODULE_POINT, 6144, 20.48, 0.01, seed=17, jobs=jobs,
+                               sample_times=[5.12, 10.24, 15.36, 20.48])
             messages.append(str(exc.value))
         assert messages[0] == messages[1]
+
+    def test_unit_draws_do_not_depend_on_width(self):
+        # the unit stream is drawn trajectory-major, so a trajectory's path
+        # does not depend on how many trajectories follow it in its unit
+        for kernel in (montecarlo._kernel(MODULE_POINT, 0.01, 5, [0, 7, 100, 101]),
+                       montecarlo._kernel(MODULE_POINT, 0.01, 5, range(3, 40, 4), n_origins=4)):
+            short, _ = montecarlo._unit(kernel, 0, 1000)
+            full, _ = montecarlo._unit(kernel, 0, 2048)
+            axis = -1 if kernel.n_origins is None else 1
+            np.testing.assert_array_equal(short, np.take(full, range(1000), axis=axis))
+
+    def test_same_law_as_em_reference(self):
+        # the recorded states have the step-by-step chain's law: four moments
+        # at three steps against em_reference run on other seeds, each
+        # difference within its two-sample band
+        n_traj, dt, n_steps = 30000, 0.02, 150
+        steps = [3, 40, 150]
+        series = montecarlo.run(MODULE_POINT, n_traj, n_steps * dt, dt, seed=8128,
+                                sample_times=[s * dt for s in steps])
+        ref = em_reference(MODULE_POINT, n_traj, dt, n_steps, 8129, steps)
+        z = z_band(4 * len(steps))
+        for i, s in enumerate(steps):
+            alpha, alpha_dag = ref[s]
+            plus, minus = alpha_dag + alpha, alpha_dag - alpha
+            rows = {"mean_alpha": alpha, "n_cl": alpha_dag * alpha,
+                    "plus_sq": plus * plus, "minus_sq": minus * minus}
+            for name, row in rows.items():
+                se = math.hypot(getattr(series, name + "_se")[i], row.std() / math.sqrt(n_traj - 1))
+                assert abs(getattr(series, name)[i] - row.mean()) <= z * se, f"{name} at step {s}"
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_no_workers_rejected(self, jobs):
@@ -389,8 +479,8 @@ class TestTwoTimeCorrelation:
             montecarlo.two_time_correlation(MODULE_POINT, [0.0, 0.1], 100, 0.01, seed=1)
 
     def test_group_means_match_em_reference(self):
-        # 4500 trajectories span three 2048-trajectory chunks; the 500 burn-in
-        # steps plus 65 recorded ones cross a 512-step noise block
+        # 4500 trajectories span three 2048-trajectory chunks, the last a
+        # partial unit; one 500-step burn-in interval, then 5-step intervals
         tau = np.arange(5) * 0.05
         n_traj, dt, groups, seed = 4500, 0.01, 10, 77
         est = montecarlo.two_time_correlation(MODULE_POINT, tau, n_traj, dt, seed,
@@ -398,7 +488,7 @@ class TestTwoTimeCorrelation:
         stride, burn, n_origins = 5, 500, 10
         n_records = tau.size + n_origins - 1
         steps = [burn + r * stride for r in range(n_records)]
-        ref = em_reference(MODULE_POINT, n_traj, dt, steps[-1], seed, steps)
+        ref = em_interval_reference(MODULE_POINT, n_traj, dt, seed, steps)
         for sign, got in ((1.0, est.group_plus), (-1.0, est.group_minus)):
             rec = np.stack([ref[s][1] + sign * ref[s][0] for s in steps], axis=1)
             lag = np.stack([(rec[:, :n_origins] * rec[:, k:k + n_origins]).mean(axis=1)
@@ -417,7 +507,7 @@ class TestTwoTimeCorrelation:
         stride, burn, n_origins = 2, 100, 25
         n_records = tau.size + n_origins - 1
         steps = [burn + r * stride for r in range(n_records)]
-        ref = em_reference(MODULE_POINT, n_traj, dt, steps[-1], seed, steps)
+        ref = em_interval_reference(MODULE_POINT, n_traj, dt, seed, steps)
         for sign, got in ((1.0, est.group_plus), (-1.0, est.group_minus)):
             rec = np.stack([ref[s][1] + sign * ref[s][0] for s in steps], axis=1)
             lag = np.empty((n_traj, tau.size))
