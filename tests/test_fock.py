@@ -2,6 +2,7 @@
 steady states, and cross-engine agreement with the closed forms.
 """
 
+import inspect
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from conftest import stable_params
 
 VERIFY_POINT = SystemParams(a=25, kappa=0.8, beta=0.1).with_relative_drive(0.5)
 FIG6_POINT = SystemParams(a=100, kappa=0.8, beta=0.067, epsilon=0.3)
+DEFAULT_DT_FACTOR = inspect.signature(fock.steady_state).parameters["dt_factor"].default
 
 
 def kron_generator(dim, coeffs):
@@ -442,7 +444,7 @@ class TestSteadyState:
     def test_matches_even_sector_reference(self, p, dim):
         # small bases truncate these states, but the truncated model is the
         # same for both solves, so the guard is off
-        ref, steps = even_sector_steady_state(p, dim)
+        ref, steps = even_sector_steady_state(p, dim, dt_factor=DEFAULT_DT_FACTOR)
         rho = fock.steady_state(p, dim, boundary_tol=None)
         assert np.abs(rho.data - ref).max() <= 1e-12
         assert rho.iterations == steps
@@ -460,6 +462,33 @@ class TestSteadyState:
         rows, cols = np.divmod(np.arange(256 * 256), 256)
         even_upper = np.flatnonzero((rows <= cols) & ((cols - rows) % 2 == 0))
         assert np.array_equal(np.sort(m * 256 + n), even_upper)
+
+    @pytest.mark.parametrize("p", [VERIFY_POINT, FIG6_POINT], ids=["verify", "fig6"])
+    def test_two_steps_at_user_points(self, p):
+        # the default step is far beyond every relaxation time, so backward
+        # Euler is shifted inverse iteration and the second solve converges
+        assert fock.steady_state(p, 256).iterations <= 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(8, 32))
+    def test_long_step_matches_short_step(self, seed, dim):
+        # each solve stops at |L rho|_1 < tol |rho|_1 and the slowest decay
+        # rate is of order lambda_minus, so each state lies within about
+        # tol |rho|_1 / lambda_minus of the exact one; over 3000 random
+        # points the gap reached 0.084 of that (1.3e-10 absolute)
+        p = stable_params(np.random.default_rng(seed), 1)[0]
+        long = fock.steady_state(p, dim, boundary_tol=None)
+        short = fock.steady_state(p, dim, boundary_tol=None, dt_factor=10.0)
+        band = 1e-10 * np.abs(short.data).sum() / coefficients(p).lambda_minus
+        assert np.abs(long.data - short.data).max() <= band
+
+    def test_dissection_order_cached_read_only(self):
+        m, n = fock._dissected_even_block(48)
+        again = fock._dissected_even_block(48)
+        assert again[0] is m and again[1] is n
+        for arr in (m, n):
+            with pytest.raises(ValueError):
+                arr[0] = 1
 
     def test_vacuum_projector_without_drive(self):
         rho = fock.steady_state(SystemParams(a=0, kappa=0.8, beta=0, epsilon=0), 16)
@@ -548,6 +577,18 @@ class TestSteadyState:
         with pytest.raises(InvalidParameterError, match="dim"):
             fock.steady_state(VERIFY_POINT, dim)
 
+    @pytest.mark.parametrize("dim", [64.5, 64.0, np.float64(64.0), True, "64"],
+                             ids=["fraction", "float", "numpy-float", "bool", "str"])
+    def test_non_integer_basis_rejected(self, dim):
+        # the order for dim 64 is cached first: 64.0 would find its entry
+        fock._dissected_even_block(64)
+        with pytest.raises(InvalidParameterError, match="dim must be an integer"):
+            fock.steady_state(VERIFY_POINT, dim)
+
+    def test_numpy_integer_basis_accepted(self):
+        rho = fock.steady_state(VERIFY_POINT, np.int64(32), boundary_tol=None)
+        assert rho.dim == 32 and rho.data.shape == (32, 32)
+
     @pytest.mark.parametrize(
         "option",
         [{"tol": 0.0}, {"tol": -1.0}, {"max_steps": 0}, {"dt_factor": 0.0}, {"dt_factor": -1.0}],
@@ -560,9 +601,9 @@ class TestSteadyState:
     @pytest.mark.parametrize(
         "option",
         [{"tol": math.inf}, {"dt_factor": math.inf}, {"max_steps": 2.5},
-         {"boundary_tol": math.nan}, {"boundary_tol": -1e-6}],
-        ids=["tol-inf", "dt_factor-inf", "max_steps-fraction", "boundary_tol-nan",
-             "boundary_tol-neg"],
+         {"max_steps": True}, {"boundary_tol": math.nan}, {"boundary_tol": -1e-6}],
+        ids=["tol-inf", "dt_factor-inf", "max_steps-fraction", "max_steps-bool",
+             "boundary_tol-nan", "boundary_tol-neg"],
     )
     def test_bad_solver_options_rejected(self, option):
         # unchecked, each of these returns a wrong state, switches the
@@ -574,6 +615,12 @@ class TestSteadyState:
 @pytest.mark.parametrize("dim", [0, -5])
 def test_vacuum_too_small_basis_rejected(dim):
     with pytest.raises(InvalidParameterError, match="dim"):
+        fock.vacuum(dim)
+
+
+@pytest.mark.parametrize("dim", [64.0, 2.5, True], ids=["float", "fraction", "bool"])
+def test_vacuum_non_integer_basis_rejected(dim):
+    with pytest.raises(InvalidParameterError, match="dim must be an integer"):
         fock.vacuum(dim)
 
 
