@@ -1,7 +1,9 @@
 """Command-line front end: sweeps, figure presets, cross-engine verification.
 
-CSV is the source of truth (12 significant digits, deterministic bytes);
-SVG output is a convenience rendering of the same series.  Exit codes:
+CSV is the source of truth, with deterministic bytes: each cell is written
+by its column's type, strings verbatim, integers in full and floats with
+%.12g (12 significant digits).  SVG output is a convenience rendering of
+the same series.  Exit codes:
 
     0  success
     2  invalid parameters or inadequate configuration (truncation, step size)
@@ -47,19 +49,28 @@ MC_N_TRAJ = 20000
 MC_SEED = 7041
 
 
+# the CSV cell rule of the module docstring, keyed by NumPy dtype kind
+_CELL_FORMATS = {"U": "%s", "i": "%d", "f": "%.12g"}
+
+
+def _cell_format(dtype) -> str:
+    try:
+        return _CELL_FORMATS[dtype.kind]
+    except KeyError:
+        raise TypeError(f"no CSV cell format for dtype {dtype}") from None
+
+
 def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.12g}"
+    return _cell_format(np.asarray(value).dtype) % value
 
 
-def _write_csv(path, header, rows) -> None:
+def _write_csv(path, header, columns) -> None:
+    """Write equal-length columns under header, each cell in its column's format."""
+    columns = [np.asarray(col) for col in columns]
+    line = ",".join(_cell_format(col.dtype) for col in columns) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(line % row for row in zip(*(col.tolist() for col in columns), strict=True))
 
 
 def _xml_text(text: str) -> str:
@@ -78,12 +89,7 @@ def _write_svg(path, x, series, title, xlabel, ylabel) -> None:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
-
-    def sx(v):
-        return pad + (v - x_lo) / (x_hi - x_lo) * (width - 2 * pad)
-
-    def sy(v):
-        return height - pad - (v - y_lo) / (y_hi - y_lo) * (height - 2 * pad)
+    px = pad + (x - x_lo) / (x_hi - x_lo) * (width - 2 * pad)
 
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2"]
     parts = [
@@ -103,7 +109,8 @@ def _write_svg(path, x, series, title, xlabel, ylabel) -> None:
     for i, (label, y) in enumerate(series):
         y = np.asarray(y, dtype=float)
         keep = np.isfinite(y)
-        pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(x[keep], y[keep]))
+        py = height - pad - (y[keep] - y_lo) / (y_hi - y_lo) * (height - 2 * pad)
+        pts = " ".join("%.2f,%.2f" % pt for pt in zip(px[keep].tolist(), py.tolist()))
         color = colors[i % len(colors)]
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         parts.append(
@@ -138,13 +145,13 @@ def _out_path(args, default_name: str) -> str:
     return os.path.join(os.environ.get(OUT_DIR_ENV, "."), default_name)
 
 
-def _emit(args, path, header, rows, plot=None) -> int:
-    """Write rows as CSV to path and print that path.
+def _emit(args, path, header, columns, plot=None) -> int:
+    """Write columns as CSV to path and print that path.
 
     plot is (x, series, title, xlabel, ylabel); with --format svg it is
     rendered next to the CSV, under the same name with an .svg suffix.
     """
-    _write_csv(path, header, rows)
+    _write_csv(path, header, columns)
     if plot is not None and args.format == "svg":
         _write_svg(os.path.splitext(path)[0] + ".svg", *plot)
     print(path)
@@ -327,14 +334,13 @@ def _cmd_coeffs(args) -> int:
     c, eps_th, _ = _grid_coefficients(args.a, args.kappa, betas, args.epsilon, args.epsilon_rel)
     header = ["beta", "R", "S", "U", "V", "B", "lambda_minus", "lambda_plus", "epsilon_threshold"]
     return _emit(args, _out_path(args, "coeffs.csv"), header,
-                 zip(betas, c.r, c.s, c.u, c.v, c.b, c.lambda_minus, c.lambda_plus, eps_th))
+                 (betas, c.r, c.s, c.u, c.v, c.b, c.lambda_minus, c.lambda_plus, eps_th))
 
 
 def _cmd_variance(args) -> int:
-    rows = _sweep(args)
-    arr = np.array(rows, dtype=float)
+    arr = np.array(_sweep(args), dtype=float)
     return _emit(args, _out_path(args, "variance.csv"),
-                 ["beta", "epsilon", "var_plus", "var_minus", "mean_n"], rows,
+                 ["beta", "epsilon", "var_plus", "var_minus", "mean_n"], arr.T,
                  (arr[:, 0], [("var_plus", arr[:, 2]), ("var_minus", arr[:, 3])],
                   f"steady-state quadrature variances ({args.engine})", "beta", "variance"))
 
@@ -345,7 +351,7 @@ def _cmd_spectrum(args) -> int:
     curve = analytic.spectrum(p, omegas)
     series = [("s_plus", curve.s_plus), ("s_minus", curve.s_minus)]
     return _emit(args, _out_path(args, "spectrum.csv"), ["omega", "s_plus", "s_minus"],
-                 zip(curve.omega, curve.s_plus, curve.s_minus),
+                 (curve.omega, curve.s_plus, curve.s_minus),
                  (curve.omega, series, "output squeezing spectrum", "omega", "S(omega)"))
 
 
@@ -362,7 +368,7 @@ def _cmd_mean_photon(args) -> int:
         rows = [(beta, eps, mean_n) for beta, eps, _vp, _vm, mean_n in _sweep(args)]
         title = f"steady-state mean photon number ({args.engine})"
     arr = np.array(rows, dtype=float)
-    return _emit(args, _out_path(args, "mean_photon.csv"), ["beta", "epsilon", "mean_n"], rows,
+    return _emit(args, _out_path(args, "mean_photon.csv"), ["beta", "epsilon", "mean_n"], arr.T,
                  (arr[:, 0], [("mean_n", arr[:, 2])], title, "beta", "<n>"))
 
 
@@ -380,7 +386,7 @@ def _cmd_pnd(args) -> int:
         record = analytic.steady_record(p)
         probs = analytic.photon_distribution(record, args.n_max).probs
     ns = np.arange(probs.size)
-    return _emit(args, _out_path(args, "pnd.csv"), ["n", "p"], zip(ns, probs),
+    return _emit(args, _out_path(args, "pnd.csv"), ["n", "p"], (ns, probs),
                  (ns, [("P(n)", probs)], f"photon number distribution ({args.engine})",
                   "n", "P(n)"))
 
@@ -477,7 +483,7 @@ def _cmd_figure(args) -> int:
     out_dir = args.out or os.environ.get(OUT_DIR_ENV, ".")  # a directory, created on demand
     os.makedirs(out_dir, exist_ok=True)
     return _emit(args, os.path.join(out_dir, f"fig{n}.csv"), header,
-                 zip(x, *(y for _, y in series)), (x, series, title, xlabel, ylabel))
+                 (x, *(y for _, y in series)), (x, series, title, xlabel, ylabel))
 
 
 MOMENTS_RTOL = 1e-8
@@ -558,7 +564,7 @@ def _cmd_verify(args) -> int:
               f"{bound:>{widths[3]}.3g}{status:>{widths[4]}}")
     if args.out:
         _write_csv(_out_path(args, "verify.csv"),
-                   ["check", "reference", "value", "bound", "status"], rows)
+                   ["check", "reference", "value", "bound", "status"], zip(*rows))
     print("verification " + ("PASSED" if ok else "FAILED"))
     return EXIT_OK if ok else EXIT_MISMATCH
 
@@ -570,8 +576,8 @@ def _cmd_mc(args) -> int:
     header = ["t", "alpha_sq", "alpha_sq_se", "n_cl", "n_cl_se",
               "plus_sq", "plus_sq_se", "minus_sq", "minus_sq_se"]
     return _emit(args, _out_path(args, "mc.csv"), header,
-                 zip(s.times, np.real(s.alpha_sq), s.alpha_sq_se, np.real(s.n_cl), s.n_cl_se,
-                     np.real(s.plus_sq), s.plus_sq_se, np.real(s.minus_sq), s.minus_sq_se))
+                 (s.times, np.real(s.alpha_sq), s.alpha_sq_se, np.real(s.n_cl), s.n_cl_se,
+                  np.real(s.plus_sq), s.plus_sq_se, np.real(s.minus_sq), s.minus_sq_se))
 
 
 def _cmd_oracle(args) -> int:
@@ -590,13 +596,14 @@ def _cmd_oracle(args) -> int:
         obs.mean_n, obs.var_plus, obs.var_minus, obs.mean_a_sq.real,
         rho.trace_err, rho.boundary_pop,
     )
-    return _emit(args, _out_path(args, "oracle.csv"), header, [row])
+    return _emit(args, _out_path(args, "oracle.csv"), header, zip(row))
 
 
 # ---------------------------------------------------------------------------
 # argument parser and dispatch
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="casq",

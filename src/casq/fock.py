@@ -398,9 +398,10 @@ def steady_state(
     1-norms.  The returned state is exactly symmetric and records the
     step count, the final residual and the LU non-zeros.
     Drives within 0.1% of threshold are refused: the state would be
-    unbounded.  The truncation guard can be disabled with
-    boundary_tol=None (for convergence studies); diagnostics remain in
-    the returned DensityMatrix.
+    unbounded.  So is a dt_factor whose step overflows the system.  The
+    truncation guard can be disabled with boundary_tol=None (for
+    convergence studies); diagnostics remain in the returned
+    DensityMatrix.
     """
     _check_count("dim", dim, 2)
     if not (math.isfinite(tol) and tol > 0):
@@ -424,7 +425,11 @@ def steady_state(
     weight = np.where(m == n, 1.0, 2.0)
     diag_pos = np.flatnonzero(m == n)
     dt = dt_factor / c.lambda_minus
-    system = (sp.identity(m.size, format="csc") - dt * gen).tocsc()
+    with np.errstate(over="ignore", invalid="ignore"):
+        system = (sp.identity(m.size, format="csc") - dt * gen).tocsc()
+    if not np.isfinite(system.data).all():
+        raise InvalidParameterError(
+            f"dt_factor {dt_factor:g} overflows the implicit step at dim {dim}")
     lu = spla.splu(system, permc_spec="NATURAL", diag_pivot_thresh=0.1)
 
     x = np.where((m == 0) & (n == 0), 1.0, 0.0)

@@ -1,6 +1,7 @@
 """CLI contract: CSV layouts, figure presets, exit codes, determinism."""
 
 import hashlib
+import math
 import os
 import shutil
 import subprocess
@@ -11,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import casq
 from casq import analytic, cli, montecarlo
@@ -231,6 +234,46 @@ class TestFigures:
         assert tag.endswith("svg")
 
 
+# cells of each column dtype the writer formats, edge values drawn often
+_CELLS = {
+    "float64": st.floats() | st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e308]),
+    "int64": st.integers(-2**63, 2**63 - 1) | st.sampled_from([-1, -10**12, 10**12, 10**15]),
+    "str": st.text(st.characters(codec="utf-8", exclude_characters=",")),
+}
+
+
+@st.composite
+def csv_columns(draw):
+    n_rows = draw(st.integers(0, 8))
+    kinds = draw(st.lists(st.sampled_from(list(_CELLS)), min_size=1, max_size=5))
+    return [np.array(draw(st.lists(_CELLS[kind], min_size=n_rows, max_size=n_rows)), dtype=kind)
+            for kind in kinds]
+
+
+class TestWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(columns=csv_columns())
+    def test_columns_written_as_cells(self, tmp_path_factory, columns):
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        header = [f"c{i}" for i in range(len(columns))]
+        cli._write_csv(path, header, columns)
+        want = ",".join(header) + "\n" + "".join(
+            ",".join(cli._fmt(v) for v in row) + "\n" for row in zip(*columns))
+        assert path.read_bytes() == want.encode("utf-8")
+
+    @pytest.mark.parametrize("value, cell", [
+        (-0.0, "-0"), (5e-324, "4.94065645841e-324"), (1e308, "1e+308"), (math.nan, "nan"),
+        (-math.inf, "-inf"), (np.float64(0.1) * 3, "0.3"), (2.0, "2"),
+        (np.int64(-10**15), "-1000000000000000"), (7, "7"), ("a b;c", "a b;c"),
+    ])
+    def test_cell_rule(self, value, cell):
+        assert cli._fmt(value) == cell
+
+    def test_unequal_columns_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            cli._write_csv(tmp_path / "t.csv", ["x", "y"], [np.arange(3), np.arange(2)])
+
+
 VERIFY_CHECKS = [
     "moments n_cl vs analytic", "moments <a+^2> vs analytic", "moments <a-^2> vs analytic",
     "oracle mean_n vs analytic", "oracle var_plus vs analytic", "oracle var_minus vs analytic",
@@ -262,7 +305,7 @@ class TestVerify:
         for value in (3.95618896532e-08, 3.95618877658e-08):
             path = tmp_path / f"{value!r}.csv"
             cli._write_csv(path, ["check", "reference", "value", "bound", "status"],
-                           [cli._check_row(name, 0.0, value, 1e-4, digits=3)])
+                           zip(cli._check_row(name, 0.0, value, 1e-4, digits=3)))
             tables.append(path.read_bytes())
         assert tables[0] == tables[1]
         assert tables[0].decode().splitlines()[1] == f"{name},0,3.96e-08,0.0001,PASS"
@@ -483,6 +526,14 @@ def test_analytic_sweep_runs_in_process(tmp_path, monkeypatch, command):
     written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in tmp_path.iterdir()}
     assert written == GOLDEN_DIGESTS[args]
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path):
+    assert cli._build_parser() is cli._build_parser()
+    out = str(tmp_path) + os.sep
+    for options, n_rows in ((["--n-max", "12"], 13), ([], 33)):
+        assert cli.main(["figure", "6", *options, "--out", out]) == 0
+        assert len(read_csv(tmp_path / "fig6.csv")[1]) == n_rows
 
 
 def test_jobs_default_is_the_usable_cores():

@@ -4,6 +4,7 @@ steady states, and cross-engine agreement with the closed forms.
 
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -610,6 +611,14 @@ class TestSteadyState:
         # truncation guard off silently, or fails inside SuperLU or range()
         with pytest.raises(InvalidParameterError, match=next(iter(option))):
             fock.steady_state(VERIFY_POINT, 64, **option)
+
+    def test_overflowing_step_rejected(self):
+        # finite, but dt * G overflows; unchecked, SuperLU calls the system
+        # exactly singular after a NumPy overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match="dt_factor 1e\\+307 overflows"):
+                fock.steady_state(VERIFY_POINT, 32, dt_factor=1e307)
 
 
 @pytest.mark.parametrize("dim", [0, -5])
