@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import InvalidParameterError, NotStableError, QFunctionUndefinedError
 from .params import (
@@ -388,6 +387,8 @@ def photon_distribution(record: GaussianRecord, n_max: int) -> PhotonDistributio
     (1-c)^{n-2l} (c may exceed 1 for hand-built records), so n in the
     hundreds does not overflow.
     """
+    from scipy.special import gammaln
+
     c, d = record.c, record.d
     if c <= abs(d):
         raise QFunctionUndefinedError(
@@ -403,11 +404,12 @@ def photon_distribution(record: GaussianRecord, n_max: int) -> PhotonDistributio
     pref = math.sqrt(c * c - d * d)
     log2 = math.log(2.0)
 
+    lg = gammaln(np.arange(n_max + 1) + 1)  # log k! for k = 0..n_max
     probs = np.empty(n_max + 1)
     for n in range(n_max + 1):
         ell = np.arange(n // 2 + 1)
         k = n - 2 * ell
-        logt = gammaln(n + 1) - 2.0 * ell * log2 - 2.0 * gammaln(ell + 1) - gammaln(k + 1)
+        logt = lg[n] - 2.0 * ell * log2 - 2.0 * lg[ell] - lg[k]
         with np.errstate(invalid="ignore"):
             # 0 * (-inf) from the k = 0 / ell = 0 entries is masked to 0
             logt = logt + np.where(k > 0, k * log_omc, 0.0)

@@ -41,6 +41,10 @@ Truncation is guarded: population on the boundary level above 1e-6 aborts
 with a suggestion to enlarge the basis.  Runs at (or within 0.1% of) the
 threshold drive are refused, since the antisqueezed quadrature then grows
 without bound and no truncation is adequate.
+
+SciPy is imported inside the functions that build or solve a generator,
+so `import casq` and the commands that never touch the oracle do not pay
+the import time of `scipy.sparse`.
 """
 
 from __future__ import annotations
@@ -50,8 +54,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import (
     ConvergenceError,
@@ -175,8 +177,7 @@ def _ladder(dim: int, shift: int, rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(rows, cols) * inside)
 
 
-def _block(dim: int, coeffs: Coefficients, m: np.ndarray, n: np.ndarray,
-           sign: int) -> sp.csc_matrix:
+def _block(dim: int, coeffs: Coefficients, m: np.ndarray, n: np.ndarray, sign: int):
     """The generator on one real folded block of rho.
 
     The unknowns are the entries (m, n), in the order given, of the real
@@ -187,6 +188,8 @@ def _block(dim: int, coeffs: Coefficients, m: np.ndarray, n: np.ndarray,
     Y[n-dy, n] and is evaluated on the unknowns alone; rho[k, l] is the
     unknown of (min(k, l), max(k, l)), times sign when k > l.
     """
+    import scipy.sparse as sp
+
     index = np.full((dim, dim), -1, dtype=np.int32)
     index[m, n] = np.arange(m.size)
     k_mat, m_mat, n_mat = _terms(coeffs)
@@ -323,6 +326,8 @@ def evolve(
     raises TruncationError at the end; pass boundary_tol=None to disable
     that guard (diagnostics are still recorded).
     """
+    import scipy.sparse as sp
+
     if not (math.isfinite(t_end) and t_end >= 0):
         raise InvalidParameterError(f"t_end must be finite and >= 0, got {t_end}")
     _check_boundary_tol(boundary_tol)
@@ -403,6 +408,9 @@ def steady_state(
     convergence studies); diagnostics remain in the returned
     DensityMatrix.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     _check_count("dim", dim, 2)
     if not (math.isfinite(tol) and tol > 0):
         raise InvalidParameterError(f"tol must be finite and > 0, got {tol}")

@@ -650,6 +650,11 @@ def test_console_entry_points(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "figure" in proc.stdout
 
+    proc = run([sys.executable, "-m", "casq", "--help"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert "figure" in proc.stdout
+
     installed = shutil.which("casq")
     if installed is not None:
         proc = run([installed, *script_args])
@@ -668,3 +673,35 @@ def test_console_entry_points(tmp_path):
     proc = run([sys.executable, "-c", wrapper, *script_args])
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+# (code run after `import os, sys; out = sys.argv[1]`, modules loaded, modules not loaded)
+_SCIPY_PROBES = {
+    "import-casq": ("import casq", (), ("scipy",)),
+    "figure2-coeffs": ("from casq import cli\n"
+                       "cli.main(['figure', '2', '--out', out])\n"
+                       "cli.main(['coeffs', '--out', os.path.join(out, 'c.csv')])",
+                       (), ("scipy",)),
+    "figure6": ("from casq import cli\ncli.main(['figure', '6', '--out', out])",
+                ("scipy.special",), ("scipy.sparse",)),
+    "steady-state": ("from casq import fock\n"
+                     "from casq.params import SystemParams\n"
+                     "p = SystemParams(a=100.0, kappa=0.8, beta=0.0677, epsilon=0.0)\n"
+                     "fock.steady_state(p, 8, boundary_tol=None)",
+                     ("scipy.sparse.linalg",), ()),
+}
+
+
+@pytest.mark.parametrize("case", list(_SCIPY_PROBES))
+def test_scipy_is_imported_only_where_used(tmp_path, case):
+    body, loaded, absent = _SCIPY_PROBES[case]
+    code = (f"import os, sys\nout = sys.argv[1]\n{body}\n"
+            "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                          text=True, cwd=tmp_path, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    modules = set(proc.stdout.splitlines()[-1].split())
+    for name in loaded:
+        assert name in modules
+    for name in absent:
+        assert not any(m == name or m.startswith(name + ".") for m in modules), modules
