@@ -8,11 +8,11 @@ Four independently implemented engines over one parameter algebra:
 - `montecarlo`: doubled-phase-space stochastic trajectories,
 - `moments`: exact linear moment propagation,
 
-plus a `cli` front end for sweeps, figure presets and cross-engine
-verification.
+plus `crosscheck`, which runs all four at one point and tabulates their
+agreement, and a `cli` front end for sweeps, figure presets and that table.
 """
 
-from . import analytic, cli, fock, moments, montecarlo, params
+from . import analytic, cli, crosscheck, fock, moments, montecarlo, params
 from .errors import (
     ConvergenceError,
     InvalidParameterError,
@@ -38,6 +38,7 @@ __version__ = "0.1.0"
 __all__ = [
     "analytic",
     "cli",
+    "crosscheck",
     "fock",
     "moments",
     "montecarlo",

@@ -44,6 +44,8 @@ __all__ = [
     "PhotonDistribution",
     "threshold_minus_curve",
     "no_crystal_minus_curve",
+    "spectrum_minus_curve",
+    "mean_photon_curve",
     "steady_alpha_sq",
     "variance_steady",
     "variance_threshold",
@@ -196,6 +198,20 @@ def no_crystal_minus_curve(a: float, kappa: float, betas) -> np.ndarray:
     return (two_kb + 3.0 * a * beta**2) / (two_kb + a * (4.0 * beta + beta**3))
 
 
+def spectrum_minus_curve(a: float, kappa: float, betas, omega, drive_rel) -> np.ndarray:
+    """Vectorized S_minus(omega) over a beta grid, at drive_rel of each threshold drive (> 0)."""
+    beta = np.asarray(betas, dtype=float)
+    eps_th = _coefficients(a, kappa, beta, 0.0)[1]
+    c = _coefficients(a, kappa, beta, drive_rel * eps_th)[0]
+    return _spectra(c, a, kappa, beta, omega, threshold_tolerance(SystemParams(a, kappa, 0.0)))[1]
+
+
+def mean_photon_curve(a: float, kappa: float, betas, epsilon: float) -> np.ndarray:
+    """Vectorized steady <alpha* alpha> over a beta grid; NotStableError at or above threshold."""
+    c = _coefficients(a, kappa, np.asarray(betas, dtype=float), epsilon)[0]
+    return _steady_moments(c, threshold_tolerance(SystemParams(a, kappa, 0.0)))[1]
+
+
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -322,25 +338,22 @@ def transient_moments(p: SystemParams, t: float) -> GaussianRecord:
     Valid on both sides of threshold (for finite t); at threshold the
     lambda_minus relaxation integral smoothly becomes t/2.
     """
-    if t < 0:
-        raise InvalidParameterError(f"t must be >= 0, got {t}")
+    if not (math.isfinite(t) and t >= 0):
+        raise InvalidParameterError(f"t must be finite and >= 0, got {t}")
     alpha_sq, n_cl = _moment_pair(coefficients(p), t)
     return _record_from_moments(t, alpha_sq, n_cl)
 
 
 def steady_record(p: SystemParams) -> GaussianRecord:
     """The t -> infinity moment record; requires the stable regime."""
-    c = coefficients(p)
-    if c.lambda_minus <= threshold_tolerance(p):
-        raise NotStableError(
-            f"no steady state: lambda_minus = {c.lambda_minus:.6g}",
-            lambda_minus=c.lambda_minus,
-        )
-    return _record_from_moments(math.inf, *_steady_moments(c))
+    return _record_from_moments(math.inf, *_steady_moments(coefficients(p), threshold_tolerance(p)))
 
 
-def _steady_moments(c: Coefficients):
-    """Steady (<alpha^2>, <alpha* alpha>); c may hold arrays, all below threshold."""
+def _steady_moments(c: Coefficients, tol):
+    """Steady (<alpha^2>, <alpha* alpha>); c may hold arrays, each lambda_minus above tol."""
+    if np.any(c.lambda_minus <= tol):
+        low = float(np.min(c.lambda_minus))
+        raise NotStableError(f"no steady state: lambda_minus = {low:.6g}", lambda_minus=low)
     w_minus = c.diffusion_plus / (4.0 * c.lambda_minus)
     w_plus = c.diffusion_minus / (4.0 * c.lambda_plus)
     return w_minus + w_plus, w_minus - w_plus
@@ -348,8 +361,8 @@ def _steady_moments(c: Coefficients):
 
 def mean_photon_number(p: SystemParams, t: float) -> float:
     """Mean photon number <alpha* alpha>(t); identical to transient_moments(p, t).n_cl."""
-    if t < 0:
-        raise InvalidParameterError(f"t must be >= 0, got {t}")
+    if not (math.isfinite(t) and t >= 0):
+        raise InvalidParameterError(f"t must be finite and >= 0, got {t}")
     return _moment_pair(coefficients(p), t)[1]
 
 

@@ -1,4 +1,4 @@
-"""Command-line front end: sweeps, figure presets, cross-engine verification.
+"""Command-line front end: sweeps, figure presets and the table of `casq.crosscheck`.
 
 CSV is the source of truth, with deterministic bytes: each cell is written
 by its column's type, strings verbatim, integers in full and floats with
@@ -23,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from . import analytic, fock, moments, montecarlo
+from . import analytic, crosscheck, fock, montecarlo
 from .errors import (
     ConvergenceError,
     InvalidParameterError,
@@ -123,26 +123,26 @@ def _write_svg(path, x, series, title, xlabel, ylabel) -> None:
 
 
 def _parse_range(text: str) -> np.ndarray:
-    """'start:stop:step' (inclusive of stop up to round-off) or a single value."""
-    if ":" in text:
-        pieces = text.split(":")
-        if len(pieces) != 3:
-            raise InvalidParameterError(f"range must be start:stop:step, got {text!r}")
-        start, stop, step_size = (float(v) for v in pieces)
-        if step_size <= 0 or stop < start:
-            raise InvalidParameterError(f"bad range {text!r}: need step > 0 and stop >= start")
-        count = int(math.floor((stop - start) / step_size + 0.5)) + 1
-        return start + step_size * np.arange(count)
-    return np.array([float(text)])
+    """'start:stop:step' (inclusive of stop up to round-off) or a single value, all finite."""
+    try:
+        values = [float(v) for v in text.split(":")]
+    except ValueError:
+        values = []
+    if len(values) not in (1, 3) or not all(map(math.isfinite, values)):
+        raise InvalidParameterError(f"range must be a finite value or start:stop:step, got {text!r}")
+    if len(values) == 1:
+        return np.array(values)
+    start, stop, step_size = values
+    if not (step_size > 0 and stop >= start and math.isfinite((stop - start) / step_size)):
+        raise InvalidParameterError(f"bad range {text!r}: need step > 0, stop >= start, finite count")
+    count = int(math.floor((stop - start) / step_size + 0.5)) + 1
+    return start + step_size * np.arange(count)
 
 
 def _out_path(args, default_name: str) -> str:
-    out = args.out
-    if out and out.endswith(os.sep):
-        return os.path.join(out, default_name)
-    if out:
-        return out
-    return os.path.join(os.environ.get(OUT_DIR_ENV, "."), default_name)
+    if args.out and not args.out.endswith(os.sep):
+        return args.out
+    return os.path.join(args.out or os.environ.get(OUT_DIR_ENV, "."), default_name)
 
 
 def _emit(args, path, header, columns, plot=None) -> int:
@@ -202,19 +202,11 @@ def _stable_points(betas, keep, clipped, empty):
     return betas[keep]
 
 
-def _mc_times(p: SystemParams, dt, t_end):
-    """Monte Carlo step and end time: the given values, else defaults from the decay rates."""
-    c = coefficients(p)
-    if dt is None:
-        dt = 0.01 / max(c.lambda_plus, abs(c.lambda_minus), p.kappa, 1.0)
-    if t_end is None:
-        t_end = 10.0 / c.lambda_minus
-    return dt, t_end
-
-
 def _mc_settings(p: SystemParams, args):
     """(n_traj, dt, t_end, seed) at p: --n-traj, --dt, --t-end and --seed, else their defaults."""
-    dt, t_end = _mc_times(p, args.dt, args.t_end)
+    c = coefficients(p)
+    dt = 0.01 / max(c.lambda_plus, abs(c.lambda_minus), p.kappa, 1.0) if args.dt is None else args.dt
+    t_end = 10.0 / c.lambda_minus if args.t_end is None else args.t_end
     n_traj = MC_N_TRAJ if args.n_traj is None else args.n_traj
     seed = MC_SEED if args.seed is None else args.seed
     return n_traj, dt, t_end, seed
@@ -391,81 +383,67 @@ def _cmd_pnd(args) -> int:
                   "n", "P(n)"))
 
 
-def _figure_grid(step):
-    if not step > 0:
-        raise InvalidParameterError(f"--beta-step must be > 0, got {step}")
-    return np.arange(0.0, 2.0 + step / 2.0, step)
-
-
-def _figure_gains(args):
-    """The gains of figure args.n: --a (a comma list only for figure 3), else the preset's."""
-    if args.a is None:
-        return {3: [25.0, 50.0, 100.0], 4: [25.0], 5: [25.0]}.get(args.n, [100.0])
-    try:
-        gains = [float(v) for v in args.a.split(",")]
-    except ValueError:
-        raise InvalidParameterError(f"--a must be a number or comma list, got {args.a!r}") from None
-    if len(gains) > 1 and args.n != 3:
-        raise InvalidParameterError(f"figure {args.n} takes one --a value, got {args.a!r}")
-    return gains
-
-
-# the options each figure preset reads besides --a, --kappa and --out
-_FIGURE_OPTIONS = {
-    2: ("beta_step",),
-    3: ("beta_step",),
-    4: ("beta_step", "omega"),
-    5: ("beta_step", "epsilon"),
-    6: ("beta", "epsilon", "n_max"),
+# each figure preset: the options it reads besides --a, --kappa and --out, and its default gains
+_FIGURES = {
+    2: (("beta_step",), [100.0]),
+    3: (("beta_step",), [25.0, 50.0, 100.0]),
+    4: (("beta_step", "omega"), [25.0]),
+    5: (("beta_step", "epsilon"), [25.0]),
+    6: (("beta", "epsilon", "n_max"), [100.0]),
 }
 
 
 def _cmd_figure(args) -> int:
     n, kappa = args.n, args.kappa
-    _reject_unread(args, ("beta", "epsilon", "omega", "beta_step", "n_max"), _FIGURE_OPTIONS[n],
-                   f"figure {n}")
-    gains = _figure_gains(args)
+    reads, gains = _FIGURES[n]
+    _reject_unread(args, ("beta", "epsilon", "omega", "beta_step", "n_max"), reads, f"figure {n}")
+    if args.a is not None:  # a comma list only for figure 3
+        try:
+            gains = [float(v) for v in args.a.split(",")]
+        except ValueError:
+            raise InvalidParameterError(f"--a must be a number or comma list, got {args.a!r}") from None
+        if len(gains) > 1 and n != 3:
+            raise InvalidParameterError(f"figure {n} takes one --a value, got {args.a!r}")
     for g in gains:
         SystemParams(a=g, kappa=kappa, beta=0.0)  # validates the knobs
     a = gains[0]
     eps = 0.3 if args.epsilon is None else args.epsilon
-    beta_step = 1e-3 if args.beta_step is None else args.beta_step
+    step = 1e-3 if args.beta_step is None else args.beta_step
+    if not (math.isfinite(step) and step > 0):
+        raise InvalidParameterError(f"--beta-step must be finite and > 0, got {step}")
+    betas = np.arange(0.0, 2.0 + step / 2.0, step)  # the grid of figures 2 to 5
     omega = 0.0 if args.omega is None else args.omega
+    if not math.isfinite(omega):
+        raise InvalidParameterError(f"--omega must be finite, got {omega}")
 
     if n == 2:
-        x = _figure_grid(beta_step)
+        x = betas
         series = [("no crystal", analytic.no_crystal_minus_curve(a, kappa, x)),
                   ("threshold", analytic.threshold_minus_curve(a, kappa, x))]
         header = ["beta", "var_minus_no_crystal", "var_minus_threshold"]
         title, xlabel, ylabel = "squeezed-quadrature variance", "beta", "variance"
     elif n == 3:
-        x = _figure_grid(beta_step)
+        x = betas
         series = [(f"A={g:g}", analytic.threshold_minus_curve(g, kappa, x)) for g in gains]
         header = ["beta"] + [f"var_minus_threshold_a{g:g}" for g in gains]
         title, xlabel, ylabel = "at-threshold variance vs gain", "beta", "variance"
     elif n == 4:
-        betas = _figure_grid(beta_step)
         c, eps_th, tol = _grid_coefficients(a, kappa, betas)
         x = _stable_points(betas, (eps_th > 0) & (c.lambda_minus > tol),
                            "figure-4 points outside the stable region",
                            "figure 4: no stable sweep points")
-        dotted = analytic._spectra(_grid_coefficients(a, kappa, x)[0],
-                                   a, kappa, x, omega, tol)[1]
-        solid = analytic._spectra(_grid_coefficients(a, kappa, x, epsilon_rel=1.0)[0],
-                                  a, kappa, x, omega, tol)[1]
-        series = [("no crystal", dotted), ("threshold", solid)]
+        series = [("no crystal", analytic.spectrum_minus_curve(a, kappa, x, omega, 0.0)),
+                  ("threshold", analytic.spectrum_minus_curve(a, kappa, x, omega, 1.0))]
         header = ["beta", "s_minus_no_crystal", "s_minus_threshold"]
         title, xlabel, ylabel = f"squeezing spectrum at omega={omega:g}", "beta", "S_-"
     elif n == 5:
-        betas = _figure_grid(beta_step)
-        c_on, _, tol = _grid_coefficients(a, kappa, betas, eps)
-        c_off = _grid_coefficients(a, kappa, betas)[0]
-        x = _stable_points(betas, (c_on.lambda_minus > tol) & (c_off.lambda_minus > tol),
+        # lambda_minus falls as the drive rises, so these points are stable undriven too
+        c, _, tol = _grid_coefficients(a, kappa, betas, eps)
+        x = _stable_points(betas, c.lambda_minus > tol,
                            "figure-5 points at or above threshold",
                            "figure 5: no stable sweep points")
-        off = analytic._steady_moments(_grid_coefficients(a, kappa, x)[0])[1]
-        on = analytic._steady_moments(_grid_coefficients(a, kappa, x, eps)[0])[1]
-        series = [("epsilon=0", off), (f"epsilon={eps:g}", on)]
+        series = [("epsilon=0", analytic.mean_photon_curve(a, kappa, x, 0.0)),
+                  (f"epsilon={eps:g}", analytic.mean_photon_curve(a, kappa, x, eps))]
         header = ["beta", "mean_n_no_crystal", "mean_n_pa"]
         title, xlabel, ylabel = "steady-state mean photon number", "beta", "<n>"
     else:  # n == 6
@@ -486,82 +464,16 @@ def _cmd_figure(args) -> int:
                  (x, *(y for _, y in series)), (x, series, title, xlabel, ylabel))
 
 
-MOMENTS_RTOL = 1e-8
-
-
-def _check_row(name, reference, value, bound, digits=None):
-    """One verify row, (check, reference, value, bound, status).
-
-    The status compares the unrounded value with the bound; with `digits`
-    the value is kept to that many significant digits, so digits below its
-    round-off are neither printed nor written.
-    """
-    status = "PASS" if abs(value - reference) <= bound else "FAIL"
-    if digits is not None:
-        value = float(f"{value:.{digits}g}")
-    return name, reference, value, bound, status
-
-
-def verify_point(p: SystemParams, *, dim, n_traj, dt, t_end, seed, sigma, oracle_rtol, pnd_atol):
-    """Run all four engines at one parameter point and tabulate agreement.
-
-    dt and t_end may be None for the Monte Carlo defaults.  Returns (rows, ok);
-    each row is (check, reference, value, bound, status).
-    """
-    c = coefficients(p)
-    var = analytic.variance_steady(p)
-    record = analytic.steady_record(p)
-    s_plus, s_minus = analytic.steady_alpha_sq(c)
-
-    rows = []
-
-    def check(name, reference, value, bound, digits=None):
-        rows.append(_check_row(name, reference, value, bound, digits))
-
-    lin = moments.steady_from_linear_solve(p)
-    check("moments n_cl vs analytic", record.n_cl, lin.n_cl,
-          MOMENTS_RTOL * max(abs(record.n_cl), 1e-30))
-    check("moments <a+^2> vs analytic", s_plus, lin.var_flow_plus, MOMENTS_RTOL * abs(s_plus))
-    check("moments <a-^2> vs analytic", s_minus, lin.var_flow_minus,
-          MOMENTS_RTOL * max(abs(s_minus), 1e-30))
-
-    rho = fock.steady_state(p, dim)
-    obs = fock.observables(rho)
-    check("oracle mean_n vs analytic", record.n_cl, obs.mean_n,
-          oracle_rtol * max(abs(record.n_cl), 1e-12))
-    check("oracle var_plus vs analytic", var.plus, obs.var_plus, oracle_rtol * var.plus)
-    check("oracle var_minus vs analytic", var.minus, obs.var_minus, oracle_rtol * var.minus)
-    n_head = min(dim // 2, 64)
-    pnd = analytic.photon_distribution(record, n_head).probs
-    # a difference of two distributions whose entries carry ~1e-15 of
-    # round-off: 3 digits, as its bound is printed
-    check("oracle P(n) vs closed form (max |delta|)", 0.0,
-          float(np.abs(obs.pnd[: n_head + 1] - pnd).max()), pnd_atol, digits=3)
-
-    dt, t_end = _mc_times(p, dt, t_end)
-    series = montecarlo.run(p, n_traj, t_end, dt, seed, sample_times=[t_end])
-    check("mc <a+^2> vs analytic", s_plus, float(np.real(series.plus_sq[-1])),
-          sigma * float(series.plus_sq_se[-1]))
-    check("mc <a-^2> vs analytic", s_minus, float(np.real(series.minus_sq[-1])),
-          sigma * float(series.minus_sq_se[-1]))
-    check("mc n_cl vs analytic", record.n_cl, float(np.real(series.n_cl[-1])),
-          sigma * float(series.n_cl_se[-1]))
-    return rows, all(row[4] == "PASS" for row in rows)
-
-
 def _cmd_verify(args) -> int:
     p = _make_params(args.a, args.kappa, args.beta, args.epsilon, args.epsilon_rel)
     n_traj, dt, t_end, seed = _mc_settings(p, args)
-    rows, ok = verify_point(
+    rows, ok = crosscheck.verify_point(
         p, dim=args.dim, n_traj=n_traj, dt=dt, t_end=t_end, seed=seed,
         sigma=args.sigma, oracle_rtol=args.oracle_rtol, pnd_atol=args.pnd_atol,
     )
-    widths = (42, 16, 16, 12, 6)
-    print(f"{'check':<{widths[0]}}{'reference':>{widths[1]}}{'value':>{widths[2]}}"
-          f"{'bound':>{widths[3]}}{'status':>{widths[4]}}")
+    print(f"{'check':<42}{'reference':>16}{'value':>16}{'bound':>12}{'status':>6}")
     for name, ref, val, bound, status in rows:
-        print(f"{name:<{widths[0]}}{ref:>{widths[1]}.8g}{val:>{widths[2]}.8g}"
-              f"{bound:>{widths[3]}.3g}{status:>{widths[4]}}")
+        print(f"{name:<42}{ref:>16.8g}{val:>16.8g}{bound:>12.3g}{status:>6}")
     if args.out:
         _write_csv(_out_path(args, "verify.csv"),
                    ["check", "reference", "value", "bound", "status"], zip(*rows))

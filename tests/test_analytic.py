@@ -344,8 +344,12 @@ class TestTransients:
             assert on.n_cl > off.n_cl
 
     def test_negative_time_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            analytic.transient_moments(SystemParams(a=0, kappa=0.8, beta=0), -1.0)
+        p = SystemParams(a=0, kappa=0.8, beta=0)
+        for t in (-1.0, math.nan, math.inf):
+            with pytest.raises(InvalidParameterError, match="finite and >= 0"):
+                analytic.transient_moments(p, t)
+            with pytest.raises(InvalidParameterError, match="finite and >= 0"):
+                analytic.mean_photon_number(p, t)
 
     def test_steady_record_requires_stability(self):
         p = SystemParams(a=25, kappa=0.8, beta=0.1).with_relative_drive(1.0)

@@ -1,5 +1,6 @@
 """CLI contract: CSV layouts, figure presets, exit codes, determinism."""
 
+import ast
 import hashlib
 import math
 import os
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import casq
-from casq import analytic, cli, montecarlo
+from casq import analytic, cli, crosscheck, fock, moments, montecarlo
 
 try:
     import tomllib
@@ -305,16 +306,28 @@ class TestVerify:
         for value in (3.95618896532e-08, 3.95618877658e-08):
             path = tmp_path / f"{value!r}.csv"
             cli._write_csv(path, ["check", "reference", "value", "bound", "status"],
-                           zip(cli._check_row(name, 0.0, value, 1e-4, digits=3)))
+                           zip(crosscheck._check_row(name, 0.0, value, 1e-4, digits=3)))
             tables.append(path.read_bytes())
         assert tables[0] == tables[1]
         assert tables[0].decode().splitlines()[1] == f"{name},0,3.96e-08,0.0001,PASS"
         # the status is decided before rounding: 1.0004e-4 shows as 1e-4 and fails
-        assert cli._check_row(name, 0.0, 1.0004e-4, 1e-4, digits=3)[2:] == (1e-4, 1e-4, "FAIL")
+        assert crosscheck._check_row(name, 0.0, 1.0004e-4, 1e-4, digits=3)[2:] == (
+            1e-4, 1e-4, "FAIL")
 
-    def test_vacuum_point_trivially_consistent(self):
+    def test_vacuum_point_trivially_consistent(self, capsys):
+        # the CLI's Monte Carlo defaults here: dt = 0.01 / max(lambda_+-, kappa, 1) and its seed
+        p = SystemParams(a=0.0, kappa=0.8, beta=0.0, epsilon=0.0)
+        rows, ok = crosscheck.verify_point(p, dim=16, n_traj=200, dt=0.01, t_end=1.0,
+                                           seed=cli.MC_SEED, sigma=3.0, oracle_rtol=1e-3,
+                                           pnd_atol=1e-4)
+        assert ok and [row[0] for row in rows] == VERIFY_CHECKS
         assert cli.main(["verify", "--a", "0", "--beta", "0", "--epsilon", "0",
                          "--dim", "16", "--n-traj", "200", "--t-end", "1"]) == 0
+        # the CLI prints exactly these rows, in the fixed-width layout the benchmark parses
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:-1] == [f"{name:<42}{ref:>16.8g}{val:>16.8g}{bound:>12.3g}{status:>6}"
+                               for name, ref, val, bound, status in rows]
+        assert lines[-1] == "verification PASSED"
 
 
 class TestExitCodes:
@@ -333,16 +346,31 @@ class TestExitCodes:
         assert cli.main(["oracle", "--a", "100", "--kappa", "0.8", "--beta", "0",
                          "--epsilon", "0", "--dim", "32"]) == 2
 
-    def test_bad_range_syntax(self):
-        assert cli.main(["variance", "--beta", "0:1:0"]) == 2
+    @pytest.mark.parametrize("args", [
+        ["variance", "--beta", "0:1:0"],
+        ["variance", "--beta", "0:1"],
+        ["coeffs", "--beta", "0:abc:0.1"],
+        ["spectrum", "--omega", "0:inf:1"],
+        ["coeffs", "--beta", "0:nan:0.1"],
+        ["coeffs", "--beta", "0:1:inf"],
+        ["spectrum", "--omega", "nan"],
+        ["coeffs", "--beta", "0:1e300:1e-10"],
+    ], ids=["zero-step", "two-fields", "token", "inf-stop", "nan-stop", "inf-step", "nan-value",
+            "inf-count"])
+    def test_bad_range_syntax(self, tmp_path, args, capsys):
+        out = tmp_path / "out.csv"
+        assert cli.main([*args, "--out", str(out)]) == 2
+        assert "range" in capsys.readouterr().err
+        assert not out.exists()
 
-    @pytest.mark.parametrize("step", ["0", "-0.001"])
+    @pytest.mark.parametrize("step", ["0", "-0.001", "inf", "nan"])
     def test_nonpositive_beta_step(self, tmp_path, step):
         assert cli.main(["figure", "2", "--beta-step", step,
                          "--out", str(tmp_path) + os.sep]) == 2
 
-    @pytest.mark.parametrize("args", [["2", "--kappa", "-1"], ["3", "--a", "-5"]],
-                             ids=["fig2-kappa", "fig3-a"])
+    @pytest.mark.parametrize("args", [["2", "--kappa", "-1"], ["3", "--a", "-5"],
+                                      ["4", "--omega", "nan"]],
+                             ids=["fig2-kappa", "fig3-a", "fig4-omega-nan"])
     def test_figure_knobs_validated(self, tmp_path, args):
         assert cli.main(["figure", *args, "--out", str(tmp_path) + os.sep]) == 2
         assert not (tmp_path / f"fig{args[0]}.csv").exists()
@@ -386,6 +414,14 @@ class TestExitCodes:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    # the --dt cases of the test above do not apply: the analytic engine reads --t-end only
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_analytic_transient_non_finite_time_rejected(self, tmp_path, value, capsys):
+        out = tmp_path / "mean_photon.csv"
+        assert cli.main(["mean-photon", "--beta", "0.1", "--t-end", value, "--out", str(out)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [("--t-end", "nan"), ("--t-end", "inf"),
                                              ("--dt", "nan"), ("--dt", "inf")],
                              ids=["t-end-nan", "t-end-inf", "dt-nan", "dt-inf"])
@@ -395,6 +431,23 @@ class TestExitCodes:
         assert cli.main(["oracle", "--a", "4", "--beta", "0.2", "--epsilon-rel-threshold", "0.5",
                          "--dim", "16", *times, "--out", str(out)]) == 2
         assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--sigma", "-1"), ("--sigma", "0"),
+                                             ("--oracle-rtol", "nan"), ("--pnd-atol", "-1"),
+                                             ("--pnd-atol", "inf")],
+                             ids=["sigma-negative", "sigma-zero", "oracle-rtol-nan",
+                                  "pnd-atol-negative", "pnd-atol-inf"])
+    def test_verify_bound_rejected(self, tmp_path, monkeypatch, flag, value, capsys):
+        def engine(*args, **kwargs):
+            pytest.fail("an engine ran before the bounds were checked")
+
+        for module, name in ((moments, "steady_from_linear_solve"), (fock, "steady_state"),
+                             (montecarlo, "run")):
+            monkeypatch.setattr(module, name, engine)
+        out = tmp_path / "verify.csv"
+        assert cli.main(["verify", flag, value, "--out", str(out)]) == 2
+        assert "must be finite and > 0" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("n_max", ["-1", "-3", "8"])
@@ -534,6 +587,22 @@ def test_parser_is_built_once_and_keeps_no_state(tmp_path):
     for options, n_rows in ((["--n-max", "12"], 13), ([], 33)):
         assert cli.main(["figure", "6", *options, "--out", out]) == 0
         assert len(read_csv(tmp_path / "fig6.csv")[1]) == n_rows
+
+
+def test_cli_reads_no_private_engine_names():
+    # the CLI reaches the engines and the cross-check through public names only, and
+    # leaves the moments engine to casq.crosscheck (params._coefficients is not covered)
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    modules = {"analytic", "fock", "moments", "montecarlo", "crosscheck"}
+    private = [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+               and node.value.id in modules and node.attr.startswith("_")]
+    imports = [(node.module, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) for alias in node.names]
+    private += [f"{module}.{name}" for module, name in imports
+                if module in modules and name.startswith("_")]
+    assert private == []
+    assert "moments" not in {module or name for module, name in imports}
 
 
 def test_jobs_default_is_the_usable_cores():
