@@ -29,13 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, NotStableError, QFunctionUndefinedError
-from .params import (
-    Coefficients,
-    SystemParams,
-    _coefficients,
-    coefficients,
-    threshold_tolerance,
-)
+from .params import Coefficients, SystemParams, coefficient_grid, coefficients, threshold_tolerance
 
 __all__ = [
     "QuadratureVariances",
@@ -54,7 +48,6 @@ __all__ = [
     "spectrum",
     "transient_moments",
     "steady_record",
-    "mean_photon_number",
     "q_function",
     "photon_distribution",
 ]
@@ -117,20 +110,41 @@ class PhotonDistribution:
 # steady-state quadrature moments and variances
 # ---------------------------------------------------------------------------
 
-def steady_alpha_sq(coeffs: Coefficients) -> tuple[float, float]:
+def _alpha_sq(c: Coefficients, t=None):
+    """<alpha_+^2> and <alpha_-^2> after evolving vacuum for time t; c may hold arrays.
+
+    q_+- = (epsilon - 2V +- 2R) (1 - exp(-2 lambda_-+ t)) / lambda_-+, with
+    the series 2 t (1 - lambda t) of the bracket where |lambda t| < 1e-6.
+    t = None is the steady state, which needs lambda_minus above the
+    threshold tolerance at every point.  A given t must be finite and >= 0.
+    """
+    if t is None:
+        low = np.min(c.lambda_minus, initial=math.inf)
+        if low <= threshold_tolerance(c):
+            raise NotStableError(f"no steady state: lambda_minus = {low:.6g}", lambda_minus=low)
+        return c.diffusion_plus / c.lambda_minus, c.diffusion_minus / c.lambda_plus
+    if not (math.isfinite(t) and t >= 0):
+        raise InvalidParameterError(f"t must be finite and >= 0, got {t}")
+    lam = np.array((c.lambda_minus, c.lambda_plus))
+    x = lam * t
+    with np.errstate(divide="ignore", invalid="ignore"):
+        growth = np.where(np.abs(x) < 1e-6, 2.0 * t * (1.0 - x), -np.expm1(-2.0 * x) / lam)
+    return c.diffusion_plus * growth[0], c.diffusion_minus * growth[1]
+
+
+def _moments(c: Coefficients, t=None):
+    """(<alpha^2>, <alpha* alpha>) = (q_+ + q_-) / 4 and (q_+ - q_-) / 4 of _alpha_sq."""
+    q_plus, q_minus = _alpha_sq(c, t)
+    return 0.25 * q_plus + 0.25 * q_minus, 0.25 * q_plus - 0.25 * q_minus
+
+
+def steady_alpha_sq(coeffs: Coefficients):
     """Steady-state <alpha_+^2> and <alpha_-^2>: (epsilon - 2V +- 2R) / lambda_-+.
 
-    Requires lambda_minus > 0 (lambda_plus is then positive as well).
+    coeffs may hold arrays.  Requires lambda_minus above the threshold
+    tolerance (lambda_plus is then positive as well).
     """
-    if coeffs.lambda_minus <= 0:
-        raise NotStableError(
-            f"no steady state: lambda_minus = {coeffs.lambda_minus:.6g} <= 0",
-            lambda_minus=coeffs.lambda_minus,
-        )
-    return (
-        coeffs.diffusion_plus / coeffs.lambda_minus,
-        coeffs.diffusion_minus / coeffs.lambda_plus,
-    )
+    return _alpha_sq(coeffs)
 
 
 def variance_steady(p: SystemParams) -> QuadratureVariances:
@@ -141,15 +155,9 @@ def variance_steady(p: SystemParams) -> QuadratureVariances:
     no steady state and NotStableError is raised.
     """
     c = coefficients(p)
-    tol = threshold_tolerance(p)
-    if c.lambda_minus < -tol:
-        raise NotStableError(
-            f"above threshold: lambda_minus = {c.lambda_minus:.6g} < 0",
-            lambda_minus=c.lambda_minus,
-        )
-    if c.lambda_minus <= tol:
+    if abs(c.lambda_minus) <= threshold_tolerance(c):
         return QuadratureVariances(plus=math.inf, minus=variance_threshold(p).minus)
-    s_plus, s_minus = steady_alpha_sq(c)
+    s_plus, s_minus = steady_alpha_sq(c)  # raises above threshold
     return QuadratureVariances(plus=1.0 + s_plus, minus=1.0 - s_minus)
 
 
@@ -187,29 +195,31 @@ def variance_no_crystal(p: SystemParams) -> QuadratureVariances:
 def threshold_minus_curve(a: float, kappa: float, betas) -> np.ndarray:
     """Vectorized at-threshold squeezed variance over a beta grid."""
     beta = np.asarray(betas, dtype=float)
-    b = _coefficients(a, kappa, beta, 0.0)[0].b
+    b = coefficient_grid(a, kappa, beta)[0].b
     return (2.0 * kappa * b + 3.0 * a * beta**2) / (4.0 * kappa * b + 6.0 * a * beta)
 
 
 def no_crystal_minus_curve(a: float, kappa: float, betas) -> np.ndarray:
     """Vectorized epsilon = 0 squeezed variance over a beta grid."""
     beta = np.asarray(betas, dtype=float)
-    two_kb = 2.0 * kappa * _coefficients(a, kappa, beta, 0.0)[0].b
+    two_kb = 2.0 * kappa * coefficient_grid(a, kappa, beta)[0].b
     return (two_kb + 3.0 * a * beta**2) / (two_kb + a * (4.0 * beta + beta**3))
 
 
 def spectrum_minus_curve(a: float, kappa: float, betas, omega, drive_rel) -> np.ndarray:
     """Vectorized S_minus(omega) over a beta grid, at drive_rel of each threshold drive (> 0)."""
     beta = np.asarray(betas, dtype=float)
-    eps_th = _coefficients(a, kappa, beta, 0.0)[1]
-    c = _coefficients(a, kappa, beta, drive_rel * eps_th)[0]
-    return _spectra(c, a, kappa, beta, omega, threshold_tolerance(SystemParams(a, kappa, 0.0)))[1]
+    c = coefficient_grid(a, kappa, beta, epsilon_rel=drive_rel)[0]
+    return _spectra(c, a, beta, omega)[1]
 
 
-def mean_photon_curve(a: float, kappa: float, betas, epsilon: float) -> np.ndarray:
-    """Vectorized steady <alpha* alpha> over a beta grid; NotStableError at or above threshold."""
-    c = _coefficients(a, kappa, np.asarray(betas, dtype=float), epsilon)[0]
-    return _steady_moments(c, threshold_tolerance(SystemParams(a, kappa, 0.0)))[1]
+def mean_photon_curve(a: float, kappa: float, betas, epsilon, t=None) -> np.ndarray:
+    """Vectorized <alpha* alpha> over a beta grid at time t from vacuum.
+
+    epsilon is one drive or one per beta.  t = None is the steady state,
+    which raises NotStableError if any point is at or above threshold.
+    """
+    return _moments(coefficient_grid(a, kappa, betas, epsilon)[0], t)[1]
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -223,9 +233,8 @@ def minimize_minus_variance(
     mode "threshold" minimizes the at-threshold form, "no_crystal" the
     epsilon = 0 form.  Grid scan at step 1e-4 followed by golden-section
     refinement to |d beta| <= 1e-6; on plateaus the smallest beta wins.
+    The curves reject bad knobs.
     """
-    if a < 0 or kappa <= 0:
-        raise InvalidParameterError(f"need a >= 0 and kappa > 0, got a={a}, kappa={kappa}")
     curves = {"threshold": threshold_minus_curve, "no_crystal": no_crystal_minus_curve}
     if mode not in curves:
         raise InvalidParameterError(f"mode must be 'threshold' or 'no_crystal', got {mode!r}")
@@ -273,18 +282,20 @@ def spectrum(p: SystemParams, omega_grid) -> SpectrumCurve:
     spectrum does not exist and NotStableError is raised.
     """
     omega = np.atleast_1d(np.asarray(omega_grid, dtype=float))
-    s_plus, s_minus = _spectra(
-        coefficients(p), p.a, p.kappa, p.beta, omega, threshold_tolerance(p)
-    )
+    s_plus, s_minus = _spectra(coefficients(p), p.a, p.beta, omega)
     return SpectrumCurve(omega=omega, s_plus=s_plus, s_minus=s_minus)
 
 
-def _spectra(c: Coefficients, a, kappa, beta, omega, tol):
-    """(S_plus, S_minus) at coefficients c of (a, kappa, beta); any argument may be an array.
+def _spectra(c: Coefficients, a, beta, omega):
+    """(S_plus, S_minus) at coefficients c of (a, c.kappa, beta); any argument may be an array.
 
-    Points with lambda_minus within tol of zero take the threshold forms.
+    Points with lambda_minus within the threshold tolerance of zero take the
+    threshold forms.
     """
-    lam = c.lambda_minus
+    bad = np.asarray(omega)[~np.isfinite(omega)]
+    if bad.size:
+        raise InvalidParameterError(f"omega must be finite, got {float(bad[0])!r}")
+    lam, kappa, tol = c.lambda_minus, c.kappa, threshold_tolerance(c)
     if np.any(lam < -tol):
         low = np.min(lam)
         raise NotStableError(f"above threshold: lambda_minus = {low:.6g} < 0", lambda_minus=low)
@@ -303,21 +314,6 @@ def _spectra(c: Coefficients, a, kappa, beta, omega, tol):
 # ---------------------------------------------------------------------------
 # transient Gaussian moments, Q function, photon statistics
 # ---------------------------------------------------------------------------
-
-def _relax_integral(lam: float, t: float) -> float:
-    """(1 - exp(-2 lam t)) / (4 lam), with the t/2 limiting form near lam = 0."""
-    x = lam * t
-    if abs(x) < 1e-6:
-        return 0.5 * t * (1.0 - x)  # series of the exact expression
-    return -math.expm1(-2.0 * x) / (4.0 * lam)
-
-
-def _moment_pair(c: Coefficients, t: float) -> tuple[float, float]:
-    """(<alpha^2>, <alpha* alpha>) at time t from a vacuum start."""
-    w_minus = c.diffusion_plus * _relax_integral(c.lambda_minus, t)
-    w_plus = c.diffusion_minus * _relax_integral(c.lambda_plus, t)
-    return w_minus + w_plus, w_minus - w_plus
-
 
 def _record_from_moments(t: float, alpha_sq: float, n_cl: float) -> GaussianRecord:
     a = 1.0 + n_cl
@@ -338,32 +334,13 @@ def transient_moments(p: SystemParams, t: float) -> GaussianRecord:
     Valid on both sides of threshold (for finite t); at threshold the
     lambda_minus relaxation integral smoothly becomes t/2.
     """
-    if not (math.isfinite(t) and t >= 0):
-        raise InvalidParameterError(f"t must be finite and >= 0, got {t}")
-    alpha_sq, n_cl = _moment_pair(coefficients(p), t)
-    return _record_from_moments(t, alpha_sq, n_cl)
+    alpha_sq, n_cl = _moments(coefficients(p), t)
+    return _record_from_moments(t, float(alpha_sq), float(n_cl))
 
 
 def steady_record(p: SystemParams) -> GaussianRecord:
     """The t -> infinity moment record; requires the stable regime."""
-    return _record_from_moments(math.inf, *_steady_moments(coefficients(p), threshold_tolerance(p)))
-
-
-def _steady_moments(c: Coefficients, tol):
-    """Steady (<alpha^2>, <alpha* alpha>); c may hold arrays, each lambda_minus above tol."""
-    if np.any(c.lambda_minus <= tol):
-        low = float(np.min(c.lambda_minus))
-        raise NotStableError(f"no steady state: lambda_minus = {low:.6g}", lambda_minus=low)
-    w_minus = c.diffusion_plus / (4.0 * c.lambda_minus)
-    w_plus = c.diffusion_minus / (4.0 * c.lambda_plus)
-    return w_minus + w_plus, w_minus - w_plus
-
-
-def mean_photon_number(p: SystemParams, t: float) -> float:
-    """Mean photon number <alpha* alpha>(t); identical to transient_moments(p, t).n_cl."""
-    if not (math.isfinite(t) and t >= 0):
-        raise InvalidParameterError(f"t must be finite and >= 0, got {t}")
-    return _moment_pair(coefficients(p), t)[1]
+    return _record_from_moments(math.inf, *_moments(coefficients(p)))
 
 
 def q_function(record: GaussianRecord, alpha_re, alpha_im):

@@ -33,7 +33,7 @@ from .errors import (
     TrajectoryBlowupError,
     TruncationError,
 )
-from .params import SystemParams, _coefficients, coefficients, threshold_tolerance
+from .params import SystemParams, coefficient_grid, coefficients, threshold_tolerance
 
 OUT_DIR_ENV = "CASQ_OUT_DIR"
 
@@ -47,6 +47,9 @@ EXIT_IO = 5
 ORACLE_DIM = 150
 MC_N_TRAJ = 20000
 MC_SEED = 7041
+
+# the most points a beta or omega grid may hold, checked before it is allocated
+MAX_GRID_POINTS = 10**6
 
 
 # the CSV cell rule of the module docstring, keyed by NumPy dtype kind
@@ -136,6 +139,9 @@ def _parse_range(text: str) -> np.ndarray:
     if not (step_size > 0 and stop >= start and math.isfinite((stop - start) / step_size)):
         raise InvalidParameterError(f"bad range {text!r}: need step > 0, stop >= start, finite count")
     count = int(math.floor((stop - start) / step_size + 0.5)) + 1
+    if count > MAX_GRID_POINTS:
+        raise InvalidParameterError(
+            f"range {text!r} has {count} points, more than {MAX_GRID_POINTS}")
     return start + step_size * np.arange(count)
 
 
@@ -166,26 +172,6 @@ def _make_params(a, kappa, beta, epsilon, epsilon_rel) -> SystemParams:
     if epsilon_rel is not None:
         p = p.with_relative_drive(epsilon_rel)
     return p
-
-
-def _grid_coefficients(a, kappa, betas, epsilon=None, epsilon_rel=None):
-    """Coefficients, threshold drives and threshold tolerance over an ascending beta grid.
-
-    The knobs are validated as _make_params validates one point: at both ends
-    of the grid, which bound every beta.  A relative drive needs a positive
-    threshold drive at every point; its fraction is then checked where that
-    drive is largest, which bounds every drive it sets.
-    """
-    _make_params(a, kappa, float(betas[-1]), epsilon, None)
-    p = _make_params(a, kappa, float(betas[0]), epsilon, None)
-    c, eps_th = _coefficients(a, kappa, betas, 0.0 if epsilon is None else epsilon)
-    if epsilon_rel is not None:
-        bad = betas[eps_th <= 0]
-        if bad.size:  # raises the error with_relative_drive gives at the first one
-            SystemParams(a=a, kappa=kappa, beta=float(bad[0])).with_relative_drive(epsilon_rel)
-        _make_params(a, kappa, float(betas[np.argmax(eps_th)]), None, epsilon_rel)
-        c = _coefficients(a, kappa, betas, epsilon_rel * eps_th)[0]
-    return c, eps_th, threshold_tolerance(p)
 
 
 def _stable_points(betas, keep, clipped, empty):
@@ -229,7 +215,8 @@ def _add_system_args(sub, beta_range=False):
     else:
         sub.add_argument("--beta", type=float, default=0.0, help="pump-coupling ratio")
     drive = sub.add_mutually_exclusive_group()
-    drive.add_argument("--epsilon", type=float, default=None,
+    # None lets a one-point subcommand's relative default apply (see _make_params)
+    drive.add_argument("--epsilon", type=float, default=0.0 if beta_range else None,
                        help="parametric drive (default 0)")
     drive.add_argument("--epsilon-rel-threshold", type=float, default=None, dest="epsilon_rel",
                        help="parametric drive as a fraction of the threshold drive")
@@ -257,16 +244,11 @@ def _add_mc_args(sub, t_end_help="Monte Carlo integration end (default 10 / lamb
 # ---------------------------------------------------------------------------
 
 def _point_variances(args, mc_jobs, beta, epsilon):
-    """(beta, epsilon, var_plus, var_minus, mean_n) of --engine at one sweep point.
+    """(beta, epsilon, var_plus, var_minus, mean_n) of the oracle or mc engine at one point.
 
     mc_jobs is the worker-process count of a Monte Carlo point.
     """
     p = SystemParams(a=args.a, kappa=args.kappa, beta=beta, epsilon=epsilon)
-    if args.engine == "analytic":
-        v = analytic.variance_steady(p)
-        rec = analytic.steady_record(p) if math.isfinite(v.plus) else None
-        mean_n = rec.n_cl if rec else math.inf
-        return beta, epsilon, v.plus, v.minus, mean_n
     if args.engine == "oracle":
         rho = fock.steady_state(p, ORACLE_DIM if args.dim is None else args.dim)
         obs = fock.observables(rho)
@@ -287,8 +269,8 @@ def _beta_grid(args):
     if args.jobs < 1:
         raise InvalidParameterError(f"--jobs must be >= 1, got {args.jobs}")
     betas = _parse_range(args.beta)
-    c, _, tol = _grid_coefficients(args.a, args.kappa, betas, args.epsilon, args.epsilon_rel)
-    return betas, np.broadcast_to(c.epsilon, betas.shape), c.lambda_minus > tol
+    c, _ = coefficient_grid(args.a, args.kappa, betas, args.epsilon, args.epsilon_rel)
+    return betas, np.broadcast_to(c.epsilon, betas.shape), c.lambda_minus > threshold_tolerance(c)
 
 
 # the engine options of the variance and mean-photon sweeps, and the ones each engine reads
@@ -297,24 +279,31 @@ _ENGINE_OPTIONS = {"analytic": (), "oracle": ("dim",), "mc": ("n_traj", "dt", "t
 
 
 def _sweep(args):
-    """_point_variances at the stable points of --beta.
+    """Rows (beta, epsilon, var_plus, var_minus, mean_n) at the stable points of --beta.
 
-    Closed-form points run in this process: each costs microseconds, less
-    than starting a worker.  Other points run on --jobs processes; a Monte
-    Carlo point then runs in its own process, and in --jobs processes when
-    the points run serially.
+    The closed forms take the whole grid in one array pass.  Other points
+    run on --jobs processes where montecarlo.worker_context allows them; a
+    Monte Carlo point then runs in its own process, and in --jobs processes
+    when the points run serially.
     """
     _reject_unread(args, _SWEEP_OPTIONS, _ENGINE_OPTIONS[args.engine],
                    f"the {args.engine} engine")
     betas, eps, keep = _beta_grid(args)
     betas = _stable_points(betas, keep, "sweep points with lambda_minus <= 0",
                            "entire sweep lies at or above threshold")
-    if args.jobs > 1 and betas.size > 1 and args.engine != "analytic":
+    eps = eps[keep]
+    if args.engine == "analytic":
+        c, _ = coefficient_grid(args.a, args.kappa, betas, eps)
+        s_plus, s_minus = analytic.steady_alpha_sq(c)
+        mean_n = analytic.mean_photon_curve(args.a, args.kappa, betas, eps)
+        return np.column_stack((betas, eps, 1.0 + s_plus, 1.0 - s_minus, mean_n))
+    context = montecarlo.worker_context()
+    if args.jobs > 1 and betas.size > 1 and context is not None:
         point = functools.partial(_point_variances, args, 1)
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            return list(pool.map(point, betas.tolist(), eps[keep].tolist()))
+        with ProcessPoolExecutor(max_workers=args.jobs, mp_context=context) as pool:
+            return np.array(list(pool.map(point, betas.tolist(), eps.tolist())))
     point = functools.partial(_point_variances, args, args.jobs)
-    return list(map(point, betas.tolist(), eps[keep].tolist()))
+    return np.array(list(map(point, betas.tolist(), eps.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -323,14 +312,14 @@ def _sweep(args):
 
 def _cmd_coeffs(args) -> int:
     betas = _parse_range(args.beta)
-    c, eps_th, _ = _grid_coefficients(args.a, args.kappa, betas, args.epsilon, args.epsilon_rel)
+    c, eps_th = coefficient_grid(args.a, args.kappa, betas, args.epsilon, args.epsilon_rel)
     header = ["beta", "R", "S", "U", "V", "B", "lambda_minus", "lambda_plus", "epsilon_threshold"]
     return _emit(args, _out_path(args, "coeffs.csv"), header,
                  (betas, c.r, c.s, c.u, c.v, c.b, c.lambda_minus, c.lambda_plus, eps_th))
 
 
 def _cmd_variance(args) -> int:
-    arr = np.array(_sweep(args), dtype=float)
+    arr = _sweep(args)
     return _emit(args, _out_path(args, "variance.csv"),
                  ["beta", "epsilon", "var_plus", "var_minus", "mean_n"], arr.T,
                  (arr[:, 0], [("var_plus", arr[:, 2]), ("var_minus", arr[:, 3])],
@@ -351,15 +340,12 @@ def _cmd_mean_photon(args) -> int:
     if args.engine == "analytic" and args.t_end is not None:
         _reject_unread(args, _SWEEP_OPTIONS, ("t_end",), "the analytic engine")
         betas, eps, _ = _beta_grid(args)
-        rows = [(beta, epsilon, analytic.mean_photon_number(
-                    SystemParams(a=args.a, kappa=args.kappa, beta=float(beta),
-                                 epsilon=float(epsilon)), args.t_end))
-                for beta, epsilon in zip(betas, eps)]
+        mean_n = analytic.mean_photon_curve(args.a, args.kappa, betas, eps, args.t_end)
+        arr = np.column_stack((betas, eps, mean_n))
         title = f"mean photon number at t={args.t_end:g} (analytic)"
     else:
-        rows = [(beta, eps, mean_n) for beta, eps, _vp, _vm, mean_n in _sweep(args)]
+        arr = _sweep(args)[:, [0, 1, 4]]
         title = f"steady-state mean photon number ({args.engine})"
-    arr = np.array(rows, dtype=float)
     return _emit(args, _out_path(args, "mean_photon.csv"), ["beta", "epsilon", "mean_n"], arr.T,
                  (arr[:, 0], [("mean_n", arr[:, 2])], title, "beta", "<n>"))
 
@@ -404,16 +390,17 @@ def _cmd_figure(args) -> int:
             raise InvalidParameterError(f"--a must be a number or comma list, got {args.a!r}") from None
         if len(gains) > 1 and n != 3:
             raise InvalidParameterError(f"figure {n} takes one --a value, got {args.a!r}")
-    for g in gains:
-        SystemParams(a=g, kappa=kappa, beta=0.0)  # validates the knobs
     a = gains[0]
     eps = 0.3 if args.epsilon is None else args.epsilon
     step = 1e-3 if args.beta_step is None else args.beta_step
     if not (math.isfinite(step) and step > 0):
         raise InvalidParameterError(f"--beta-step must be finite and > 0, got {step}")
+    if (2.0 + step / 2.0) / step > MAX_GRID_POINTS:
+        raise InvalidParameterError(
+            f"--beta-step {step:g} gives more than {MAX_GRID_POINTS} points")
     betas = np.arange(0.0, 2.0 + step / 2.0, step)  # the grid of figures 2 to 5
     omega = 0.0 if args.omega is None else args.omega
-    if not math.isfinite(omega):
+    if not math.isfinite(omega):  # before figure 4 reports its clipped points
         raise InvalidParameterError(f"--omega must be finite, got {omega}")
 
     if n == 2:
@@ -428,8 +415,8 @@ def _cmd_figure(args) -> int:
         header = ["beta"] + [f"var_minus_threshold_a{g:g}" for g in gains]
         title, xlabel, ylabel = "at-threshold variance vs gain", "beta", "variance"
     elif n == 4:
-        c, eps_th, tol = _grid_coefficients(a, kappa, betas)
-        x = _stable_points(betas, (eps_th > 0) & (c.lambda_minus > tol),
+        c, eps_th = coefficient_grid(a, kappa, betas)
+        x = _stable_points(betas, (eps_th > 0) & (c.lambda_minus > threshold_tolerance(c)),
                            "figure-4 points outside the stable region",
                            "figure 4: no stable sweep points")
         series = [("no crystal", analytic.spectrum_minus_curve(a, kappa, x, omega, 0.0)),
@@ -438,8 +425,8 @@ def _cmd_figure(args) -> int:
         title, xlabel, ylabel = f"squeezing spectrum at omega={omega:g}", "beta", "S_-"
     elif n == 5:
         # lambda_minus falls as the drive rises, so these points are stable undriven too
-        c, _, tol = _grid_coefficients(a, kappa, betas, eps)
-        x = _stable_points(betas, c.lambda_minus > tol,
+        c, _ = coefficient_grid(a, kappa, betas, eps)
+        x = _stable_points(betas, c.lambda_minus > threshold_tolerance(c),
                            "figure-5 points at or above threshold",
                            "figure 5: no stable sweep points")
         series = [("epsilon=0", analytic.mean_photon_curve(a, kappa, x, 0.0)),

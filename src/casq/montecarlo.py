@@ -142,6 +142,14 @@ def usable_cores() -> int:
     return os.cpu_count() or 1
 
 
+def worker_context():
+    """The fork context for worker processes; None without fork or in a daemonic process."""
+    if ("fork" in multiprocessing.get_all_start_methods()
+            and not multiprocessing.current_process().daemon):
+        return multiprocessing.get_context("fork")
+    return None
+
+
 def _workers(jobs) -> int:
     """The jobs argument of run and two_time_correlation: None means usable_cores()."""
     if jobs is None:
@@ -259,9 +267,8 @@ def _chunks(k: _Kernel, n_traj: int, chunk_size: int, jobs: int):
 
     result joins the _unit results of trajectories lo..hi-1 along their
     trajectory axis.  The units (_UNIT trajectories each, so none crosses a
-    chunk) run on min(jobs, units) forked worker processes, or in this
-    process through builtin map when that is one, when fork is unavailable,
-    or inside a daemonic process, which may not start children.  The pool
+    chunk) run on min(jobs, units) worker processes, or in this process
+    through builtin map when that is one or worker_context() is None.  The pool
     is shut down before this generator returns, raises or is closed.  The
     first chunk with a unit that blew up raises TrajectoryBlowupError at the
     earliest failing step among its units, with the largest magnitude any
@@ -269,10 +276,9 @@ def _chunks(k: _Kernel, n_traj: int, chunk_size: int, jobs: int):
     """
     los = range(0, n_traj, _UNIT)
     his = [min(lo + _UNIT, n_traj) for lo in los]
-    workers, pool = min(jobs, len(los)), None
-    if (workers > 1 and "fork" in multiprocessing.get_all_start_methods()
-            and not multiprocessing.current_process().daemon):
-        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    workers, pool, context = min(jobs, len(los)), None, worker_context()
+    if workers > 1 and context is not None:
+        pool = ProcessPoolExecutor(workers, mp_context=context)
     try:
         results = (pool.map if pool else map)(functools.partial(_unit, k), los, his)
         axis = -1 if k.n_origins is None else 1

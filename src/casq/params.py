@@ -25,6 +25,8 @@ import enum
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .errors import InvalidParameterError
 
 # |lambda_minus| below this (scaled by max(kappa, 1)) counts as "at threshold";
@@ -118,9 +120,9 @@ class Coefficients:
 
     r, s are the gain/loss relaxation strengths, u, v the anomalous
     (two-photon coherence) strengths, b the normalization factor
-    (1 + beta^2)(1 + beta^2/4).  epsilon is carried along because
-    lambda_minus/lambda_plus already include it.  Fields are numpy arrays
-    when the coefficients are evaluated over a parameter grid.
+    (1 + beta^2)(1 + beta^2/4).  epsilon is carried along because lambda_-+
+    include it, kappa because it sets the threshold tolerance.  Fields are
+    numpy arrays when the coefficients are evaluated over a parameter grid.
     """
 
     r: float
@@ -128,6 +130,7 @@ class Coefficients:
     u: float
     v: float
     b: float
+    kappa: float
     epsilon: float
     lambda_minus: float
     lambda_plus: float
@@ -190,6 +193,7 @@ def _coefficients(a, kappa, beta, epsilon):
         u=u,
         v=v,
         b=b,
+        kappa=kappa,
         epsilon=epsilon,
         lambda_minus=(s - r) - coupling,
         lambda_plus=(s - r) + coupling,
@@ -217,7 +221,33 @@ def threshold_epsilon(p: SystemParams) -> float:
     return _coefficients(p.a, p.kappa, p.beta, 0.0)[1]
 
 
-def threshold_tolerance(p: SystemParams) -> float:
+def coefficient_grid(a, kappa, betas, epsilon=0.0, epsilon_rel=None):
+    """(Coefficients, threshold drives) over an array of beta.
+
+    epsilon is one drive or one per beta; epsilon_rel instead sets each drive
+    to that fraction of its threshold drive, which must then be > 0.  The
+    first point SystemParams would reject raises its InvalidParameterError.
+    """
+    beta = np.asarray(betas, dtype=float)
+    SystemParams(a=a, kappa=kappa, beta=0.0)
+    if epsilon_rel is not None:
+        if np.any(epsilon):
+            raise InvalidParameterError("give epsilon or epsilon_rel, not both")
+        with np.errstate(invalid="ignore"):  # a non-finite beta is reported either way
+            eps_th = _coefficients(a, kappa, beta, 0.0)[1]
+        low = beta[~(eps_th > 0)]
+        if low.size:
+            SystemParams(a=a, kappa=kappa, beta=float(low[0])).with_relative_drive(epsilon_rel)
+        epsilon = epsilon_rel * eps_th
+    beta_at, eps_at = np.broadcast_arrays(beta, epsilon)
+    bad = ~(np.isfinite(beta_at) & (beta_at >= 0) & np.isfinite(eps_at) & (eps_at >= 0))
+    if bad.any():
+        SystemParams(a=a, kappa=kappa, beta=float(beta_at[bad][0]), epsilon=float(eps_at[bad][0]))
+    return _coefficients(a, kappa, beta, epsilon)
+
+
+def threshold_tolerance(p) -> float:
+    """|lambda_minus| at or below this is at threshold; p is SystemParams or Coefficients."""
     return AT_THRESHOLD_RTOL * max(p.kappa, 1.0)
 
 

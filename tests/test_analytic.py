@@ -16,7 +16,13 @@ from scipy.integrate import quad
 
 from casq import analytic, moments
 from casq.errors import InvalidParameterError, NotStableError, QFunctionUndefinedError
-from casq.params import SystemParams, coefficients
+from casq.params import (
+    SystemParams,
+    coefficient_grid,
+    coefficients,
+    threshold_epsilon,
+    threshold_tolerance,
+)
 
 from conftest import stable_params
 
@@ -78,6 +84,25 @@ class TestSteadyAlphaSq:
         c = coefficients(SystemParams(a=0, kappa=0.8, beta=0, epsilon=0.5))
         with pytest.raises(NotStableError):
             analytic.steady_alpha_sq(c)
+
+    def test_within_threshold_tolerance_raises(self):
+        # 5e-10 below threshold counts as at threshold, as in variance_steady and steady_record
+        p0 = SystemParams(a=25, kappa=0.8, beta=0.1)
+        p = p0.with_epsilon(threshold_epsilon(p0) - 5e-10)
+        c = coefficients(p)
+        assert 0 < c.lambda_minus <= threshold_tolerance(p)
+        with pytest.raises(NotStableError):
+            analytic.steady_alpha_sq(c)
+        with pytest.raises(NotStableError):
+            analytic.steady_record(p)
+        assert math.isinf(analytic.variance_steady(p).plus)
+
+    def test_arrays(self):
+        betas = [0.05, 0.1, 0.4]
+        s_plus, s_minus = analytic.steady_alpha_sq(coefficient_grid(25, 0.8, betas, 0.3)[0])
+        for i, beta in enumerate(betas):
+            one = analytic.steady_alpha_sq(coefficients(SystemParams(25, 0.8, beta, 0.3)))
+            assert (s_plus[i], s_minus[i]) == pytest.approx(one, rel=1e-14)
 
 
 class TestVarianceSteady:
@@ -302,7 +327,8 @@ class TestTransients:
     def test_pure_dpa_steady_sixth(self):
         p = SystemParams(a=0, kappa=0.8, beta=0, epsilon=0.2)
         assert analytic.steady_record(p).n_cl == pytest.approx(1.0 / 6.0, rel=1e-12)
-        assert analytic.mean_photon_number(p, 200.0) == pytest.approx(1.0 / 6.0, rel=1e-10)
+        got = analytic.mean_photon_curve(p.a, p.kappa, [p.beta], p.epsilon, 200.0)
+        assert got[0] == pytest.approx(1.0 / 6.0, rel=1e-10)
 
     def test_matches_moment_integration(self, rng):
         for p in stable_params(rng, 4, lambda_ratio_max=8.0):
@@ -326,15 +352,19 @@ class TestTransients:
         rec = analytic.transient_moments(p, 12.5)
         assert rec.n_cl == pytest.approx(state.n_cl, rel=1e-8)
 
-    def test_mean_photon_identical_to_record(self, rng):
+    def test_mean_photon_curve_matches_record(self, rng):
+        # the grid path and the point path share one formula; vectorized
+        # expm1 may round differently from the scalar one
         for p in stable_params(rng, 20):
-            for t in (0.0, 0.7, 13.0):
-                assert analytic.mean_photon_number(p, t) == analytic.transient_moments(p, t).n_cl
+            for t in (0.0, 0.7, 13.0, None):
+                got = analytic.mean_photon_curve(p.a, p.kappa, [p.beta], p.epsilon, t)[0]
+                rec = analytic.steady_record(p) if t is None else analytic.transient_moments(p, t)
+                assert got == pytest.approx(rec.n_cl, rel=1e-13, abs=0.0)
 
     def test_mean_photon_rational_oracle(self, rng):
         for p in stable_params(rng, 50):
             for t in (0.3, 2.0, 40.0):
-                got = analytic.mean_photon_number(p, t)
+                got = analytic.mean_photon_curve(p.a, p.kappa, [p.beta], p.epsilon, t)[0]
                 assert got == pytest.approx(rational_mean_photon(p, t), rel=1e-11, abs=1e-13)
 
     def test_fig5_amplifier_raises_photon_number(self):
@@ -349,7 +379,7 @@ class TestTransients:
             with pytest.raises(InvalidParameterError, match="finite and >= 0"):
                 analytic.transient_moments(p, t)
             with pytest.raises(InvalidParameterError, match="finite and >= 0"):
-                analytic.mean_photon_number(p, t)
+                analytic.mean_photon_curve(p.a, p.kappa, [p.beta], p.epsilon, t)
 
     def test_steady_record_requires_stability(self):
         p = SystemParams(a=25, kappa=0.8, beta=0.1).with_relative_drive(1.0)
@@ -462,3 +492,19 @@ class TestPhotonDistribution:
         rec = analytic.transient_moments(SystemParams(a=0, kappa=0.8, beta=0), 0.0)
         with pytest.raises(InvalidParameterError):
             analytic.photon_distribution(rec, -1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: analytic.threshold_minus_curve(-5, 0.8, [0.1]),
+    lambda: analytic.no_crystal_minus_curve(25, 0.8, [-0.5, math.inf]),
+    lambda: analytic.mean_photon_curve(25, 0.8, [0.1], -3.0),
+    lambda: analytic.mean_photon_curve(25, 0.8, [0.1], 0.3, -1.0),
+    lambda: analytic.spectrum_minus_curve(25, 0.8, [1.9], 0, 1.0),
+    lambda: analytic.spectrum_minus_curve(25, 0.8, [0.1], math.inf, 0.5),
+    lambda: analytic.spectrum(SystemParams(a=25, kappa=0.8, beta=0.1), [math.nan, math.inf]),
+    lambda: analytic.minimize_minus_variance(math.nan, 0.8),
+], ids=["threshold-gain", "no-crystal-beta", "mean-photon-epsilon", "mean-photon-t",
+        "spectrum-curve-threshold", "spectrum-curve-omega", "spectrum-omega", "minimize-gain"])
+def test_grid_functions_reject_bad_input(call):
+    with pytest.raises(InvalidParameterError):
+        call()

@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import math
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -363,6 +364,20 @@ class TestExitCodes:
         assert "range" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [
+        ["coeffs", "--beta", "0:1:1e-6"],
+        ["spectrum", "--omega", "0:1:1e-6"],
+        ["figure", "2", "--beta-step", "2e-6"],
+    ], ids=["coeffs-beta", "spectrum-omega", "figure-beta-step"])
+    def test_grid_size_bounded(self, tmp_path, args, capsys):
+        # one point over the bound, so that a missing check costs megabytes
+        assert cli.main([*args, "--out", str(tmp_path) + os.sep]) == 2
+        assert f"more than {cli.MAX_GRID_POINTS}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_grid_size_bound_is_inclusive(self):
+        assert cli._parse_range("0:0.999999:1e-6").size == cli.MAX_GRID_POINTS
+
     @pytest.mark.parametrize("step", ["0", "-0.001", "inf", "nan"])
     def test_nonpositive_beta_step(self, tmp_path, step):
         assert cli.main(["figure", "2", "--beta-step", step,
@@ -553,6 +568,22 @@ def test_pooled_oracle_sweep_matches_serial(tmp_path):
     assert vm == pytest.approx(ref.minus, rel=2e-2)  # coarse sanity; precision is tested elsewhere
 
 
+def oracle_sweep_bytes(out, jobs):
+    """The CSV bytes of a two-point oracle sweep on --jobs processes."""
+    assert cli.main(["variance", "--engine", "oracle", "--a", "1", "--beta", "0.1:0.2:0.1",
+                     "--epsilon-rel-threshold", "0.5", "--dim", "40", "--jobs", str(jobs),
+                     "--out", out]) == 0
+    return Path(out).read_bytes()
+
+
+def test_pooled_sweep_in_daemonic_process(tmp_path):
+    # a multiprocessing.Pool worker is daemonic and may not start children
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        pooled = pool.apply_async(oracle_sweep_bytes, (str(tmp_path / "pooled.csv"), 2))
+        got = pooled.get(timeout=120)
+    assert got == oracle_sweep_bytes(str(tmp_path / "serial.csv"), 1)
+
+
 @pytest.mark.parametrize("beta, n_traj", [("0.1:0.2:0.1", "64"), ("0.1", "4100")],
                          ids=["pooled-points", "pooled-trajectories"])
 def test_pooled_mc_sweep_matches_serial(tmp_path, beta, n_traj):
@@ -590,10 +621,10 @@ def test_parser_is_built_once_and_keeps_no_state(tmp_path):
 
 
 def test_cli_reads_no_private_engine_names():
-    # the CLI reaches the engines and the cross-check through public names only, and
-    # leaves the moments engine to casq.crosscheck (params._coefficients is not covered)
+    # the CLI reaches params, the engines and the cross-check through public names
+    # only, and leaves the moments engine to casq.crosscheck
     tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
-    modules = {"analytic", "fock", "moments", "montecarlo", "crosscheck"}
+    modules = {"params", "analytic", "fock", "moments", "montecarlo", "crosscheck"}
     private = [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                and node.value.id in modules and node.attr.startswith("_")]

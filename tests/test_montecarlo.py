@@ -153,7 +153,7 @@ class TestNoiseFactorization:
         cases = [
             coefficients(MODULE_POINT),
             # fabricated set with a negative minus radicand: amp_minus imaginary
-            Coefficients(r=1.0, s=2.0, u=0.0, v=0.0, b=1.0, epsilon=0.5,
+            Coefficients(r=1.0, s=2.0, u=0.0, v=0.0, b=1.0, kappa=4.0, epsilon=0.5,
                          lambda_minus=0.5, lambda_plus=2.5),
         ]
         for c in cases:

@@ -4,8 +4,10 @@ High-precision expectations are evaluated with exact rational arithmetic
 (fractions.Fraction) independently of the floating-point implementation.
 """
 
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from casq.errors import InvalidParameterError
@@ -13,6 +15,7 @@ from casq.params import (
     MicroscopicParams,
     Stability,
     SystemParams,
+    coefficient_grid,
     coefficients,
     from_microscopic,
     stability,
@@ -194,3 +197,49 @@ class TestStability:
     def test_with_relative_drive_rejects_negative_threshold(self):
         with pytest.raises(InvalidParameterError):
             SystemParams(a=100, kappa=0.8, beta=2.0).with_relative_drive(0.5)
+
+
+class TestCoefficientGrid:
+    def test_matches_each_point(self, rng):
+        for p in stable_params(rng, 5):
+            betas = np.array([0.0, p.beta, 1.3])
+            c, eps_th = coefficient_grid(p.a, p.kappa, betas, p.epsilon)
+            for i, beta in enumerate(betas):
+                q = SystemParams(a=p.a, kappa=p.kappa, beta=float(beta), epsilon=p.epsilon)
+                one = coefficients(q)
+                for name in ("r", "s", "u", "v", "b", "lambda_minus", "lambda_plus"):
+                    assert getattr(c, name)[i] == pytest.approx(getattr(one, name), rel=1e-14)
+                assert c.kappa == p.kappa
+                assert eps_th[i] == pytest.approx(threshold_epsilon(q), rel=1e-14, abs=1e-15)
+
+    def test_relative_drive_per_point(self):
+        betas = np.array([0.0, 0.1, 0.5])
+        c, eps_th = coefficient_grid(25.0, 0.8, betas, epsilon_rel=0.5)
+        np.testing.assert_array_equal(c.epsilon, 0.5 * eps_th)
+        c1, _ = coefficient_grid(25.0, 0.8, betas, epsilon_rel=1.0)
+        assert np.all(np.abs(c1.lambda_minus) < 1e-12)
+
+    def test_one_drive_per_beta(self):
+        c, _ = coefficient_grid(25.0, 0.8, [0.1, 0.2], np.array([0.0, 0.3]))
+        assert c.lambda_minus[1] == pytest.approx(
+            coefficients(SystemParams(a=25.0, kappa=0.8, beta=0.2, epsilon=0.3)).lambda_minus,
+            rel=1e-14)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(a=-5.0), "a must be >= 0, got -5.0"),
+        (dict(kappa=0.0), "kappa must be > 0, got 0.0"),
+        (dict(a=math.nan), "a must be finite"),
+        (dict(betas=[0.1, -0.5, math.inf]), "beta must be >= 0, got -0.5"),
+        (dict(betas=[0.1, math.nan]), "beta must be finite, got nan"),
+        (dict(epsilon=-3.0), "epsilon must be >= 0, got -3.0"),
+        (dict(epsilon=[0.1, math.inf]), "epsilon must be finite, got inf"),
+        (dict(betas=[0.1, 1.9], epsilon_rel=0.5), "threshold drive is .* at beta=1.9"),
+        (dict(epsilon_rel=-0.5), "epsilon must be >= 0"),
+        (dict(epsilon_rel=math.nan), "epsilon must be finite"),
+        (dict(epsilon=0.1, epsilon_rel=0.5), "not both"),
+    ], ids=["a-negative", "kappa-zero", "a-nan", "beta-negative", "beta-nan", "epsilon-negative",
+            "epsilon-inf", "threshold-negative", "rel-negative", "rel-nan", "both-drives"])
+    def test_rejects_as_system_params_does(self, kwargs, message):
+        args = dict(a=25.0, kappa=0.8, betas=[0.1, 0.2]) | kwargs
+        with pytest.raises(InvalidParameterError, match=message):
+            coefficient_grid(**args)
