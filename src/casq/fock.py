@@ -62,7 +62,7 @@ from .errors import (
     StepSizeError,
     TruncationError,
 )
-from .params import Coefficients, SystemParams, coefficients, threshold_epsilon
+from .params import Coefficients, SystemParams, _check_count, coefficients, threshold_epsilon
 
 __all__ = [
     "DensityMatrix",
@@ -78,14 +78,6 @@ BOUNDARY_TOL = 1e-6
 TRACE_TOL = 1e-4
 THRESHOLD_MARGIN = 1e-3
 DISSECTION_LEAF = 32  # nested dissection stops at this many grid points
-
-
-def _check_count(name: str, value, low: int) -> None:
-    # bool is an int subclass, but True is not a count
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise InvalidParameterError(f"{name} must be >= {low}, got {value}")
 
 
 def _check_boundary_tol(boundary_tol: float | None) -> None:

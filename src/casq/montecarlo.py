@@ -28,33 +28,33 @@ it records, one zeta per quadrature and interval: the recorded states
 keep the joint law of the step-by-step chain, dt bias included, and the
 cost follows the records, not the steps.
 
-Layout: the trajectories are split into work units of _UNIT trajectories
-(aligned to 0, so no unit crosses a reduction chunk), and _unit computes
-one unit, one interval update per record.  A unit returns per-trajectory
-arrays only: x+- at the sampled steps for run, and for
-two_time_correlation the lag products of its (2, width, records) record
-array, all lags contracted in one einsum pass over a sliding window of
-the records and averaged over the time origins.  The blow-up guard tests
-max(|alpha|, |alpha_dag|) at every recorded step, the only states
-computed.  The units run on a fork-context process pool created for the
-call, one worker per usable core unless `jobs` says otherwise, and shut
-down before the call returns or raises; with one worker or one unit they
-run in the calling process.  The workers call no BLAS.
+Layout: the trajectories are split into work units of _UNIT trajectories.
+_unit computes one unit, one interval update per record, into a
+(2, width, records) array of x+- and returns only the partial sums of the
+caller's reduction, with no trajectory axis: for run the sums and |.|**2
+sums of six moments per record (_moment_sums); for two_time_correlation
+the lag products, all lags contracted in one einsum pass over a sliding
+window of the records, averaged over the time origins and summed per
+error group (_lag_sums).  The blow-up guard tests max(|alpha|,
+|alpha_dag|) at every recorded step, the only states computed.  The units
+run on a fork-context process pool created for the call, one worker per
+usable core unless `jobs` says otherwise, and shut down before the call
+returns or raises; with one worker or one unit they run in the calling
+process.  The workers call no BLAS.
 
 Reproducibility: every unit owns a counter-based Philox stream,
 SeedSequence(seed, spawn_key=(unit index,)), drawn trajectory-major as
 (width, intervals, 2), so a trajectory's draws do not depend on how many
-trajectories follow it in its unit.  The calling process joins the unit
-results of each fixed-size trajectory chunk in index order and reduces
-the chunks in index order (numpy pairwise summation within a chunk), so
-identical (seed, n_traj, dt, t_end) give bitwise-identical moment series
-and correlation estimates for any `jobs`.
+trajectories follow it in its unit.  The calling process adds the units'
+partial sums in unit order, so identical (seed, n_traj, dt, t_end) give
+bitwise-identical moment series and correlation estimates for any
+`jobs`.  A blow-up is reported at the earliest recorded step at which any
+trajectory exceeded the limit, with the largest magnitude at that step.
 """
 
 from __future__ import annotations
 
 import cmath
-import contextlib
 import functools
 import math
 import multiprocessing
@@ -66,7 +66,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidParameterError, NotStableError, TrajectoryBlowupError
-from .params import Coefficients, SystemParams, coefficients
+from .params import Coefficients, SystemParams, _check_count, coefficients, threshold_tolerance
 
 __all__ = [
     "NoiseFactorization",
@@ -82,11 +82,7 @@ __all__ = [
 ]
 
 BLOWUP_LIMIT = 1e6
-# trajectories integrated together; two_time_correlation keeps each
-# trajectory's whole record, so it works in half the chunk
-_RUN_CHUNK = 4096
-_CORR_CHUNK = 2048
-_UNIT = 2048  # trajectories per work unit; divides both chunk sizes
+_UNIT = 2048  # trajectories per work unit
 
 
 @dataclass(frozen=True)
@@ -154,8 +150,7 @@ def _workers(jobs) -> int:
     """The jobs argument of run and two_time_correlation: None means usable_cores()."""
     if jobs is None:
         return usable_cores()
-    if jobs < 1:
-        raise InvalidParameterError(f"jobs must be >= 1, got {jobs}")
+    _check_count("jobs", jobs, 1)
     return jobs
 
 
@@ -172,7 +167,7 @@ class _Kernel:
     keep_m: np.ndarray
     gain_p: np.ndarray
     gain_m: np.ndarray
-    n_origins: int | None  # set by two_time_correlation: time origins of the lag products
+    reduce: object  # (records, lo) -> sums; module-level or a partial of one, so it pickles
     limit: float  # BLOWUP_LIMIT when the call began
 
 
@@ -193,16 +188,13 @@ def _span(keep: float, gain, gaps):
     return keep ** gaps, gain * np.array(spread)
 
 
-def _kernel(p: SystemParams, dt: float, seed: int, record_steps,
-            n_origins: int | None = None) -> _Kernel:
-    """The _Kernel of one call; rejects a step too coarse for the rates and a negative seed."""
+def _kernel(p: SystemParams, dt: float, seed: int, record_steps, reduce) -> _Kernel:
+    """The _Kernel of one call; rejects a step too coarse for the rates."""
     c = coefficients(p)
     if dt * max(c.lambda_plus, abs(c.lambda_minus)) >= 0.05:
         raise InvalidParameterError(
             f"dt = {dt:.3e} too large: need dt * max(lambda) < 0.05"
         )
-    if seed < 0:
-        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
     noise = factor_noise(c)
     dtype = float if noise.is_real else complex
     amp_p, amp_m = (a.real if noise.is_real else a for a in (noise.amp_plus, noise.amp_minus))
@@ -213,30 +205,25 @@ def _kernel(p: SystemParams, dt: float, seed: int, record_steps,
     keep_m, gain_m = _span(1.0 - c.lambda_plus * dt, -2.0 * amp_m * sdt, gaps)
     return _Kernel(p=p, seed=seed, dtype=dtype, record_steps=record_steps,
                    keep_p=keep_p, keep_m=keep_m, gain_p=gain_p, gain_m=gain_m,
-                   n_origins=n_origins, limit=BLOWUP_LIMIT)
+                   reduce=reduce, limit=BLOWUP_LIMIT)
 
 
 def _unit(k: _Kernel, lo: int, hi: int):
-    """The vacuum-start trajectories lo..hi-1 at k.record_steps: (result, blowup).
+    """The vacuum-start trajectories lo..hi-1, reduced: (sums, blowup).
 
-    result holds x_+- = alpha_dag +- alpha at k.record_steps as
-    (records, 2, width); when k.n_origins is set it holds instead each
-    trajectory's lag products averaged over that many time origins, as
-    (2, width, lags).  Each interval to a record is one draw, from the
+    The records rec[q, i, r] hold quadrature q (x+, x-) of trajectory
+    lo + i at k.record_steps[r]; sums is k.reduce(rec, lo), which has no
+    trajectory axis.  Each interval to a record is one draw, from the
     unit's Philox stream SeedSequence(k.seed, spawn_key=(lo // _UNIT,)).  A
     magnitude max(|alpha|, |alpha_dag|) above k.limit at a record stops the
-    unit and returns (None, (step, peak)); otherwise blowup is None.
+    unit and returns (None, (step, peak)), the first such step and the
+    largest magnitude there; otherwise blowup is None.
     Nothing here calls BLAS, so the unit is safe in a forked worker.
     """
     width, records, intervals = hi - lo, len(k.record_steps), k.keep_p.size
-    if k.n_origins is None:
-        rec = out = np.empty((records, 2, width), dtype=k.dtype)
-    else:
-        # rec[q, i, r]: quadrature q (x+, x-) of trajectory lo + i at record r
-        rec = np.empty((2, width, records), dtype=k.dtype)
-        out = rec.transpose(2, 0, 1)
+    rec = np.empty((2, width, records), dtype=k.dtype)
     start = records - intervals  # 1 when step 0, the vacuum, is recorded
-    out[:start] = 0.0
+    rec[:, :, :start] = 0.0
     stream = np.random.SeedSequence(k.seed, spawn_key=(lo // _UNIT,))
     # zeta[i, r, q]: normal of quadrature q for trajectory lo + i over interval r
     zeta = np.random.Generator(np.random.Philox(stream)).standard_normal((width, intervals, 2))
@@ -245,59 +232,89 @@ def _unit(k: _Kernel, lo: int, hi: int):
     for r in range(intervals):
         xp = k.keep_p[r] * xp + k.gain_p[r] * zeta[:, r, 0]
         xm = k.keep_m[r] * xm + k.gain_m[r] * zeta[:, r, 1]
-        out[start + r, 0] = xp
-        out[start + r, 1] = xm
+        rec[0, :, start + r] = xp
+        rec[1, :, start + r] = xm
         peak = 0.5 * max(float(np.abs(xp - xm).max(initial=0.0)),
                          float(np.abs(xp + xm).max(initial=0.0)))
         if peak > k.limit:
             return None, (k.record_steps[start + r], peak)
+    return k.reduce(rec, lo), None
 
-    if k.n_origins is None:
-        return rec, None
-    n = k.n_origins
-    corr = np.empty((2, width, records - n + 1), dtype=k.dtype)
+
+def _moment_sums(rec: np.ndarray, lo: int):
+    """Per record, the sums and |.|**2 sums over the trajectories of the
+    six moments alpha, alpha_dag, alpha**2, alpha_dag alpha, x_+**2, x_-**2:
+    two (records, 6) arrays."""
+    sums, sums_abs2 = [], []
+    # one record at a time: its temporaries stay in cache, whole-unit ones took 3x longer
+    for xp, xm in rec.transpose(2, 0, 1):
+        alpha, alpha_dag = 0.5 * (xp - xm), 0.5 * (xp + xm)
+        rows = np.stack((alpha, alpha_dag, alpha * alpha, alpha_dag * alpha, xp * xp, xm * xm))
+        mags = np.abs(rows)
+        sums.append(rows.sum(axis=-1))
+        sums_abs2.append(np.einsum("mn,mn->m", mags, mags))
+    return np.array(sums), np.array(sums_abs2)
+
+
+def _lag_sums(rec: np.ndarray, lo: int, n_origins: int, groups: int):
+    """Each trajectory's lag products, averaged over n_origins time origins
+    and summed per error group (trajectory index mod groups): the sums as
+    (2, groups, lags) and the group sizes."""
+    width, records = rec.shape[1:]
+    # corr[q, i, l]: lag-l product of quadrature q (x+, x-) of trajectory lo + i
+    corr = np.empty((2, width, records - n_origins + 1), dtype=rec.dtype)
     for x, lags in zip(rec, corr):
-        np.einsum("no,nko->nk", x[:, :n], sliding_window_view(x, n, axis=1), out=lags)
-    corr /= n
-    return corr, None
+        np.einsum("no,nko->nk", x[:, :n_origins], sliding_window_view(x, n_origins, axis=1),
+                  out=lags)
+    corr /= n_origins
+    gid = np.arange(lo, lo + width) % groups
+    sums = np.stack([corr[:, gid == g].sum(axis=1) for g in range(groups)], axis=1)
+    return sums, np.bincount(gid, minlength=groups)
 
 
-def _chunks(k: _Kernel, n_traj: int, chunk_size: int, jobs: int):
-    """Yield (lo, hi, result) for each chunk of chunk_size trajectories, in index order.
+def _ensemble(k: _Kernel, n_traj: int, jobs: int):
+    """The partial sums of trajectories 0..n_traj-1, each a pair from
+    k.reduce, added in unit order.
 
-    result joins the _unit results of trajectories lo..hi-1 along their
-    trajectory axis.  The units (_UNIT trajectories each, so none crosses a
-    chunk) run on min(jobs, units) worker processes, or in this process
-    through builtin map when that is one or worker_context() is None.  The pool
-    is shut down before this generator returns, raises or is closed.  The
-    first chunk with a unit that blew up raises TrajectoryBlowupError at the
-    earliest failing step among its units, with the largest magnitude any
-    of them reached there: the step and peak a whole-chunk check reports.
+    The units (_UNIT trajectories each) run on min(jobs, units) worker
+    processes, or in this process through builtin map when that is one or
+    worker_context() is None; the pool is shut down before this returns or
+    raises.  If any unit blew up, raises TrajectoryBlowupError at the
+    earliest failing step among the units, with the largest magnitude any
+    of them reached there: the step and peak of a whole-ensemble check.
     """
     los = range(0, n_traj, _UNIT)
     his = [min(lo + _UNIT, n_traj) for lo in los]
     workers, pool, context = min(jobs, len(los)), None, worker_context()
     if workers > 1 and context is not None:
         pool = ProcessPoolExecutor(workers, mp_context=context)
+    sums, failed = (0.0, 0.0), []
     try:
-        results = (pool.map if pool else map)(functools.partial(_unit, k), los, his)
-        axis = -1 if k.n_origins is None else 1
-        for lo in range(0, n_traj, chunk_size):
-            hi = min(lo + chunk_size, n_traj)
-            parts = [next(results) for _ in range(lo, hi, _UNIT)]
-            failed = [blowup for _, blowup in parts if blowup is not None]
-            if failed:
-                step = min(s for s, _ in failed)
-                peak = max(v for s, v in failed if s == step)
-                raise TrajectoryBlowupError(
-                    f"trajectory magnitude {peak:.3e} exceeded {k.limit:.1e} "
-                    f"at step {step} (params {k.p})"
-                )
-            arrays = [result for result, _ in parts]
-            yield lo, hi, arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=axis)
+        for part, blowup in (pool.map if pool else map)(functools.partial(_unit, k), los, his):
+            if blowup is None:
+                sums = tuple(map(np.add, sums, part))
+            else:
+                failed.append(blowup)
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
+    if failed:
+        step = min(s for s, _ in failed)
+        peak = max(v for s, v in failed if s == step)
+        raise TrajectoryBlowupError(
+            f"trajectory magnitude {peak:.3e} exceeded {k.limit:.1e} "
+            f"at step {step} (params {k.p})"
+        )
+    return sums
+
+
+def _check_stable(p: SystemParams, what: str) -> Coefficients:
+    """p's coefficients; NotStableError unless lambda_minus > threshold_tolerance."""
+    c = coefficients(p)
+    if c.lambda_minus <= threshold_tolerance(c):
+        raise NotStableError(f"{what} requires lambda_minus > {threshold_tolerance(c):.1e}, "
+                             f"got {c.lambda_minus:.6g}", lambda_minus=c.lambda_minus)
+    return c
 
 
 def run(
@@ -316,21 +333,18 @@ def run(
     chain of step dt is drawn only at those steps, one Gaussian per
     interval, so the cost follows the number of samples, not t_end / dt.
     A trajectory magnitude above 1e6 at a sampled step aborts with
-    TrajectoryBlowupError.  The trajectories run on `jobs` worker
+    TrajectoryBlowupError, reported at the earliest such step with the
+    largest magnitude there.  The trajectories run on `jobs` worker
     processes (default: the usable cores; 1 runs in this process); the
     result does not depend on jobs.
     """
-    c = coefficients(p)
-    if c.lambda_minus <= 0:
-        raise NotStableError(
-            f"stochastic run requires lambda_minus > 0, got {c.lambda_minus:.6g}",
-            lambda_minus=c.lambda_minus,
-        )
-    if not (math.isfinite(dt) and dt > 0 and math.isfinite(t_end) and t_end > 0) or n_traj < 2:
-        raise InvalidParameterError(
-            f"need finite dt > 0, finite t_end > 0, n_traj >= 2; got dt={dt}, t_end={t_end}, "
-            f"n_traj={n_traj}")
+    _check_count("n_traj", n_traj, 2)
+    _check_count("seed", seed, 0)
     jobs = _workers(jobs)
+    _check_stable(p, "stochastic run")
+    if not (math.isfinite(dt) and dt > 0 and math.isfinite(t_end) and t_end > 0):
+        raise InvalidParameterError(
+            f"need finite dt > 0 and finite t_end > 0; got dt={dt}, t_end={t_end}")
 
     n_steps = max(int(round(t_end / dt)), 1)
     if sample_times is None:
@@ -340,23 +354,9 @@ def run(
     if not np.all((sample_times >= -0.5 * dt) & (sample_times <= t_end + 0.5 * dt)):
         raise InvalidParameterError(f"sample_times must lie in [0, t_end = {t_end:g}]")
     sample_steps = sorted({min(int(round(t / dt)), n_steps) for t in sample_times})
-    n_samples = len(sample_steps)
-    kernel = _kernel(p, dt, seed, sample_steps)
+    sums, sums_abs2 = _ensemble(_kernel(p, dt, seed, sample_steps, _moment_sums), n_traj, jobs)
 
-    # alpha, alpha_dag, alpha^2, alpha_dag*alpha, x_plus^2, x_minus^2
-    sums = np.zeros((n_samples, 6), dtype=complex)
-    sums_abs2 = np.zeros((n_samples, 6))
-    with contextlib.closing(_chunks(kernel, n_traj, _RUN_CHUNK, jobs)) as chunks:
-        for _, _, rec in chunks:
-            for i, (xp, xm) in enumerate(rec):
-                alpha, alpha_dag = 0.5 * (xp - xm), 0.5 * (xp + xm)
-                rows = (alpha, alpha_dag, alpha * alpha, alpha_dag * alpha, xp * xp, xm * xm)
-                for j, row in enumerate(rows):
-                    sums[i, j] += row.sum()
-                    mags = np.abs(row)
-                    sums_abs2[i, j] += float(mags @ mags)
-
-    means = sums / n_traj
+    means = sums.astype(complex) / n_traj
     var = np.maximum(sums_abs2 / n_traj - np.abs(means) ** 2, 0.0)
     se = np.sqrt(var / (n_traj - 1))
     times = np.array([s * dt for s in sample_steps])
@@ -433,12 +433,11 @@ def two_time_correlation(
     `jobs` is as in `run`: worker processes, default the usable cores; the
     result does not depend on it.
     """
-    c = coefficients(p)
-    if c.lambda_minus <= 0:
-        raise NotStableError(
-            f"stationary correlation requires lambda_minus > 0, got {c.lambda_minus:.6g}",
-            lambda_minus=c.lambda_minus,
-        )
+    _check_count("groups", groups, 2)
+    _check_count("n_traj", n_traj, 2 * groups)
+    _check_count("seed", seed, 0)
+    jobs = _workers(jobs)
+    c = _check_stable(p, "stationary correlation")
     if not (math.isfinite(dt) and dt > 0):
         raise InvalidParameterError(f"dt must be finite and > 0, got {dt}")
     tau = np.atleast_1d(np.asarray(tau_grid, dtype=float))
@@ -447,11 +446,6 @@ def two_time_correlation(
     spacing = np.diff(tau)
     if not np.allclose(spacing, spacing[0], rtol=1e-9, atol=0.0):
         raise InvalidParameterError("tau_grid must be uniform")
-    if groups < 2:
-        raise InvalidParameterError(f"need groups >= 2 for standard errors, got {groups}")
-    if n_traj < 2 * groups:
-        raise InvalidParameterError(f"need n_traj >= {2 * groups} for {groups} error groups")
-    jobs = _workers(jobs)
     stride = max(int(round(spacing[0] / dt)), 1)
     if abs(spacing[0] / dt - stride) > 1e-9 * stride:
         raise InvalidParameterError(
@@ -473,22 +467,9 @@ def two_time_correlation(
     record_steps = (n_records - 1) * stride
 
     total = burn_steps + record_steps
-    kernel = _kernel(p, dt, seed, range(burn_steps, total + 1, stride), n_origins)
-
-    # corr[q, i, l]: lag-l product of quadrature q (x+, x-) of trajectory
-    # lo + i, averaged over the time origins
-    group_sum = np.zeros((2, groups, n_lags), dtype=kernel.dtype)
-    group_count = np.zeros(groups, dtype=int)
-    with contextlib.closing(_chunks(kernel, n_traj, _CORR_CHUNK, jobs)) as chunks:
-        for lo, hi, corr in chunks:
-            gid = np.arange(lo, hi) % groups
-            for g in range(groups):
-                mask = gid == g
-                if mask.any():
-                    group_sum[:, g] += corr[:, mask].sum(axis=1)
-                    group_count[g] += int(mask.sum())
-
-    group_sum_p, group_sum_m = group_sum
+    reduce = functools.partial(_lag_sums, n_origins=n_origins, groups=groups)
+    kernel = _kernel(p, dt, seed, range(burn_steps, total + 1, stride), reduce)
+    (group_sum_p, group_sum_m), group_count = _ensemble(kernel, n_traj, jobs)
     group_p = group_sum_p / group_count[:, None]
     group_m = group_sum_m / group_count[:, None]
     corr_plus = (group_sum_p.sum(axis=0) / n_traj).astype(complex)
@@ -546,20 +527,41 @@ def fit_decay_rates(est: CorrelationEstimate) -> DecayFit:
     )
 
 
+def _simpson_weights(intervals: int) -> np.ndarray:
+    """Composite Simpson weights on intervals + 1 >= 3 points of unit spacing.
+
+    An odd interval count takes Simpson panels up to intervals - 3 and one
+    3/8 panel over the last three intervals.
+    """
+    w = np.zeros(intervals + 1)
+    m = intervals - 3 if intervals % 2 else intervals  # end of the Simpson panels
+    if m:
+        w[:m + 1:2], w[1:m:2] = 2.0 / 3.0, 4.0 / 3.0
+        w[0] = w[m] = 1.0 / 3.0
+    if m < intervals:
+        w[m:] += [3.0 / 8.0, 9.0 / 8.0, 9.0 / 8.0, 3.0 / 8.0]
+    return w
+
+
 def spectrum_from_correlation(
     est: CorrelationEstimate, kappa: float, omega_grid
 ) -> SpectrumEstimate:
     """Numerically integrated spectra 1 +- 2 kappa Re int C(tau) e^{i omega tau} dtau.
 
-    The measured correlation is integrated by the trapezoid rule on its tau
-    grid and completed beyond tau_max with the fitted exponential tail.
-    Means and standard errors come from the per-group estimates.
+    The measured correlation is integrated by composite Simpson's rule on
+    its uniform tau grid (an odd interval count ends in one 3/8 panel) and
+    completed beyond tau_max with the fitted exponential tail.  Means and
+    standard errors come from the per-group estimates.
     """
     omega = np.atleast_1d(np.asarray(omega_grid, dtype=float))
     slopes_p, _ = _group_slopes(est.tau, est.group_plus, np.real(est.corr_plus), est.corr_plus_se)
     slopes_m, _ = _group_slopes(est.tau, est.group_minus, np.real(est.corr_minus), est.corr_minus_se)
     tau = est.tau
     t_max = tau[-1]
+    spacing = np.diff(tau)
+    if not np.allclose(spacing, spacing[0], rtol=1e-9, atol=0.0):
+        raise InvalidParameterError("the correlation's tau grid must be uniform")
+    weights = spacing[0] * _simpson_weights(spacing.size)
 
     def one_branch(group_means, slopes, sign):
         vals = np.empty((group_means.shape[0], omega.size))
@@ -568,7 +570,7 @@ def spectrum_from_correlation(
             tail = row[-1] * (
                 lam * np.cos(omega * t_max) - omega * np.sin(omega * t_max)
             ) / (lam**2 + omega**2)
-            core = np.trapezoid(row[None, :] * np.cos(omega[:, None] * tau[None, :]), tau, axis=1)
+            core = (row[None, :] * np.cos(omega[:, None] * tau[None, :])) @ weights
             vals[j] = 1.0 + sign * 2.0 * kappa * (core + tail)
         return vals.mean(axis=0), vals.std(axis=0, ddof=1) / math.sqrt(vals.shape[0])
 

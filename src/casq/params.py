@@ -39,6 +39,15 @@ def _require_finite(name, value):
         raise InvalidParameterError(f"{name} must be finite, got {value!r}")
 
 
+def _check_count(name: str, value, low: int) -> None:
+    """Require an integer count >= low: a Python or numpy integer, not a float or bool."""
+    # bool is an int subclass, but True is not a count
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise InvalidParameterError(f"{name} must be >= {low}, got {value}")
+
+
 @dataclass(frozen=True)
 class MicroscopicParams:
     """Microscopic origin of the working parameters.

@@ -14,7 +14,10 @@ variance, below 0.1 standard error, and their trajectory counts make each
 of them fail under a 2% error in the noise gain or the decay rate.
 """
 
+import ast
 import dataclasses
+import functools
+import inspect
 import math
 import multiprocessing
 import re
@@ -25,9 +28,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from casq import analytic, moments, montecarlo
+from casq import analytic, cli, moments, montecarlo
 from casq.errors import InvalidParameterError, NotStableError, TrajectoryBlowupError
-from casq.params import Coefficients, SystemParams, coefficients
+from casq.params import Coefficients, SystemParams, coefficients, threshold_tolerance
 
 
 MODULE_POINT = SystemParams(a=4, kappa=0.8, beta=0.2).with_relative_drive(0.5)
@@ -213,8 +216,8 @@ class TestRun:
         assert np.all(series.minus_sq_se == 0)
 
     def test_bitwise_reproducible(self):
-        # 6444 trajectories are four 2048-trajectory work units: one full
-        # 4096-trajectory chunk and a partial one that ends in a partial unit
+        # 6444 trajectories are four 2048-trajectory work units, the last
+        # partial, summed in unit order whichever worker computes them
         kw = dict(n_traj=6444, t_end=2.0, dt=0.01, seed=97)
         s1 = montecarlo.run(MODULE_POINT, **kw, jobs=1)
         assert_fields_equal(s1, montecarlo.run(MODULE_POINT, **kw, jobs=1))
@@ -278,8 +281,8 @@ class TestRun:
         assert predicted - exact == pytest.approx(4 * (preds[0.0075][2] - exact), rel=0.02)
 
     def test_matches_em_reference(self):
-        # 5000 trajectories span two 4096-trajectory chunks and end in a
-        # partial unit; intervals of 5 to 295 steps pin the interval drift
+        # 5000 trajectories are three work units, the last partial;
+        # intervals of 5 to 295 steps pin the interval drift
         # (1 - lambda dt)**g and gains of the quadrature kernel
         n_traj, dt, n_steps, seed = 5000, 0.01, 600, 4242
         steps = [0, 5, 300, 512, 600]
@@ -322,25 +325,25 @@ class TestRun:
         with pytest.raises(TrajectoryBlowupError):
             montecarlo.run(MODULE_POINT, 64, 1.0, 0.01, seed=1)
 
-    @pytest.mark.parametrize("limit, peak, step", [
-        (6.25, "6.508e+00", 1024), (6.0, "6.225e+00", 512), (6.4, "6.508e+00", 1024),
-        (6.7, "6.957e+00", 512),
-    ], ids=["first-chunk-same-step", "first-chunk-different-steps",
-            "second-chunk-earlier", "second-chunk-only"])
-    def test_blowup_reported_alike_in_workers(self, monkeypatch, limit, peak, step):
+    @pytest.mark.parametrize("seed, limit, peak, step", [
+        (18, 6.5, "6.720e+00", 512), (25, 6.7, "6.940e+00", 512), (25, 7.0, "7.202e+00", 1536),
+    ], ids=["earliest-in-later-unit", "two-units-at-step", "one-unit"])
+    def test_blowup_reported_alike_in_workers(self, monkeypatch, seed, limit, peak, step):
         # peaks of the three work units at the recorded steps 512..2048 are
-        # 5.92 6.51 5.57 5.90 / 6.23 6.32 6.39 6.31 / 6.96 6.19 6.13 6.31;
-        # a check over the whole 4096-trajectory chunk reports the peak and
-        # step pinned here.  At 6.25 both units of the first chunk fail at
-        # once, at 6.0 they fail at different steps, at 6.4 the second
-        # chunk's unit fails first but the first chunk is reported, and at
-        # 6.7 only the second chunk fails
+        # seed 18: 5.65 5.86 6.05 7.26 / 5.94 6.75 6.12 5.77 / 6.72 5.86 5.84 5.89
+        # seed 25: 6.80 6.52 6.57 5.75 / 5.99 5.68 7.20 6.93 / 6.94 6.73 6.00 5.83
+        # The whole ensemble is checked: the earliest step at which any unit
+        # exceeds the limit, with the largest magnitude there.  At 6.5 (seed
+        # 18) the units fail at 2048, 1024 and 512, so neither the first
+        # failing unit nor the largest peak is reported; at 6.7 (seed 25)
+        # units 0 and 2 fail at 512 and unit 2's larger peak is reported,
+        # not unit 1's 7.20 at 1536; at 7.0 only unit 1 fails
         monkeypatch.setattr(montecarlo, "BLOWUP_LIMIT", limit)
         pattern = rf"magnitude {re.escape(peak)} exceeded \S+ at step {step} "
         messages = []
         for jobs in (1, 2):
             with pytest.raises(TrajectoryBlowupError, match=pattern) as exc:
-                montecarlo.run(MODULE_POINT, 6144, 20.48, 0.01, seed=17, jobs=jobs,
+                montecarlo.run(MODULE_POINT, 6144, 20.48, 0.01, seed=seed, jobs=jobs,
                                sample_times=[5.12, 10.24, 15.36, 20.48])
             messages.append(str(exc.value))
         assert messages[0] == messages[1]
@@ -348,12 +351,27 @@ class TestRun:
     def test_unit_draws_do_not_depend_on_width(self):
         # the unit stream is drawn trajectory-major, so a trajectory's path
         # does not depend on how many trajectories follow it in its unit
-        for kernel in (montecarlo._kernel(MODULE_POINT, 0.01, 5, [0, 7, 100, 101]),
-                       montecarlo._kernel(MODULE_POINT, 0.01, 5, range(3, 40, 4), n_origins=4)):
+        def records(rec, lo):
+            return rec
+
+        for steps in ([0, 7, 100, 101], range(3, 40, 4)):
+            kernel = montecarlo._kernel(MODULE_POINT, 0.01, 5, steps, records)
             short, _ = montecarlo._unit(kernel, 0, 1000)
             full, _ = montecarlo._unit(kernel, 0, 2048)
-            axis = -1 if kernel.n_origins is None else 1
-            np.testing.assert_array_equal(short, np.take(full, range(1000), axis=axis))
+            np.testing.assert_array_equal(short, full[:, :1000])
+
+    @pytest.mark.parametrize("width", [7, 2048])
+    def test_unit_returns_sums_without_a_trajectory_axis(self, width):
+        # each unit reduces its own trajectories, so the calling process
+        # receives sums whose shapes do not depend on the unit's width
+        kernel = montecarlo._kernel(MODULE_POINT, 0.01, 5, [0, 7, 100], montecarlo._moment_sums)
+        (sums, sums_abs2), blowup = montecarlo._unit(kernel, 2048, 2048 + width)
+        assert blowup is None and sums.shape == sums_abs2.shape == (3, 6)
+        lags = functools.partial(montecarlo._lag_sums, n_origins=4, groups=3)
+        lag_kernel = montecarlo._kernel(MODULE_POINT, 0.01, 5, range(3, 40, 4), lags)
+        (group_sums, sizes), blowup = montecarlo._unit(lag_kernel, 2048, 2048 + width)
+        assert blowup is None and group_sums.shape == (2, 3, 7)
+        np.testing.assert_array_equal(sizes, np.bincount(np.arange(2048, 2048 + width) % 3))
 
     def test_same_law_as_em_reference(self):
         # the recorded states have the step-by-step chain's law: four moments
@@ -412,8 +430,7 @@ TAU = np.arange(0.0, 4.0001, 0.05)
 @pytest.fixture(scope="module")
 def estimate():
     # at dt 2.5e-4 the chain's modelled offset is 0.09 se in the zero-lag
-    # values and at most 0.02 se in the spectrum; the trapezoid rule on the
-    # 0.05 tau grid adds up to 0.14 se there
+    # values and at most 0.02 se in the spectrum
     return montecarlo.two_time_correlation(
         MODULE_POINT, TAU, n_traj=16384, dt=0.00025, seed=1804
     )
@@ -462,7 +479,7 @@ class TestTwoTimeCorrelation:
             montecarlo.two_time_correlation(MODULE_POINT, [0.0, 0.1], 100, dt, seed=1)
 
     def test_bitwise_reproducible(self):
-        # 4500 trajectories are three 2048-trajectory chunks, the last partial
+        # 4500 trajectories are three 2048-trajectory work units, the last partial
         tau = np.arange(5) * 0.05
         kw = dict(tau_grid=tau, n_traj=4500, dt=0.01, seed=77, t_burn=1.0, t_avg=0.5)
         e1 = montecarlo.two_time_correlation(MODULE_POINT, **kw, jobs=1)
@@ -479,8 +496,9 @@ class TestTwoTimeCorrelation:
             montecarlo.two_time_correlation(MODULE_POINT, [0.0, 0.1], 100, 0.01, seed=1)
 
     def test_group_means_match_em_reference(self):
-        # 4500 trajectories span three 2048-trajectory chunks, the last a
-        # partial unit; one 500-step burn-in interval, then 5-step intervals
+        # 4500 trajectories are three work units, the last partial, whose
+        # error groups start at different indices; one 500-step burn-in
+        # interval, then 5-step intervals
         tau = np.arange(5) * 0.05
         n_traj, dt, groups, seed = 4500, 0.01, 10, 77
         est = montecarlo.two_time_correlation(MODULE_POINT, tau, n_traj, dt, seed,
@@ -498,7 +516,7 @@ class TestTwoTimeCorrelation:
 
     def test_many_lag_products_match_direct_loop(self):
         # 40 lags over 25 time origins, so every record sits in many lag
-        # windows; 3000 trajectories fill one 2048-trajectory chunk and part
+        # windows; 3000 trajectories fill one 2048-trajectory unit and part
         # of a second; the lag products are checked against the per-lag loop
         tau = np.arange(40) * 0.02
         n_traj, dt, groups, seed = 3000, 0.01, 6, 2718
@@ -542,3 +560,80 @@ class TestTwoTimeCorrelation:
             montecarlo.two_time_correlation(
                 MODULE_POINT.with_relative_drive(1.2), [0.0, 0.1], 100, 0.005, seed=1
             )
+
+
+@pytest.mark.parametrize("tau", [TAU, TAU[:-1]], ids=["80-intervals", "79-intervals"])
+def test_spectrum_quadrature_of_exact_correlations(tau):
+    # noise-free exponentials C(tau) = C(0) exp(-lambda tau) at MODULE_POINT:
+    # the quadrature must reproduce the closed-form spectra; the trapezoid
+    # rule is 3.5e-4 to 1.6e-3 off here, composite Simpson within 5e-7
+    c = coefficients(MODULE_POINT)
+    s_plus, s_minus = analytic.steady_alpha_sq(c)
+    plus, minus = s_plus * np.exp(-c.lambda_minus * tau), s_minus * np.exp(-c.lambda_plus * tau)
+    zero = np.zeros(tau.size)
+    est = montecarlo.CorrelationEstimate(
+        tau=tau, corr_plus=plus.astype(complex), corr_plus_se=zero,
+        corr_minus=minus.astype(complex), corr_minus_se=zero, n_traj=2,
+        group_plus=np.stack([plus, plus]), group_minus=np.stack([minus, minus]))
+    omegas = np.array([0.0, MODULE_POINT.kappa / 2, MODULE_POINT.kappa])
+    got = montecarlo.spectrum_from_correlation(est, MODULE_POINT.kappa, omegas)
+    want = analytic.spectrum(MODULE_POINT, omegas)
+    np.testing.assert_allclose(got.s_plus, want.s_plus, rtol=0, atol=1e-5)
+    np.testing.assert_allclose(got.s_minus, want.s_minus, rtol=0, atol=1e-5)
+
+
+def test_at_threshold_refused_like_the_other_engines(tmp_path):
+    # lambda_minus = 3.3e-10 is within threshold_tolerance: params.stability
+    # calls the point AT_THRESHOLD and the steady-state engines refuse it
+    args = ["--a", "25", "--beta", "0.1", "--epsilon-rel-threshold", "0.9999999998"]
+    p = SystemParams(a=25, kappa=0.8, beta=0.1).with_relative_drive(0.9999999998)
+    assert 0 < coefficients(p).lambda_minus <= threshold_tolerance(p)
+    with pytest.raises(NotStableError):
+        montecarlo.run(p, 64, 1.0, 0.01, seed=1)
+    with pytest.raises(NotStableError):
+        montecarlo.two_time_correlation(p, [0.0, 0.1], 64, 0.01, seed=1)
+    assert cli.main(["mc", *args, "--n-traj", "64", "--out", str(tmp_path / "mc.csv")]) == 3
+    assert not (tmp_path / "mc.csv").exists()
+
+
+@pytest.mark.parametrize("engine, name, value", [
+    ("run", "n_traj", 100.0), ("run", "n_traj", True), ("run", "seed", 1.5),
+    ("run", "jobs", 1.5), ("corr", "n_traj", 100.0), ("corr", "groups", 2.5),
+    ("corr", "seed", 1.5), ("corr", "jobs", 1.5),
+], ids=["run-n_traj-float", "run-n_traj-bool", "run-seed", "run-jobs",
+        "corr-n_traj", "corr-groups", "corr-seed", "corr-jobs"])
+def test_non_integer_counts_rejected(monkeypatch, engine, name, value):
+    # every count is checked before any trajectory is computed
+    def no_work(*args, **kwargs):
+        raise AssertionError("trajectories were computed")
+
+    monkeypatch.setattr(montecarlo, "_ensemble", no_work)
+    kwargs = {"n_traj": 100, "seed": 1, "dt": 0.01, name: value}
+    with pytest.raises(InvalidParameterError, match=f"{name} must be an integer"):
+        if engine == "run":
+            montecarlo.run(MODULE_POINT, t_end=1.0, **kwargs)
+        else:
+            montecarlo.two_time_correlation(MODULE_POINT, [0.0, 0.1], **kwargs)
+
+
+def test_workers_call_no_blas():
+    # the units and their reductions run in forked workers, where a BLAS
+    # thread pool inherited from the parent may deadlock
+    banned_calls = {"dot", "matmul", "inner", "tensordot", "vdot"}
+    workers = {"_unit", "_moment_sums", "_lag_sums"}
+    checked = set()
+    for fn in ast.walk(ast.parse(inspect.getsource(montecarlo))):
+        if not (isinstance(fn, ast.FunctionDef) and fn.name in workers):
+            continue
+        checked.add(fn.name)
+        for node in ast.walk(fn):
+            where = f"{fn.name}, line {getattr(node, 'lineno', '?')}"
+            assert not isinstance(getattr(node, "op", None), ast.MatMult), f"@ in {where}"
+            assert not (isinstance(node, ast.Attribute) and node.attr == "linalg"), where
+            if isinstance(node, ast.Call):
+                callee = node.func.attr if isinstance(node.func, ast.Attribute) else \
+                    getattr(node.func, "id", None)
+                assert callee not in banned_calls, f"{callee} in {where}"
+                if callee == "einsum":
+                    assert all(kw.arg != "optimize" for kw in node.keywords), where
+    assert checked == workers
