@@ -569,7 +569,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="cross-check all four engines at one parameter point")
     _add_system_args(sp)
-    sp.add_argument("--dim", type=int, default=256)
+    sp.add_argument("--dim", type=int, default=96,
+                    help="Fock levels of the oracle's squeezed-frame basis (default 96)")
     _add_mc_args(sp)
     sp.add_argument("--sigma", type=float, default=3.0, help="Monte Carlo tolerance in standard errors")
     sp.add_argument("--oracle-rtol", type=float, default=1e-3)

@@ -34,8 +34,11 @@ def _check_row(name, reference, value, bound, digits=None):
 def verify_point(p: SystemParams, *, dim, n_traj, dt, t_end, seed, sigma, oracle_rtol, pnd_atol):
     """Run all four engines at p and tabulate their agreement; returns (rows, ok).
 
-    The bounds, each finite and > 0: sigma Monte Carlo standard errors,
-    oracle_rtol relative to the closed forms and pnd_atol on P(n).
+    The Fock rows solve the steady state in dim levels of the
+    self-consistent squeezed frame (fock.steady_state(frame="auto")) and
+    compare P(n) for n = 0..min(dim - 1, 64).  The bounds, each finite and
+    > 0: sigma Monte Carlo standard errors, oracle_rtol relative to the
+    closed forms and pnd_atol on P(n).
     """
     for name, bound in (("sigma", sigma), ("oracle_rtol", oracle_rtol), ("pnd_atol", pnd_atol)):
         if not (math.isfinite(bound) and bound > 0):
@@ -44,8 +47,9 @@ def verify_point(p: SystemParams, *, dim, n_traj, dt, t_end, seed, sigma, oracle
     record = analytic.steady_record(p)
     s_plus, s_minus = analytic.steady_alpha_sq(coefficients(p))
     lin = moments.steady_from_linear_solve(p)
-    obs = fock.observables(fock.steady_state(p, dim))
-    n_head = min(dim // 2, 64)
+    # in the squeezed frame every lab n < dim is resolved
+    obs = fock.observables(fock.steady_state(p, dim, frame="auto"))
+    n_head = min(dim - 1, 64)
     pnd = analytic.photon_distribution(record, n_head).probs
     series = montecarlo.run(p, n_traj, t_end, dt, seed, sample_times=[t_end])
     rows = [

@@ -37,6 +37,29 @@ it is a 9-point stencil, so its unknowns are numbered in a
 nested-dissection order, which keeps the LU fill low; the order depends
 on dim alone and is computed once per dim.
 
+Squeezed frame.  Near threshold the steady state is a squeezed thermal
+state, which the number basis holds only with many levels.  In the frame
+rho' = S(r)+ rho S(r), S(r) = exp(r (a+^2 - a^2) / 2), it is thermal and a
+few dozen levels hold it.  The frame is the substitution a = mu b + nu b+
+(mu = cosh r, nu = sinh r) in the term table, K -> T^T K T and the same
+for M and N with T = [[mu, nu], [nu, mu]]; trace conservation, realness,
+transposition symmetry and m - n parity all survive it, so the block
+builder and both solvers run unchanged on the frame's number basis.
+steady_state(frame="auto") picks r as a fixed point of the oracle's own
+moments: solve at r (starting from 0), map the frame moments back to the
+lab frame and set r <- artanh(2 <a^2> / (2 <a+a> + 1)) / 2, until r moves
+by less than FRAME_TOL.  The returned DensityMatrix then holds rho' in
+the frame's number basis and records r as frame_r; observables maps its
+moments back to the lab frame, and its lab P(n) = <psi_n|rho'|psi_n> with
+psi_n = S+|n>, the squeezed number states of M. S. Kim, F. A. M. de
+Oliveira and P. L. Knight, Phys. Rev. A 40, 2494 (1989) (see also P.
+Marian and T. A. Marian, Phys. Rev. A 47, 4474 (1993)).  Their amplitudes
+come from the ladder relation (mu b + nu b+) psi_n = sqrt(n) psi_{n-1},
+run upward in the frame level k from the squeezed-vacuum amplitudes
+psi_n[0] = <n|S|0>; that direction damps by nu / mu per step, where the
+same relation run upward in n overflows.  The oracle reads only its own
+moments to pick the frame, so it stays independent of the closed forms.
+
 Truncation is guarded: population on the boundary level above 1e-6 aborts
 with a suggestion to enlarge the basis.  Runs at (or within 0.1% of) the
 threshold drive are refused, since the antisqueezed quadrature then grows
@@ -78,6 +101,12 @@ BOUNDARY_TOL = 1e-6
 TRACE_TOL = 1e-4
 THRESHOLD_MARGIN = 1e-3
 DISSECTION_LEAF = 32  # nested dissection stops at this many grid points
+# The squeezed-frame fixed point stops once r moves by less than FRAME_TOL.
+# r sets only the basis, not the state: frames 1e-2 apart give the same
+# observables to 1e-13.  Round-off moves r by up to ~1e-9 near threshold
+# (it grows as cosh(2r)^2), so a much smaller tolerance may never be met.
+FRAME_TOL = 1e-6
+FRAME_MAX = 30  # frames solved before the fixed point counts as failed
 
 
 def _check_boundary_tol(boundary_tol: float | None) -> None:
@@ -98,6 +127,11 @@ class DensityMatrix:
     the implicit steps taken, the final residual |L rho|_1 and the
     non-zeros SuperLU stores for its L and U factors (the fill, which
     sets the solve's memory); other producers leave them at 0, None and 0.
+    A state in the squeezed frame r (see the module docstring) holds
+    rho' = S(r)+ rho S(r) in data, in the frame's number basis, with r in
+    frame_r and the number of frames its fixed point solved in frames;
+    a lab-frame state has frame_r 0 and frames 0.  boundary_pop and the
+    solver counts are then those of the final frame.
     """
 
     dim: int
@@ -107,10 +141,14 @@ class DensityMatrix:
     iterations: int = 0
     residual: float | None = None
     lu_nnz: int = 0
+    frame_r: float = 0.0
+    frames: int = 0
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=complex)
         _check_count("dim", self.dim, 2)
+        if not math.isfinite(self.frame_r):
+            raise InvalidParameterError(f"frame_r must be finite, got {self.frame_r}")
         if self.data.shape != (self.dim, self.dim):
             raise InvalidParameterError(
                 f"data shape {self.data.shape} does not match dim {self.dim}"
@@ -142,18 +180,24 @@ def vacuum(dim: int) -> DensityMatrix:
 # generator
 # ---------------------------------------------------------------------------
 
-def _terms(coeffs: Coefficients):
+def _terms(coeffs: Coefficients, frame_r: float = 0.0):
     """The generator as a quadratic form in X = (a, a+).
 
     L rho = sum over i, j of K_ij X_i rho X_j + M_ij X_i X_j rho
     + N_ij rho X_i X_j; returns K, M and N.  tr(L rho) = 0 is
-    K^T + M + N = 0.
+    K^T + M + N = 0.  With frame_r = r the form is in Y = (b, b+) of the
+    squeezed frame, X = T Y: T^T K T, T^T M T and T^T N T with
+    T = [[cosh r, sinh r], [sinh r, cosh r]].
     """
     half = 0.5 * coeffs.epsilon
     r, s, u, v = coeffs.r, coeffs.s, coeffs.u, coeffs.v
     k = np.array([[u + v, 2.0 * s], [2.0 * r, u + v]])
     m = np.array([[-half - u, -r], [-s, half - v]])
     n = np.array([[half - v, -r], [-s, -half - u]])
+    if frame_r:
+        mu, nu = math.cosh(frame_r), math.sinh(frame_r)
+        t = np.array([[mu, nu], [nu, mu]])
+        k, m, n = (t.T @ x @ t for x in (k, m, n))
     return k, m, n
 
 
@@ -169,8 +213,9 @@ def _ladder(dim: int, shift: int, rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(rows, cols) * inside)
 
 
-def _block(dim: int, coeffs: Coefficients, m: np.ndarray, n: np.ndarray, sign: int):
-    """The generator on one real folded block of rho.
+def _block(dim: int, coeffs: Coefficients, m: np.ndarray, n: np.ndarray, sign: int,
+           frame_r: float = 0.0):
+    """The generator on one real folded block of rho (of rho' in the frame frame_r).
 
     The unknowns are the entries (m, n), in the order given, of the real
     part of a Hermitian rho (sign +1: symmetric, m <= n) or of its
@@ -184,7 +229,7 @@ def _block(dim: int, coeffs: Coefficients, m: np.ndarray, n: np.ndarray, sign: i
 
     index = np.full((dim, dim), -1, dtype=np.int32)
     index[m, n] = np.arange(m.size)
-    k_mat, m_mat, n_mat = _terms(coeffs)
+    k_mat, m_mat, n_mat = _terms(coeffs, frame_r)
     rows, cols, vals = [], [], []
     for i, si in enumerate((1, -1)):
         for j, sj in enumerate((1, -1)):
@@ -276,6 +321,15 @@ def _default_dt(p: SystemParams, coeffs: Coefficients, dim: int) -> float:
     return min(contract, 1.2 / radius)
 
 
+def _check_lab(rho: DensityMatrix, caller: str) -> None:
+    """InvalidParameterError unless rho's data is the lab-frame matrix."""
+    if rho.frame_r:
+        raise InvalidParameterError(
+            f"{caller} reads a lab-frame density matrix; this state is held in the "
+            f"squeezed frame r = {rho.frame_r:.6g}"
+        )
+
+
 def _checked_state(data: np.ndarray, boundary_tol: float | None, **stats) -> DensityMatrix:
     """Wrap a computed state; TruncationError if its boundary population exceeds boundary_tol."""
     dim = data.shape[0]
@@ -323,6 +377,7 @@ def evolve(
     if not (math.isfinite(t_end) and t_end >= 0):
         raise InvalidParameterError(f"t_end must be finite and >= 0, got {t_end}")
     _check_boundary_tol(boundary_tol)
+    _check_lab(rho0, "evolve")
     c = coefficients(p)
     dim = rho0.dim
     if dt is None:
@@ -366,62 +421,13 @@ def evolve(
     return _checked_state(rho, boundary_tol)
 
 
-def steady_state(
-    p: SystemParams,
-    dim: int,
-    tol: float = 1e-10,
-    max_steps: int = 400,
-    dt_factor: float = 1e6,
-    boundary_tol: float | None = BOUNDARY_TOL,
-) -> DensityMatrix:
-    """Stationary density matrix by implicit integration to convergence.
-
-    Backward-Euler steps of size dt_factor / lambda_minus (one sparse LU,
-    reused) are applied to the vacuum until |L rho|_1 < tol |rho|_1.
-    Each step damps a mode of decay rate mu by 1 / (1 + dt mu); the
-    default step lies far beyond every relaxation time, so the loop is
-    shifted inverse iteration towards the null vector of L (I. Ipsen,
-    SIAM Rev. 39, 254 (1997)), which typically stops after two solves.
-    The generator is real, commutes with transposition and never mixes
-    even and odd m - n, and the vacuum is real, symmetric and diagonal,
-    so every iterate is a real symmetric matrix on the even sector.  The
-    solve runs on those unknowns alone, rho_mn with m <= n and m - n
-    even (rho_mn and rho_nm share one unknown).  They are numbered in a
-    nested-dissection order of their grid, computed once per dim, and
-    the generator is assembled directly in that order, which the LU
-    keeps (permc_spec NATURAL, with a diagonal-favouring pivot
-    threshold); that keeps its fill low.  The residual keeps its
-    whole-matrix meaning: off-diagonal unknowns count twice in both
-    1-norms.  The returned state is exactly symmetric and records the
-    step count, the final residual and the LU non-zeros.
-    Drives within 0.1% of threshold are refused: the state would be
-    unbounded.  So is a dt_factor whose step overflows the system.  The
-    truncation guard can be disabled with boundary_tol=None (for
-    convergence studies); diagnostics remain in the returned
-    DensityMatrix.
-    """
+def _even_steady_state(dim, c, frame_r, tol, max_steps, dt_factor):
+    """The steady rho (rho' in the frame frame_r) on the real even block, and its solver counts."""
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
-    _check_count("dim", dim, 2)
-    if not (math.isfinite(tol) and tol > 0):
-        raise InvalidParameterError(f"tol must be finite and > 0, got {tol}")
-    _check_count("max_steps", max_steps, 1)
-    if not (math.isfinite(dt_factor) and dt_factor > 0):
-        raise InvalidParameterError(f"dt_factor must be finite and > 0, got {dt_factor}")
-    _check_boundary_tol(boundary_tol)
-    c = coefficients(p)
-    eps_th = threshold_epsilon(p)
-    if c.lambda_minus <= 0 or eps_th <= 0 or p.epsilon > (1.0 - THRESHOLD_MARGIN) * eps_th:
-        raise NotStableError(
-            f"steady state requires epsilon <= {1.0 - THRESHOLD_MARGIN:.4g} * threshold "
-            f"(epsilon = {p.epsilon:.6g}, threshold = {eps_th:.6g}, "
-            f"lambda_minus = {c.lambda_minus:.6g})",
-            lambda_minus=c.lambda_minus,
-        )
-
     m, n = _dissected_even_block(dim)
-    gen = _block(dim, c, m, n, 1)
+    gen = _block(dim, c, m, n, 1, frame_r)
     weight = np.where(m == n, 1.0, 2.0)
     diag_pos = np.flatnonzero(m == n)
     dt = dt_factor / c.lambda_minus
@@ -457,9 +463,96 @@ def steady_state(
         )
 
     rho = _unfold(dim, m, n, x, 1).astype(complex)
-    return _checked_state(
-        rho, boundary_tol,
-        iterations=iterations, residual=residual, lu_nnz=lu.nnz,
+    return rho, {"iterations": iterations, "residual": residual, "lu_nnz": lu.nnz}
+
+
+def steady_state(
+    p: SystemParams,
+    dim: int,
+    tol: float = 1e-10,
+    max_steps: int = 400,
+    dt_factor: float = 1e6,
+    boundary_tol: float | None = BOUNDARY_TOL,
+    frame: str = "lab",
+) -> DensityMatrix:
+    """Stationary density matrix by implicit integration to convergence.
+
+    Backward-Euler steps of size dt_factor / lambda_minus (one sparse LU,
+    reused) are applied to the vacuum until |L rho|_1 < tol |rho|_1.
+    Each step damps a mode of decay rate mu by 1 / (1 + dt mu); the
+    default step lies far beyond every relaxation time, so the loop is
+    shifted inverse iteration towards the null vector of L (I. Ipsen,
+    SIAM Rev. 39, 254 (1997)), which typically stops after two solves.
+    The generator is real, commutes with transposition and never mixes
+    even and odd m - n, and the vacuum is real, symmetric and diagonal,
+    so every iterate is a real symmetric matrix on the even sector.  The
+    solve runs on those unknowns alone, rho_mn with m <= n and m - n
+    even (rho_mn and rho_nm share one unknown).  They are numbered in a
+    nested-dissection order of their grid, computed once per dim, and
+    the generator is assembled directly in that order, which the LU
+    keeps (permc_spec NATURAL, with a diagonal-favouring pivot
+    threshold); that keeps its fill low.  The residual keeps its
+    whole-matrix meaning: off-diagonal unknowns count twice in both
+    1-norms.  The returned state is exactly symmetric and records the
+    step count, the final residual and the LU non-zeros.
+
+    frame selects the basis: "lab" (the default) solves in the number
+    basis of a; "auto" solves in the self-consistent squeezed frame of
+    the module docstring.  Each frame is solved at dim with the same tol
+    and no truncation guard, starting from r = 0, and r is updated from
+    that frame's own moments until it moves by less than FRAME_TOL; only
+    the final state is guarded.  The returned state then holds rho' and
+    records frame_r and the frames solved; its solver counts are those
+    of the final frame.  A fixed point not reached in FRAME_MAX frames,
+    or moments that fix no real r, raise ConvergenceError.  Any other
+    frame is an InvalidParameterError.
+
+    Drives within 0.1% of threshold are refused: the state would be
+    unbounded.  So is a dt_factor whose step overflows the system.  The
+    truncation guard can be disabled with boundary_tol=None (for
+    convergence studies); diagnostics remain in the returned
+    DensityMatrix.
+    """
+    _check_count("dim", dim, 2)
+    if not (math.isfinite(tol) and tol > 0):
+        raise InvalidParameterError(f"tol must be finite and > 0, got {tol}")
+    _check_count("max_steps", max_steps, 1)
+    if not (math.isfinite(dt_factor) and dt_factor > 0):
+        raise InvalidParameterError(f"dt_factor must be finite and > 0, got {dt_factor}")
+    _check_boundary_tol(boundary_tol)
+    if frame not in ("lab", "auto"):
+        raise InvalidParameterError(f"frame must be 'lab' or 'auto', got {frame!r}")
+    c = coefficients(p)
+    eps_th = threshold_epsilon(p)
+    if c.lambda_minus <= 0 or eps_th <= 0 or p.epsilon > (1.0 - THRESHOLD_MARGIN) * eps_th:
+        raise NotStableError(
+            f"steady state requires epsilon <= {1.0 - THRESHOLD_MARGIN:.4g} * threshold "
+            f"(epsilon = {p.epsilon:.6g}, threshold = {eps_th:.6g}, "
+            f"lambda_minus = {c.lambda_minus:.6g})",
+            lambda_minus=c.lambda_minus,
+        )
+
+    if frame == "lab":
+        rho, stats = _even_steady_state(dim, c, 0.0, tol, max_steps, dt_factor)
+        return _checked_state(rho, boundary_tol, **stats)
+
+    frame_r = 0.0
+    for frames in range(1, FRAME_MAX + 1):
+        rho, stats = _even_steady_state(dim, c, frame_r, tol, max_steps, dt_factor)
+        _, mean_a_sq, mean_n = _lab_moments(frame_r, *_frame_moments(rho))
+        ratio = 2.0 * mean_a_sq.real / (2.0 * mean_n + 1.0)
+        if not abs(ratio) < 1.0:  # also trips on NaN
+            raise ConvergenceError(
+                f"frame {frames} (r = {frame_r:.6g}) gives 2<a^2>/(2<a+a>+1) = {ratio:.6g}, "
+                f"outside (-1, 1); no squeezed frame fits it at dim {dim}",
+            )
+        new_r = 0.5 * math.atanh(ratio)
+        if abs(new_r - frame_r) < FRAME_TOL:
+            return _checked_state(rho, boundary_tol, frame_r=frame_r, frames=frames, **stats)
+        frame_r = new_r
+    raise ConvergenceError(
+        f"squeezed frame not self-consistent after {FRAME_MAX} frames at dim {dim} "
+        f"(last r = {frame_r:.12g})",
     )
 
 
@@ -467,17 +560,64 @@ def steady_state(
 # observables
 # ---------------------------------------------------------------------------
 
-def observables(rho: DensityMatrix, compute_min_eig: bool = False) -> OracleObservables:
-    """Moments and quadrature variances via traces against truncated operators."""
-    data = rho.data
-    n = rho.dim
-    lev = np.arange(n)
-    diag = np.real(np.diag(data))
+def _frame_moments(data: np.ndarray):
+    """<b>, <b^2> and <b+b> of data in its own number basis, via truncated operators."""
+    lev = np.arange(data.shape[0])
     sq1 = np.sqrt(lev[1:].astype(float))
-    mean_a = complex(np.sum(sq1 * np.diag(data, k=-1)))
+    mean_b = complex(np.sum(sq1 * np.diag(data, k=-1)))
     sq2 = np.sqrt((lev[:-2] + 1.0) * (lev[:-2] + 2.0))
-    mean_a_sq = complex(np.sum(sq2 * np.diag(data, k=-2)))
-    mean_n = float(lev @ diag)
+    mean_b_sq = complex(np.sum(sq2 * np.diag(data, k=-2)))
+    mean_nb = float(lev @ np.real(np.diag(data)))
+    return mean_b, mean_b_sq, mean_nb
+
+
+def _lab_moments(frame_r: float, mean_b: complex, mean_b_sq: complex, mean_nb: float):
+    """<a>, <a^2> and <a+a> from the moments of b in the frame frame_r (a = mu b + nu b+)."""
+    mu, nu = math.cosh(frame_r), math.sinh(frame_r)
+    mean_a = mu * mean_b + nu * mean_b.conjugate()
+    mean_a_sq = (mu * mu * mean_b_sq + nu * nu * mean_b_sq.conjugate()
+                 + mu * nu * (2.0 * mean_nb + 1.0))
+    mean_n = mu * mu * mean_nb + nu * nu * (mean_nb + 1.0) + 2.0 * mu * nu * mean_b_sq.real
+    return mean_a, mean_a_sq, mean_n
+
+
+def _lab_pnd(data: np.ndarray, frame_r: float) -> np.ndarray:
+    """Lab P(n) = <psi_n|rho'|psi_n>, n < dim, of the frame state rho' = data.
+
+    psi_n = S(r)+|n> has amplitudes psi[n, k] = <n|S(r)|k>.  Column 0 is
+    the squeezed vacuum, psi[n, 0] = d_n with d_0 = 1/sqrt(mu) and
+    d_{n+1} = (nu/mu) sqrt(n/(n+1)) d_{n-1}; (mu b + nu b+) psi_n =
+    sqrt(n) psi_{n-1} then gives column k + 1 from columns k and k - 1
+    for every n at once.
+    """
+    dim = data.shape[0]
+    mu, nu = math.cosh(frame_r), math.sinh(frame_r)
+    root = np.sqrt(np.arange(dim, dtype=float))
+    psi = np.zeros((dim, dim))
+    odd = np.arange(1, dim - 1, 2)
+    psi[0::2, 0] = np.cumprod(np.concatenate(([1.0 / math.sqrt(mu)],
+                                              (nu / mu) * np.sqrt(odd / (odd + 1.0)))))
+    for k in range(dim - 1):
+        psi[1:, k + 1] = root[1:] * psi[:-1, k]
+        if k:
+            psi[:, k + 1] -= nu * root[k] * psi[:, k - 1]
+        psi[:, k + 1] /= mu * root[k + 1]
+    return np.real(np.sum((psi @ data) * psi, axis=1))
+
+
+def observables(rho: DensityMatrix, compute_min_eig: bool = False) -> OracleObservables:
+    """Moments and quadrature variances via traces against truncated operators.
+
+    For a state in a squeezed frame (frame_r != 0) the moments are mapped
+    back to the lab frame and pnd is the lab P(n), n < dim.
+    """
+    data = rho.data
+    mean_a, mean_a_sq, mean_n = _frame_moments(data)
+    if rho.frame_r:
+        mean_a, mean_a_sq, mean_n = _lab_moments(rho.frame_r, mean_a, mean_a_sq, mean_n)
+        pnd = _lab_pnd(data, rho.frame_r)
+    else:
+        pnd = np.real(np.diag(data)).copy()
 
     re_a, im_a = mean_a.real, mean_a.imag
     re_a2 = mean_a_sq.real
@@ -493,7 +633,7 @@ def observables(rho: DensityMatrix, compute_min_eig: bool = False) -> OracleObse
         mean_n=mean_n,
         var_plus=var_plus,
         var_minus=var_minus,
-        pnd=diag.copy(),
+        pnd=pnd,
         trace_err=float(abs(data.trace().real - 1.0)),
         min_eig=min_eig,
     )
@@ -503,8 +643,9 @@ def husimi(rho: DensityMatrix, alpha: complex) -> float:
     """Husimi density <alpha|rho|alpha>/pi with truncated coherent coefficients.
 
     Requires |alpha|^2 well below the truncation for the coherent state to
-    be representable.
+    be representable, and a lab-frame state.
     """
+    _check_lab(rho, "husimi")
     n = rho.dim
     coeff = np.empty(n, dtype=complex)
     coeff[0] = math.exp(-0.5 * abs(alpha) ** 2)

@@ -315,6 +315,19 @@ class TestVerify:
         assert crosscheck._check_row(name, 0.0, 1.0004e-4, 1e-4, digits=3)[2:] == (
             1e-4, 1e-4, "FAIL")
 
+    def test_near_threshold_oracle_rows_at_default_dim(self):
+        # at 0.9 of threshold the number basis needs ~1216 levels; the
+        # squeezed frame passes every oracle row in the default 96 under
+        # the default bounds (the Monte Carlo rows are not the point here)
+        p = SystemParams(a=25, kappa=0.8, beta=0.1).with_relative_drive(0.9)
+        args = cli._build_parser().parse_args(["verify"])
+        rows, _ = crosscheck.verify_point(p, dim=args.dim, n_traj=200, dt=0.01, t_end=1.0,
+                                          seed=cli.MC_SEED, sigma=args.sigma,
+                                          oracle_rtol=args.oracle_rtol, pnd_atol=args.pnd_atol)
+        assert args.dim == 96
+        oracle = [row for row in rows if row[0].startswith("oracle")]
+        assert len(oracle) == 4 and all(row[4] == "PASS" for row in oracle)
+
     def test_vacuum_point_trivially_consistent(self, capsys):
         # the CLI's Monte Carlo defaults here: dt = 0.01 / max(lambda_+-, kappa, 1) and its seed
         p = SystemParams(a=0.0, kappa=0.8, beta=0.0, epsilon=0.0)

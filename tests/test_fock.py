@@ -2,6 +2,7 @@
 steady states, and cross-engine agreement with the closed forms.
 """
 
+import ast
 import inspect
 import math
 import warnings
@@ -30,15 +31,18 @@ FIG6_POINT = SystemParams(a=100, kappa=0.8, beta=0.067, epsilon=0.3)
 DEFAULT_DT_FACTOR = inspect.signature(fock.steady_state).parameters["dt_factor"].default
 
 
-def kron_generator(dim, coeffs):
+def kron_generator(dim, coeffs, frame_r=0.0):
     """Reference generator: a real sparse operator on row-major vec(rho), from kron products.
 
     a a+ is the product of the truncated ladder matrices, so
     (a a+)[dim-1, dim-1] = 0 (not dim), which makes tr(L rho) = 0 for
-    every rho.
+    every rho.  With frame_r = r it acts on rho' of the squeezed frame:
+    a is the matrix cosh(r) b + sinh(r) b+, with b the truncated ladder.
     """
     sq = np.sqrt(np.arange(1.0, dim))
     a = sp.diags(sq, 1, format="csr")
+    if frame_r:
+        a = (math.cosh(frame_r) * a + math.sinh(frame_r) * a.T).tocsr()
     adag = a.T.tocsr()
     eye = sp.identity(dim, format="csr")
 
@@ -256,20 +260,48 @@ class TestGenerator:
         assert gen[~odd][:, odd].count_nonzero() == 0
 
     @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 24))
-    def test_block_matches_folded_reference(self, seed, dim):
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 24),
+           frame_r=st.sampled_from([0.0, 0.3, -1.1, 2.0]))
+    def test_block_matches_folded_reference(self, seed, dim, frame_r):
         # the direct builder on every (parity, sign) block, with its
         # unknowns in a random order, against the reference's rows and
-        # folded columns
+        # folded columns; in a squeezed frame too, where the reference
+        # substitutes a = cosh(r) b + sinh(r) b+ into the truncated matrices
+        # and both sum terms up to cosh(r)^4 larger than what they cancel to
         rng = np.random.default_rng(seed)
         c = coefficients(stable_params(rng, 1)[0])
-        gen = kron_generator(dim, c)
+        gen = kron_generator(dim, c, frame_r)
+        scale = abs(gen).max() * math.cosh(frame_r) ** 4
         for parity in (0, 1):
             for sign in (1, -1):
                 want, m, n = kron_block(gen, parity, sign)
                 order = rng.permutation(m.size)
-                got = fock._block(dim, c, m[order], n[order], sign)
-                assert_same_block(got, want[order][:, order], abs(gen).max())
+                got = fock._block(dim, c, m[order], n[order], sign, frame_r)
+                assert_same_block(got, want[order][:, order], scale)
+
+    def test_lab_term_table(self):
+        # frame_r = 0 is the lab frame: exactly the table the module
+        # docstring's generator reads off, with no transform applied
+        c = coefficients(FIG6_POINT)
+        half = 0.5 * c.epsilon
+        want = (
+            [[c.u + c.v, 2.0 * c.s], [2.0 * c.r, c.u + c.v]],
+            [[-half - c.u, -c.r], [-c.s, half - c.v]],
+            [[half - c.v, -c.r], [-c.s, -half - c.u]],
+        )
+        for got, table in zip(fock._terms(c, 0.0), want):
+            assert np.array_equal(got, table)
+
+    @pytest.mark.parametrize("frame_r", [0.4, -1.3, 2.6])
+    def test_frame_term_table_keeps_trace_and_transposition(self, frame_r):
+        # K^T + M + N = 0 is tr(L rho) = 0; swapping (b, b+) maps K onto
+        # K^T and M onto N^T, which is rho -> rho^T commuting with L
+        k, m, n = fock._terms(coefficients(VERIFY_POINT), frame_r)
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        scale = np.abs(k).max()
+        np.testing.assert_allclose(k.T + m + n, 0.0, atol=1e-14 * scale)
+        np.testing.assert_allclose(swap @ k.T @ swap, k, atol=1e-14 * scale)
+        np.testing.assert_allclose(swap @ m.T @ swap, n, atol=1e-14 * scale)
 
     @pytest.mark.parametrize("dim", [96, 256])
     @pytest.mark.parametrize("p", [VERIFY_POINT, FIG6_POINT], ids=["verify", "fig6"])
@@ -437,6 +469,12 @@ class TestEvolve:
         p = SystemParams(a=4, kappa=0.8, beta=0.2).with_relative_drive(0.5)
         with pytest.raises(InvalidParameterError, match="boundary_tol"):
             fock.evolve(fock.vacuum(8), p, 0.1, boundary_tol=boundary_tol)
+
+    def test_frame_state_refused(self):
+        # evolve steps lab-frame data; a frame state would evolve under the wrong generator
+        rho = fock.DensityMatrix(dim=8, data=fock.vacuum(8).data, frame_r=0.5)
+        with pytest.raises(InvalidParameterError, match="squeezed frame"):
+            fock.evolve(rho, VERIFY_POINT, 0.1)
 
 
 class TestSteadyState:
@@ -621,6 +659,100 @@ class TestSteadyState:
                 fock.steady_state(VERIFY_POINT, 32, dt_factor=1e307)
 
 
+CRITERION4_POINT = SystemParams(a=25, kappa=0.8, beta=0.1).with_relative_drive(0.9)
+
+
+def relative_errors(obs, p):
+    var = analytic.variance_steady(p)
+    n_cl = analytic.steady_record(p).n_cl
+    return (abs(obs.mean_n / n_cl - 1.0), abs(obs.var_plus / var.plus - 1.0),
+            abs(obs.var_minus / var.minus - 1.0))
+
+
+class TestSqueezedFrame:
+    def test_unsqueezed_point_is_the_lab_solve(self):
+        # nothing squeezes the vacuum, so the fixed point stays at r = 0
+        # after one frame, which is the lab solve itself
+        p = SystemParams(a=0, kappa=0.8, beta=0, epsilon=0)
+        lab = fock.steady_state(p, 16)
+        auto = fock.steady_state(p, 16, frame="auto")
+        assert np.array_equal(auto.data, lab.data)
+        assert (auto.frame_r, auto.frames, lab.frame_r, lab.frames) == (0.0, 1, 0.0, 0)
+
+    def test_criterion_4_point_in_64_levels(self):
+        # the number basis needs ~1216 levels here; the frame is thermal
+        # with ~1.8 quanta, and 64 and 128 of its levels agree
+        small = fock.steady_state(CRITERION4_POINT, 64, frame="auto")
+        large = fock.steady_state(CRITERION4_POINT, 128, frame="auto")
+        assert small.frame_r == pytest.approx(1.761, abs=1e-3) and small.frames <= 6
+        obs = [fock.observables(rho) for rho in (small, large)]
+        for errors in map(relative_errors, obs, [CRITERION4_POINT] * 2):
+            assert max(errors) < 1e-9
+        for attr in ("mean_n", "var_plus", "var_minus"):
+            assert getattr(obs[0], attr) == pytest.approx(getattr(obs[1], attr), rel=1e-9)
+
+    def test_headline_point_near_threshold(self):
+        # <n> = 664 at 0.99 of threshold, where the lab frame would need
+        # thousands of levels
+        p = SystemParams(a=100, kappa=0.8, beta=0.0677).with_relative_drive(0.99)
+        rho = fock.steady_state(p, 160, frame="auto")
+        assert max(relative_errors(fock.observables(rho), p)) < 1e-7
+
+    @pytest.mark.parametrize("p", [VERIFY_POINT, CRITERION4_POINT], ids=["verify", "criterion4"])
+    def test_lab_photon_distribution(self, p):
+        obs = fock.observables(fock.steady_state(p, 96, frame="auto"))
+        pnd = analytic.photon_distribution(analytic.steady_record(p), 64).probs
+        assert obs.pnd.shape == (96,)
+        assert np.abs(obs.pnd[:65] - pnd).max() <= 1e-12
+
+    def test_observables_match_dense_transform(self, rng):
+        # a complex frame state, <b> != 0, against S rho' S+ with S = exp(r (a+^2 - a^2) / 2)
+        # taken densely in a basis that holds S|k> for every k of its support
+        import scipy.linalg
+
+        r, dim, big = 0.7, 24, 160
+        frame_data = random_interior_hermitian(rng, dim=dim, support=12)
+        obs = fock.observables(fock.DensityMatrix(dim=dim, data=frame_data, frame_r=r))
+        a = np.diag(np.sqrt(np.arange(1.0, big)), 1)
+        squeeze = scipy.linalg.expm(0.5 * r * (a.T @ a.T - a @ a))
+        padded = np.zeros((big, big), dtype=complex)
+        padded[:dim, :dim] = frame_data
+        lab = squeeze @ padded @ squeeze.T
+        mean_a, mean_a_sq, mean_n = moments_of(lab)
+        assert abs(mean_a.real) > 0.1 and abs(mean_a.imag) > 0.1 and abs(mean_a_sq.imag) > 0.1
+        assert obs.mean_a == pytest.approx(mean_a, abs=1e-12)
+        assert obs.mean_a_sq == pytest.approx(mean_a_sq, abs=1e-12)
+        assert obs.mean_n == pytest.approx(mean_n, abs=1e-12)
+        np.testing.assert_allclose(obs.pnd, np.diag(lab).real[:dim], atol=1e-13)
+
+    @pytest.mark.parametrize("frame", ["squeezed", "LAB", None, 0.5])
+    def test_bad_frame_rejected(self, frame):
+        with pytest.raises(InvalidParameterError, match="frame"):
+            fock.steady_state(VERIFY_POINT, 32, frame=frame)
+
+    def test_frame_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(fock, "FRAME_MAX", 2)
+        with pytest.raises(ConvergenceError, match="2 frames"):
+            fock.steady_state(VERIFY_POINT, 64, frame="auto")
+
+    def test_frame_outside_artanh_domain_raises(self, monkeypatch):
+        # moments no squeezed thermal state has: 2 <a^2> > 2 <a+a> + 1
+        monkeypatch.setattr(fock, "_frame_moments", lambda data: (0j, 1.0 + 0j, 0.0))
+        with pytest.raises(ConvergenceError, match="outside"):
+            fock.steady_state(VERIFY_POINT, 32, frame="auto")
+
+    def test_final_frame_truncation_guarded(self):
+        # intermediate frames run unguarded; the returned one is not
+        p = SystemParams(a=100, kappa=0.8, beta=0.0677).with_relative_drive(0.99)
+        with pytest.raises(TruncationError):
+            fock.steady_state(p, 64, frame="auto")
+
+    @pytest.mark.parametrize("frame_r", [math.nan, math.inf])
+    def test_non_finite_frame_rejected(self, frame_r):
+        with pytest.raises(InvalidParameterError, match="frame_r"):
+            fock.DensityMatrix(dim=4, data=np.eye(4) / 4, frame_r=frame_r)
+
+
 @pytest.mark.parametrize("dim", [0, -5])
 def test_vacuum_too_small_basis_rejected(dim):
     with pytest.raises(InvalidParameterError, match="dim"):
@@ -672,6 +804,11 @@ class TestHusimi:
             math.exp(-abs(alpha) ** 2) / math.pi, rel=1e-12
         )
 
+    def test_frame_state_refused(self):
+        rho = fock.DensityMatrix(dim=8, data=fock.vacuum(8).data, frame_r=0.5)
+        with pytest.raises(InvalidParameterError, match="squeezed frame"):
+            fock.husimi(rho, 0j)
+
     def test_matches_analytic_q_function(self):
         p = SystemParams(a=100, kappa=0.8, beta=0.067, epsilon=0.3)
         rho = fock.steady_state(p, 256)
@@ -679,3 +816,18 @@ class TestHusimi:
         for alpha in (0j, 0.5 + 0j, -0.3 + 0.4j, 1.5j, 2.0 - 1.0j):
             q_closed = analytic.q_function(rec, alpha.real, alpha.imag)
             assert fock.husimi(rho, alpha) == pytest.approx(q_closed, abs=1e-4)
+
+
+def test_oracle_imports_no_other_engine():
+    # the oracle is one of four independent engines: it picks its squeezed
+    # frame from its own moments, never from the closed forms or another engine
+    banned = {"analytic", "moments", "montecarlo", "crosscheck"}
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(fock))):
+        if isinstance(node, ast.Import):
+            imported.update(part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            imported.update((node.module or "").split("."))
+            imported.update(alias.name for alias in node.names)
+    assert "errors" in imported  # the walk sees the module's own relative imports
+    assert not imported & banned, sorted(imported & banned)
