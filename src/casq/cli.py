@@ -44,7 +44,7 @@ EXIT_MISMATCH = 4
 EXIT_IO = 5
 
 # defaults of options that only some engines read (the parser leaves them None)
-ORACLE_DIM = 150
+ORACLE_DIM = 150  # number-basis levels of the oracle's --t-end transient
 MC_N_TRAJ = 20000
 MC_SEED = 7041
 
@@ -243,6 +243,12 @@ def _add_mc_args(sub, t_end_help="Monte Carlo integration end (default 10 / lamb
 # sweep engines (module-level so worker processes can import them)
 # ---------------------------------------------------------------------------
 
+def _oracle_steady_state(p: SystemParams, dim):
+    """The oracle's steady state at p: in dim levels of the number basis, or,
+    with dim None, in the squeezed frame with its self-sized basis."""
+    return fock.steady_state(p, frame="auto") if dim is None else fock.steady_state(p, dim)
+
+
 def _point_variances(args, mc_jobs, beta, epsilon):
     """(beta, epsilon, var_plus, var_minus, mean_n) of the oracle or mc engine at one point.
 
@@ -250,8 +256,7 @@ def _point_variances(args, mc_jobs, beta, epsilon):
     """
     p = SystemParams(a=args.a, kappa=args.kappa, beta=beta, epsilon=epsilon)
     if args.engine == "oracle":
-        rho = fock.steady_state(p, ORACLE_DIM if args.dim is None else args.dim)
-        obs = fock.observables(rho)
+        obs = fock.observables(_oracle_steady_state(p, args.dim))
         return beta, epsilon, obs.var_plus, obs.var_minus, obs.mean_n
     n_traj, dt, t_end, seed = _mc_settings(p, args)  # engine == "mc"
     series = montecarlo.run(p, n_traj, t_end, dt, seed, sample_times=[t_end], jobs=mc_jobs)
@@ -354,12 +359,12 @@ def _cmd_pnd(args) -> int:
     _reject_unread(args, ("dim",), _ENGINE_OPTIONS[args.engine], f"the {args.engine} engine")
     p = _make_params(args.a, args.kappa, args.beta, args.epsilon, args.epsilon_rel)
     if args.engine == "oracle":
-        dim = ORACLE_DIM if args.dim is None else args.dim
-        if not 0 <= args.n_max <= dim - 1:
+        # the squeezed frame gives the lab P(n) for any n; the number basis for n < dim
+        if args.dim is not None and not 0 <= args.n_max <= args.dim - 1:
             raise InvalidParameterError(
-                f"--n-max must lie in [0, dim - 1] = [0, {dim - 1}], got {args.n_max}")
-        rho = fock.steady_state(p, dim)
-        probs = fock.observables(rho).pnd[: args.n_max + 1]
+                f"--n-max must lie in [0, dim - 1] = [0, {args.dim - 1}], got {args.n_max}")
+        rho = _oracle_steady_state(p, args.dim)
+        probs = fock.observables(rho, n_max=args.n_max).pnd
     else:
         record = analytic.steady_record(p)
         probs = analytic.photon_distribution(record, args.n_max).probs
@@ -484,9 +489,10 @@ def _cmd_oracle(args) -> int:
         raise InvalidParameterError("the steady state does not read --dt")
     p = _make_params(args.a, args.kappa, args.beta, args.epsilon, args.epsilon_rel)
     if args.t_end is None:
-        rho = fock.steady_state(p, args.dim)
-    else:
-        rho = fock.evolve(fock.vacuum(args.dim), p, args.t_end, dt=args.dt)
+        rho = _oracle_steady_state(p, args.dim)
+    else:  # evolve runs in the number basis only
+        dim = ORACLE_DIM if args.dim is None else args.dim
+        rho = fock.evolve(fock.vacuum(dim), p, args.t_end, dt=args.dt)
     obs = fock.observables(rho)
     header = ["t", "mean_n", "var_plus", "var_minus", "re_mean_a_sq",
               "trace_err", "boundary_pop"]
@@ -501,6 +507,10 @@ def _cmd_oracle(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parser and dispatch
 # ---------------------------------------------------------------------------
+
+_ORACLE_DIM_HELP = ("oracle engine: levels of the number basis "
+                    "(default: the squeezed frame with its self-sized basis)")
+
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -527,8 +537,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(run=run)
         _add_system_args(sp, beta_range=True)
         sp.add_argument("--engine", choices=["analytic", "oracle", "mc"], default="analytic")
-        sp.add_argument("--dim", type=int, default=None,
-                        help=f"Fock truncation (oracle engine, default {ORACLE_DIM})")
+        sp.add_argument("--dim", type=int, default=None, help=_ORACLE_DIM_HELP)
         _add_mc_args(sp, t_end_help)
         sp.add_argument("--jobs", type=int, default=montecarlo.usable_cores(),
                         help="worker processes for the sweep (default: the usable cores)")
@@ -545,8 +554,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_system_args(sp)
     sp.add_argument("--engine", choices=["analytic", "oracle"], default="analytic")
     sp.add_argument("--n-max", type=int, default=64)
-    sp.add_argument("--dim", type=int, default=None,
-                    help=f"Fock truncation (oracle engine, default {ORACLE_DIM})")
+    sp.add_argument("--dim", type=int, default=None, help=_ORACLE_DIM_HELP)
     _add_out_args(sp, plot=True)
 
     sp = sub.add_parser("figure", help="reproduce a figure preset (2..6)")
@@ -569,8 +577,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="cross-check all four engines at one parameter point")
     _add_system_args(sp)
-    sp.add_argument("--dim", type=int, default=96,
-                    help="Fock levels of the oracle's squeezed-frame basis (default 96)")
+    sp.add_argument("--dim", type=int, default=None,
+                    help="Fock levels of the oracle's squeezed-frame basis "
+                         "(default: sized from the frame's own thermal occupation)")
     _add_mc_args(sp)
     sp.add_argument("--sigma", type=float, default=3.0, help="Monte Carlo tolerance in standard errors")
     sp.add_argument("--oracle-rtol", type=float, default=1e-3)
@@ -588,7 +597,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("oracle", help="truncated-Fock observables (steady state or transient)")
     sp.set_defaults(run=_cmd_oracle)
     _add_system_args(sp)
-    sp.add_argument("--dim", type=int, default=ORACLE_DIM)
+    sp.add_argument("--dim", type=int, default=None,
+                    help=f"Fock truncation: levels of the number basis (default: the steady "
+                         f"state in the self-sized squeezed frame, the --t-end transient in "
+                         f"{ORACLE_DIM} levels)")
     sp.add_argument("--dt", type=float, default=None, help="RK4 step of the --t-end transient")
     sp.add_argument("--t-end", type=float, default=None,
                     help="integrate to this time instead of solving for the steady state")

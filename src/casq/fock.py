@@ -46,19 +46,26 @@ for M and N with T = [[mu, nu], [nu, mu]]; trace conservation, realness,
 transposition symmetry and m - n parity all survive it, so the block
 builder and both solvers run unchanged on the frame's number basis.
 steady_state(frame="auto") picks r as a fixed point of the oracle's own
-moments: solve at r (starting from 0), map the frame moments back to the
-lab frame and set r <- artanh(2 <a^2> / (2 <a+a> + 1)) / 2, until r moves
-by less than FRAME_TOL.  The returned DensityMatrix then holds rho' in
-the frame's number basis and records r as frame_r; observables maps its
-moments back to the lab frame, and its lab P(n) = <psi_n|rho'|psi_n> with
-psi_n = S+|n>, the squeezed number states of M. S. Kim, F. A. M. de
-Oliveira and P. L. Knight, Phys. Rev. A 40, 2494 (1989) (see also P.
-Marian and T. A. Marian, Phys. Rev. A 47, 4474 (1993)).  Their amplitudes
-come from the ladder relation (mu b + nu b+) psi_n = sqrt(n) psi_{n-1},
-run upward in the frame level k from the squeezed-vacuum amplitudes
+moments, coarse to fine: solve at r (starting from 0) on COARSE_DIM
+levels, map the frame moments back to the lab frame and set
+r <- artanh(2 <a^2> / (2 <a+a> + 1)) / 2, until r moves by less than
+FRAME_TOL; then solve once more at the final dim.  Unless given, that dim
+is sized from the frame's own thermal occupation n_th = <b+b>: the tail
+(n_th / (n_th + 1))^dim of a thermal state falls below FRAME_TAIL.  A
+coarse basis that cuts the state short reads n_th low, so the sized solve
+is repeated at a larger dim while its own n_th asks for one.  The
+returned DensityMatrix then holds rho' in the frame's number basis and
+records r as frame_r; observables maps its moments back to the lab frame,
+and its lab P(n) = <psi_n|rho'|psi_n>, for any n, with psi_n = S+|n>, the
+squeezed number states of M. S. Kim, F. A. M. de Oliveira and P. L.
+Knight, Phys. Rev. A 40, 2494 (1989) (see also P. Marian and T. A.
+Marian, Phys. Rev. A 47, 4474 (1993)).  Their amplitudes come from the
+ladder relation (mu b + nu b+) psi_n = sqrt(n) psi_{n-1}, run upward in
+the frame level k < dim from the squeezed-vacuum amplitudes
 psi_n[0] = <n|S|0>; that direction damps by nu / mu per step, where the
 same relation run upward in n overflows.  The oracle reads only its own
-moments to pick the frame, so it stays independent of the closed forms.
+moments to pick and size the frame, so it stays independent of the
+closed forms.
 
 Truncation is guarded: population on the boundary level above 1e-6 aborts
 with a suggestion to enlarge the basis.  Runs at (or within 0.1% of) the
@@ -101,12 +108,21 @@ BOUNDARY_TOL = 1e-6
 TRACE_TOL = 1e-4
 THRESHOLD_MARGIN = 1e-3
 DISSECTION_LEAF = 32  # nested dissection stops at this many grid points
-# The squeezed-frame fixed point stops once r moves by less than FRAME_TOL.
-# r sets only the basis, not the state: frames 1e-2 apart give the same
-# observables to 1e-13.  Round-off moves r by up to ~1e-9 near threshold
-# (it grows as cosh(2r)^2), so a much smaller tolerance may never be met.
-FRAME_TOL = 1e-6
-FRAME_MAX = 30  # frames solved before the fixed point counts as failed
+# The squeezed frame's fixed point runs on COARSE_DIM levels (fewer if the
+# final dim is smaller) and stops once r moves by less than FRAME_TOL.  r
+# sets only the basis, not the state: frames 1e-2 apart give the same
+# observables to 1e-13 once the final dim holds the state.
+COARSE_DIM = 32
+FRAME_TOL = 1e-3
+# Near threshold a coarse basis truncates the lab-like first frames, and r
+# creeps up by a few hundredths per frame: `casq oracle`'s default point
+# (A = 100, beta = 0, epsilon = 0) takes 25 frames.
+FRAME_MAX = 40  # frames solved before the fixed point counts as failed
+# A sized dim holds a thermal tail below FRAME_TAIL in at least FRAME_FLOOR
+# levels; more than FRAME_DIM_MAX levels are refused before they are built.
+FRAME_TAIL = 1e-13
+FRAME_FLOOR = 16
+FRAME_DIM_MAX = 1024
 
 
 def _check_boundary_tol(boundary_tol: float | None) -> None:
@@ -129,9 +145,9 @@ class DensityMatrix:
     sets the solve's memory); other producers leave them at 0, None and 0.
     A state in the squeezed frame r (see the module docstring) holds
     rho' = S(r)+ rho S(r) in data, in the frame's number basis, with r in
-    frame_r and the number of frames its fixed point solved in frames;
-    a lab-frame state has frame_r 0 and frames 0.  boundary_pop and the
-    solver counts are then those of the final frame.
+    frame_r and the solves its frame search took, coarse and final, in
+    frames; a lab-frame state has frame_r 0 and frames 0.  boundary_pop
+    and the solver counts are then those of the final solve.
     """
 
     dim: int
@@ -466,9 +482,27 @@ def _even_steady_state(dim, c, frame_r, tol, max_steps, dt_factor):
     return rho, {"iterations": iterations, "residual": residual, "lu_nnz": lu.nnz}
 
 
+def _frame_dim(n_th: float) -> int:
+    """Levels that hold a thermal state of occupation n_th to a tail below FRAME_TAIL.
+
+    The population above level d of a thermal state is (n_th / (n_th + 1))^d;
+    at least FRAME_FLOOR levels, and TruncationError above FRAME_DIM_MAX.
+    """
+    if not n_th > 0:
+        return FRAME_FLOOR
+    levels = max(FRAME_FLOOR, math.ceil(-math.log(FRAME_TAIL) / math.log1p(1.0 / n_th)))
+    if levels > FRAME_DIM_MAX:
+        raise TruncationError(
+            f"the squeezed frame holds {n_th:.4g} thermal quanta and needs {levels} levels, "
+            f"more than {FRAME_DIM_MAX}; pass dim to solve in fewer",
+            suggested_dim=levels,
+        )
+    return levels
+
+
 def steady_state(
     p: SystemParams,
-    dim: int,
+    dim: int = 0,
     tol: float = 1e-10,
     max_steps: int = 400,
     dt_factor: float = 1e6,
@@ -496,16 +530,22 @@ def steady_state(
     1-norms.  The returned state is exactly symmetric and records the
     step count, the final residual and the LU non-zeros.
 
-    frame selects the basis: "lab" (the default) solves in the number
-    basis of a; "auto" solves in the self-consistent squeezed frame of
-    the module docstring.  Each frame is solved at dim with the same tol
-    and no truncation guard, starting from r = 0, and r is updated from
-    that frame's own moments until it moves by less than FRAME_TOL; only
-    the final state is guarded.  The returned state then holds rho' and
-    records frame_r and the frames solved; its solver counts are those
-    of the final frame.  A fixed point not reached in FRAME_MAX frames,
-    or moments that fix no real r, raise ConvergenceError.  Any other
-    frame is an InvalidParameterError.
+    frame selects the basis: "lab" (the default) solves in dim levels of
+    the number basis of a; "auto" solves in the self-consistent squeezed
+    frame of the module docstring, coarse to fine.  The frame r starts
+    at 0 and is updated from each solve's own moments, on
+    min(dim, COARSE_DIM) levels, until it moves by less than FRAME_TOL;
+    then the state is solved once more in the last r at the final dim.
+    That dim is the given one, or with dim=0 (the default) it is sized
+    from the last coarse solve's frame occupation (_frame_dim), and the
+    sized solve is repeated at a larger dim while its own occupation asks
+    for more levels than it has.  Every solve uses tol and only the
+    returned one is guarded against truncation.  The returned state holds
+    rho' and records frame_r and the frames solved (coarse and final);
+    its solver counts are those of its own solve.  A fixed point not
+    reached in FRAME_MAX frames, or moments that fix no real r, raise
+    ConvergenceError.  Any other frame, or dim=0 in the lab frame, is an
+    InvalidParameterError.
 
     Drives within 0.1% of threshold are refused: the state would be
     unbounded.  So is a dt_factor whose step overflows the system.  The
@@ -513,15 +553,15 @@ def steady_state(
     convergence studies); diagnostics remain in the returned
     DensityMatrix.
     """
-    _check_count("dim", dim, 2)
+    if frame not in ("lab", "auto"):
+        raise InvalidParameterError(f"frame must be 'lab' or 'auto', got {frame!r}")
+    _check_count("dim", dim, 2 if dim or frame == "lab" else 0)  # 0: the frame sizes it
     if not (math.isfinite(tol) and tol > 0):
         raise InvalidParameterError(f"tol must be finite and > 0, got {tol}")
     _check_count("max_steps", max_steps, 1)
     if not (math.isfinite(dt_factor) and dt_factor > 0):
         raise InvalidParameterError(f"dt_factor must be finite and > 0, got {dt_factor}")
     _check_boundary_tol(boundary_tol)
-    if frame not in ("lab", "auto"):
-        raise InvalidParameterError(f"frame must be 'lab' or 'auto', got {frame!r}")
     c = coefficients(p)
     eps_th = threshold_epsilon(p)
     if c.lambda_minus <= 0 or eps_th <= 0 or p.epsilon > (1.0 - THRESHOLD_MARGIN) * eps_th:
@@ -536,22 +576,27 @@ def steady_state(
         rho, stats = _even_steady_state(dim, c, 0.0, tol, max_steps, dt_factor)
         return _checked_state(rho, boundary_tol, **stats)
 
-    frame_r = 0.0
+    size, frame_r, final = min(dim or COARSE_DIM, COARSE_DIM), 0.0, False
     for frames in range(1, FRAME_MAX + 1):
-        rho, stats = _even_steady_state(dim, c, frame_r, tol, max_steps, dt_factor)
-        _, mean_a_sq, mean_n = _lab_moments(frame_r, *_frame_moments(rho))
+        rho, stats = _even_steady_state(size, c, frame_r, tol, max_steps, dt_factor)
+        mean_b, mean_b_sq, n_th = _frame_moments(rho)
+        _, mean_a_sq, mean_n = _lab_moments(frame_r, mean_b, mean_b_sq, n_th)
         ratio = 2.0 * mean_a_sq.real / (2.0 * mean_n + 1.0)
         if not abs(ratio) < 1.0:  # also trips on NaN
             raise ConvergenceError(
                 f"frame {frames} (r = {frame_r:.6g}) gives 2<a^2>/(2<a+a>+1) = {ratio:.6g}, "
-                f"outside (-1, 1); no squeezed frame fits it at dim {dim}",
+                f"outside (-1, 1); no squeezed frame fits it at dim {size}",
             )
         new_r = 0.5 * math.atanh(ratio)
-        if abs(new_r - frame_r) < FRAME_TOL:
-            return _checked_state(rho, boundary_tol, frame_r=frame_r, frames=frames, **stats)
+        if final or abs(new_r - frame_r) < FRAME_TOL:
+            # a final solve only ever grows its sized dim
+            target = dim or max(_frame_dim(n_th), size if final else 0)
+            if target == size:
+                return _checked_state(rho, boundary_tol, frame_r=frame_r, frames=frames, **stats)
+            size, final = target, True
         frame_r = new_r
     raise ConvergenceError(
-        f"squeezed frame not self-consistent after {FRAME_MAX} frames at dim {dim} "
+        f"squeezed frame not self-consistent after {FRAME_MAX} frames at dim {size} "
         f"(last r = {frame_r:.12g})",
     )
 
@@ -581,43 +626,53 @@ def _lab_moments(frame_r: float, mean_b: complex, mean_b_sq: complex, mean_nb: f
     return mean_a, mean_a_sq, mean_n
 
 
-def _lab_pnd(data: np.ndarray, frame_r: float) -> np.ndarray:
-    """Lab P(n) = <psi_n|rho'|psi_n>, n < dim, of the frame state rho' = data.
+def _lab_pnd(data: np.ndarray, frame_r: float, n_max: int) -> np.ndarray:
+    """Lab P(n) = <psi_n|rho'|psi_n>, n = 0..n_max, of the frame state rho' = data.
 
-    psi_n = S(r)+|n> has amplitudes psi[n, k] = <n|S(r)|k>.  Column 0 is
-    the squeezed vacuum, psi[n, 0] = d_n with d_0 = 1/sqrt(mu) and
-    d_{n+1} = (nu/mu) sqrt(n/(n+1)) d_{n-1}; (mu b + nu b+) psi_n =
-    sqrt(n) psi_{n-1} then gives column k + 1 from columns k and k - 1
-    for every n at once.
+    psi_n = S(r)+|n> has amplitudes psi[n, k] = <n|S(r)|k>, needed for the
+    frame levels k < dim only, whatever n.  Column 0 is the squeezed
+    vacuum, psi[n, 0] = d_n with d_0 = 1/sqrt(mu) and d_{n+1} = (nu/mu)
+    sqrt(n/(n+1)) d_{n-1}; (mu b + nu b+) psi_n = sqrt(n) psi_{n-1} then
+    gives column k + 1 from columns k and k - 1 for every n at once.  psi
+    is real, so P(n) = psi Re(rho') psi^T: the antisymmetric Im(rho')
+    drops out of every diagonal entry.
     """
     dim = data.shape[0]
     mu, nu = math.cosh(frame_r), math.sinh(frame_r)
-    root = np.sqrt(np.arange(dim, dtype=float))
-    psi = np.zeros((dim, dim))
-    odd = np.arange(1, dim - 1, 2)
+    root = np.sqrt(np.arange(max(n_max + 1, dim), dtype=float))
+    psi = np.zeros((n_max + 1, dim))
+    odd = np.arange(1, n_max, 2)
     psi[0::2, 0] = np.cumprod(np.concatenate(([1.0 / math.sqrt(mu)],
                                               (nu / mu) * np.sqrt(odd / (odd + 1.0)))))
     for k in range(dim - 1):
-        psi[1:, k + 1] = root[1:] * psi[:-1, k]
+        psi[1:, k + 1] = root[1:n_max + 1] * psi[:-1, k]
         if k:
             psi[:, k + 1] -= nu * root[k] * psi[:, k - 1]
         psi[:, k + 1] /= mu * root[k + 1]
-    return np.real(np.sum((psi @ data) * psi, axis=1))
+    return np.sum((psi @ data.real) * psi, axis=1)
 
 
-def observables(rho: DensityMatrix, compute_min_eig: bool = False) -> OracleObservables:
+def observables(rho: DensityMatrix, compute_min_eig: bool = False,
+                n_max: int | None = None) -> OracleObservables:
     """Moments and quadrature variances via traces against truncated operators.
 
-    For a state in a squeezed frame (frame_r != 0) the moments are mapped
-    back to the lab frame and pnd is the lab P(n), n < dim.
+    pnd holds the lab P(n) of the truncated state for n = 0..n_max
+    (default dim - 1).  For a state in a squeezed frame (frame_r != 0) the
+    moments are mapped back to the lab frame, and P(n) is nonzero beyond
+    the frame's dim levels; a number-basis state has P(n) = 0 for n >= dim.
     """
     data = rho.data
+    if n_max is None:
+        n_max = rho.dim - 1
+    _check_count("n_max", n_max, 0)
     mean_a, mean_a_sq, mean_n = _frame_moments(data)
     if rho.frame_r:
         mean_a, mean_a_sq, mean_n = _lab_moments(rho.frame_r, mean_a, mean_a_sq, mean_n)
-        pnd = _lab_pnd(data, rho.frame_r)
+        pnd = _lab_pnd(data, rho.frame_r, n_max)
     else:
-        pnd = np.real(np.diag(data)).copy()
+        pnd = np.zeros(n_max + 1)
+        head = min(n_max + 1, rho.dim)
+        pnd[:head] = np.real(np.diag(data))[:head]
 
     re_a, im_a = mean_a.real, mean_a.imag
     re_a2 = mean_a_sq.real

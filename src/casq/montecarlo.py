@@ -39,8 +39,9 @@ error group (_lag_sums).  The blow-up guard tests max(|alpha|,
 |alpha_dag|) at every recorded step, the only states computed.  The units
 run on a fork-context process pool created for the call, one worker per
 usable core unless `jobs` says otherwise, and shut down before the call
-returns or raises; with one worker or one unit they run in the calling
-process.  The workers call no BLAS.
+returns or raises.  With one worker or one unit, or with less work than
+_POOL_MIN_WORK trajectory-intervals, whose draws cost less than starting
+the pool, they run in the calling process.  The workers call no BLAS.
 
 Reproducibility: every unit owns a counter-based Philox stream,
 SeedSequence(seed, spawn_key=(unit index,)), drawn trajectory-major as
@@ -83,6 +84,12 @@ __all__ = [
 
 BLOWUP_LIMIT = 1e6
 _UNIT = 2048  # trajectories per work unit
+# Trajectories x recorded intervals below which the units run in the calling
+# process.  Starting the fork pool costs about 18 ms, at 2 cores (Python
+# 3.11, NumPy 2.4).  `casq verify`'s run, 20000 x 1, took 2-3 ms in process
+# against 20-26 ms on the pool, and 20000 x 12 took 20 ms against 25 ms; from
+# 20000 x 16 on, the two were within the run-to-run noise of each other.
+_POOL_MIN_WORK = 250_000
 
 
 @dataclass(frozen=True)
@@ -277,16 +284,18 @@ def _ensemble(k: _Kernel, n_traj: int, jobs: int):
     k.reduce, added in unit order.
 
     The units (_UNIT trajectories each) run on min(jobs, units) worker
-    processes, or in this process through builtin map when that is one or
-    worker_context() is None; the pool is shut down before this returns or
-    raises.  If any unit blew up, raises TrajectoryBlowupError at the
-    earliest failing step among the units, with the largest magnitude any
-    of them reached there: the step and peak of a whole-ensemble check.
+    processes, or in this process through builtin map when that is one,
+    when worker_context() is None or when n_traj times the recorded
+    intervals is below _POOL_MIN_WORK; the pool is shut down before this
+    returns or raises.  If any unit blew up, raises TrajectoryBlowupError
+    at the earliest failing step among the units, with the largest
+    magnitude any of them reached there: the step and peak of a
+    whole-ensemble check.
     """
     los = range(0, n_traj, _UNIT)
     his = [min(lo + _UNIT, n_traj) for lo in los]
     workers, pool, context = min(jobs, len(los)), None, worker_context()
-    if workers > 1 and context is not None:
+    if workers > 1 and n_traj * k.keep_p.size >= _POOL_MIN_WORK and context is not None:
         pool = ProcessPoolExecutor(workers, mp_context=context)
     sums, failed = (0.0, 0.0), []
     try:
@@ -335,7 +344,8 @@ def run(
     A trajectory magnitude above 1e6 at a sampled step aborts with
     TrajectoryBlowupError, reported at the earliest such step with the
     largest magnitude there.  The trajectories run on `jobs` worker
-    processes (default: the usable cores; 1 runs in this process); the
+    processes (default: the usable cores; 1 runs in this process, and so
+    does a run of less than _POOL_MIN_WORK trajectory-intervals); the
     result does not depend on jobs.
     """
     _check_count("n_traj", n_traj, 2)

@@ -315,18 +315,35 @@ class TestVerify:
         assert crosscheck._check_row(name, 0.0, 1.0004e-4, 1e-4, digits=3)[2:] == (
             1e-4, 1e-4, "FAIL")
 
-    def test_near_threshold_oracle_rows_at_default_dim(self):
-        # at 0.9 of threshold the number basis needs ~1216 levels; the
-        # squeezed frame passes every oracle row in the default 96 under
-        # the default bounds (the Monte Carlo rows are not the point here)
+    def test_near_threshold_oracle_rows_at_default_dim(self, monkeypatch):
+        # at 0.9 of threshold the number basis needs ~1216 levels; by
+        # default the squeezed frame sizes its own basis (68 levels for
+        # n_th = 1.78) and passes every oracle row under the default bounds
+        # (the Monte Carlo rows are not the point here)
         p = SystemParams(a=25, kappa=0.8, beta=0.1).with_relative_drive(0.9)
+        states = []
+        solve = fock.steady_state
+        monkeypatch.setattr(fock, "steady_state",
+                            lambda *a, **kw: states.append(solve(*a, **kw)) or states[-1])
         args = cli._build_parser().parse_args(["verify"])
         rows, _ = crosscheck.verify_point(p, dim=args.dim, n_traj=200, dt=0.01, t_end=1.0,
                                           seed=cli.MC_SEED, sigma=args.sigma,
                                           oracle_rtol=args.oracle_rtol, pnd_atol=args.pnd_atol)
-        assert args.dim == 96
+        assert args.dim is None
+        (rho,) = states
+        assert rho.frame_r and 40 < rho.dim <= 80
         oracle = [row for row in rows if row[0].startswith("oracle")]
         assert len(oracle) == 4 and all(row[4] == "PASS" for row in oracle)
+
+    def test_default_point_runs_without_a_process_pool(self, monkeypatch, capsys):
+        # its 20000 trajectories are recorded once, below the pool's break-even
+        def no_pool(*args, **kwargs):
+            raise AssertionError("casq verify started a process pool")
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+        assert cli.main(["verify"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 12 and all(line.endswith("PASS") for line in lines[1:-1])
 
     def test_vacuum_point_trivially_consistent(self, capsys):
         # the CLI's Monte Carlo defaults here: dt = 0.01 / max(lambda_+-, kappa, 1) and its seed
@@ -599,9 +616,11 @@ def test_pooled_sweep_in_daemonic_process(tmp_path):
 
 @pytest.mark.parametrize("beta, n_traj", [("0.1:0.2:0.1", "64"), ("0.1", "4100")],
                          ids=["pooled-points", "pooled-trajectories"])
-def test_pooled_mc_sweep_matches_serial(tmp_path, beta, n_traj):
+def test_pooled_mc_sweep_matches_serial(tmp_path, monkeypatch, beta, n_traj):
     # two points run on a pool of two; one point of three work units runs
-    # its trajectories on two processes
+    # its trajectories on two processes, with the pool's break-even lowered
+    # to let so small an ensemble start it
+    monkeypatch.setattr(montecarlo, "_POOL_MIN_WORK", 0)
     args = ["variance", "--engine", "mc", "--a", "4", "--kappa", "0.8", "--beta", beta,
             "--epsilon-rel-threshold", "0.5", "--n-traj", n_traj, "--dt", "0.01",
             "--t-end", "1", "--seed", "3"]

@@ -660,6 +660,7 @@ class TestSteadyState:
 
 
 CRITERION4_POINT = SystemParams(a=25, kappa=0.8, beta=0.1).with_relative_drive(0.9)
+HEADLINE_POINT = SystemParams(a=100, kappa=0.8, beta=0.0677).with_relative_drive(0.99)
 
 
 def relative_errors(obs, p):
@@ -694,9 +695,43 @@ class TestSqueezedFrame:
     def test_headline_point_near_threshold(self):
         # <n> = 664 at 0.99 of threshold, where the lab frame would need
         # thousands of levels
-        p = SystemParams(a=100, kappa=0.8, beta=0.0677).with_relative_drive(0.99)
-        rho = fock.steady_state(p, 160, frame="auto")
-        assert max(relative_errors(fock.observables(rho), p)) < 1e-7
+        rho = fock.steady_state(HEADLINE_POINT, 160, frame="auto")
+        assert max(relative_errors(fock.observables(rho), HEADLINE_POINT)) < 1e-7
+
+    @pytest.mark.parametrize("p, most_levels, rtol, pnd_atol", [
+        (VERIFY_POINT, 40, 1e-10, 1e-12), (FIG6_POINT, 40, 1e-10, 1e-12),
+        (CRITERION4_POINT, 80, 1e-10, 1e-12), (HEADLINE_POINT, 260, 1e-7, 1e-11),
+    ], ids=["verify", "fig6", "criterion4", "headline"])
+    def test_sized_frame(self, p, most_levels, rtol, pnd_atol):
+        # dim=0 sizes the basis from the frame's own occupation n_th: the
+        # fewest levels whose thermal tail (n_th / (n_th + 1))^dim is below
+        # 1e-13 (31, 23, 68 and 202 levels here); the coarse frames at the
+        # headline point see too few quanta, so its final solve grows once.
+        # There P(n) is off by 1.9e-12 of P(0) = 0.0375 at dims 202 to 300
+        # alike: a round-off floor, as is its 1e-10 in the moments
+        rho = fock.steady_state(p, frame="auto")
+        n_th = fock._frame_moments(rho.data)[2]
+        fewest = math.ceil(math.log(1e-13) / math.log(n_th / (n_th + 1.0)))
+        assert rho.dim == fewest <= most_levels and rho.frame_r > 1.0
+        obs = fock.observables(rho, n_max=64)
+        assert max(relative_errors(obs, p)) < rtol
+        pnd = analytic.photon_distribution(analytic.steady_record(p), 64).probs
+        assert obs.pnd.shape == (65,)
+        assert np.abs(obs.pnd - pnd).max() <= pnd_atol
+
+    def test_sized_frame_needs_the_frame(self):
+        with pytest.raises(InvalidParameterError, match="dim must be >= 2, got 0"):
+            fock.steady_state(VERIFY_POINT, 0)
+        with pytest.raises(InvalidParameterError, match="dim must be >= 2, got 1"):
+            fock.steady_state(VERIFY_POINT, 1, frame="auto")
+
+    def test_sized_frame_capped(self, monkeypatch):
+        # the criterion-4 point needs 68 levels
+        monkeypatch.setattr(fock, "FRAME_DIM_MAX", 64)
+        with pytest.raises(TruncationError, match="needs 68 levels, more than 64") as exc:
+            fock.steady_state(CRITERION4_POINT, frame="auto")
+        assert exc.value.suggested_dim == 68
+        assert fock.steady_state(CRITERION4_POINT, 64, frame="auto").dim == 64
 
     @pytest.mark.parametrize("p", [VERIFY_POINT, CRITERION4_POINT], ids=["verify", "criterion4"])
     def test_lab_photon_distribution(self, p):
@@ -724,6 +759,10 @@ class TestSqueezedFrame:
         assert obs.mean_a_sq == pytest.approx(mean_a_sq, abs=1e-12)
         assert obs.mean_n == pytest.approx(mean_n, abs=1e-12)
         np.testing.assert_allclose(obs.pnd, np.diag(lab).real[:dim], atol=1e-13)
+        # the frame state gives the lab P(n) beyond its own dim levels too
+        beyond = fock.observables(fock.DensityMatrix(dim=dim, data=frame_data, frame_r=r), n_max=59)
+        np.testing.assert_allclose(beyond.pnd, np.diag(lab).real[:60], atol=1e-13)
+        assert beyond.pnd[dim:].max() > 1e-4
 
     @pytest.mark.parametrize("frame", ["squeezed", "LAB", None, 0.5])
     def test_bad_frame_rejected(self, frame):
@@ -743,9 +782,8 @@ class TestSqueezedFrame:
 
     def test_final_frame_truncation_guarded(self):
         # intermediate frames run unguarded; the returned one is not
-        p = SystemParams(a=100, kappa=0.8, beta=0.0677).with_relative_drive(0.99)
         with pytest.raises(TruncationError):
-            fock.steady_state(p, 64, frame="auto")
+            fock.steady_state(HEADLINE_POINT, 64, frame="auto")
 
     @pytest.mark.parametrize("frame_r", [math.nan, math.inf])
     def test_non_finite_frame_rejected(self, frame_r):

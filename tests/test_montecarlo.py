@@ -21,6 +21,7 @@ import inspect
 import math
 import multiprocessing
 import re
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -132,6 +133,14 @@ def small_run_n_cl(jobs):
     return montecarlo.run(MODULE_POINT, 4096, 0.1, 0.01, seed=1, jobs=jobs).n_cl
 
 
+@pytest.fixture
+def pool_always(monkeypatch):
+    """Send every ensemble of more than one unit to the pool, however little its work.
+
+    The tests of the pooled path run ensembles far below _POOL_MIN_WORK."""
+    monkeypatch.setattr(montecarlo, "_POOL_MIN_WORK", 0)
+
+
 class TestNoiseFactorization:
     def test_no_drive_no_atoms(self):
         noise = montecarlo.factor_noise(coefficients(SystemParams(a=0, kappa=0.8, beta=0)))
@@ -215,7 +224,7 @@ class TestRun:
         assert np.all(series.n_cl == 0)
         assert np.all(series.minus_sq_se == 0)
 
-    def test_bitwise_reproducible(self):
+    def test_bitwise_reproducible(self, pool_always):
         # 6444 trajectories are four 2048-trajectory work units, the last
         # partial, summed in unit order whichever worker computes them
         kw = dict(n_traj=6444, t_end=2.0, dt=0.01, seed=97)
@@ -328,7 +337,8 @@ class TestRun:
     @pytest.mark.parametrize("seed, limit, peak, step", [
         (18, 6.5, "6.720e+00", 512), (25, 6.7, "6.940e+00", 512), (25, 7.0, "7.202e+00", 1536),
     ], ids=["earliest-in-later-unit", "two-units-at-step", "one-unit"])
-    def test_blowup_reported_alike_in_workers(self, monkeypatch, seed, limit, peak, step):
+    def test_blowup_reported_alike_in_workers(self, monkeypatch, pool_always, seed, limit, peak,
+                                              step):
         # peaks of the three work units at the recorded steps 512..2048 are
         # seed 18: 5.65 5.86 6.05 7.26 / 5.94 6.75 6.12 5.77 / 6.72 5.86 5.84 5.89
         # seed 25: 6.80 6.52 6.57 5.75 / 5.99 5.68 7.20 6.93 / 6.94 6.73 6.00 5.83
@@ -407,7 +417,28 @@ class TestRun:
                                         t_burn=0.1, jobs=2)
         montecarlo.run(MODULE_POINT, 4096, 0.1, 0.01, seed=1, jobs=1)
 
-    def test_daemonic_process_runs_in_process(self):
+    def test_small_run_skips_the_pool_bitwise(self, monkeypatch):
+        # 20000 trajectories recorded once, as `casq verify` runs them, are
+        # below the pool's break-even; forced onto the pool they give the
+        # same bits
+        started = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+        kw = dict(n_traj=20000, t_end=10.0, dt=0.0025, seed=7041, sample_times=[10.0], jobs=2)
+        assert 20000 < montecarlo._POOL_MIN_WORK
+        in_process = montecarlo.run(MODULE_POINT, **kw)
+        assert started == []
+        monkeypatch.setattr(montecarlo, "_POOL_MIN_WORK", 0)
+        pooled = montecarlo.run(MODULE_POINT, **kw)
+        assert len(started) == 1 or montecarlo.worker_context() is None
+        assert_fields_equal(in_process, pooled)
+
+    def test_daemonic_process_runs_in_process(self, pool_always):
         # a multiprocessing.Pool worker is daemonic and may not start children
         with multiprocessing.get_context("fork").Pool(1) as pool:
             got = pool.apply_async(small_run_n_cl, (2,)).get(timeout=60)
@@ -478,7 +509,7 @@ class TestTwoTimeCorrelation:
         with pytest.raises(InvalidParameterError, match="finite"):
             montecarlo.two_time_correlation(MODULE_POINT, [0.0, 0.1], 100, dt, seed=1)
 
-    def test_bitwise_reproducible(self):
+    def test_bitwise_reproducible(self, pool_always):
         # 4500 trajectories are three 2048-trajectory work units, the last partial
         tau = np.arange(5) * 0.05
         kw = dict(tau_grid=tau, n_traj=4500, dt=0.01, seed=77, t_burn=1.0, t_avg=0.5)
