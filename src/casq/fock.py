@@ -116,7 +116,7 @@ COARSE_DIM = 32
 FRAME_TOL = 1e-3
 # Near threshold a coarse basis truncates the lab-like first frames, and r
 # creeps up by a few hundredths per frame: `casq oracle`'s default point
-# (A = 100, beta = 0, epsilon = 0) takes 25 frames.
+# (A = 100, beta = 0, epsilon = 0) takes 26 frames.
 FRAME_MAX = 40  # frames solved before the fixed point counts as failed
 # A sized dim holds a thermal tail below FRAME_TAIL in at least FRAME_FLOOR
 # levels; more than FRAME_DIM_MAX levels are refused before they are built.

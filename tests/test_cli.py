@@ -420,6 +420,25 @@ class TestExitCodes:
         assert cli.main(["figure", *args, "--out", str(tmp_path) + os.sep]) == 2
         assert not (tmp_path / f"fig{args[0]}.csv").exists()
 
+    def test_oracle_defaults_solve_in_the_frame(self, tmp_path, capsys):
+        # A = 100, beta = 0, epsilon = 0: <n> = 62.5, which 150 number
+        # states cannot hold; the self-sized frame does, and an explicit
+        # --dim still asks for the number basis
+        out = tmp_path / "oracle.csv"
+        assert cli.main(["oracle", "--out", str(out)]) == 0
+        _, ((t, mean_n, var_plus, var_minus, *_),) = read_csv(out)
+        p = SystemParams(a=100, kappa=0.8, beta=0.0, epsilon=0.0)
+        assert t == "inf" and float(mean_n) == pytest.approx(analytic.steady_record(p).n_cl,
+                                                            rel=1e-10)
+        assert float(var_minus) == pytest.approx(analytic.variance_steady(p).minus, rel=1e-10)
+        sweep = tmp_path / "variance.csv"
+        assert cli.main(["variance", "--engine", "oracle", "--beta", "0:0.2:0.1", "--jobs", "1",
+                         "--out", str(sweep)]) == 0
+        assert len(read_csv(sweep)[1]) == 3
+        capsys.readouterr()
+        assert cli.main(["oracle", "--dim", "150", "--out", str(out)]) == 2
+        assert "retry with dim >= 300" in capsys.readouterr().err
+
     @pytest.mark.parametrize("args", [
         ["oracle", "--dim", "0"],
         ["oracle", "--dim", "-5"],
@@ -509,6 +528,19 @@ class TestExitCodes:
                          "--dim", "8", "--n-max", "7", "--out", str(out)]) == 0
         _, rows = read_csv(out)
         assert [r[0] for r in rows] == [str(n) for n in range(8)]
+
+    def test_oracle_pnd_in_the_frame_reaches_past_its_dim(self, tmp_path):
+        # without --dim the figure-6 point solves in 23 frame levels, and
+        # --n-max is not bounded by them
+        out = tmp_path / "pnd.csv"
+        assert cli.main(["pnd", "--engine", "oracle", "--a", "100", "--beta", "0.067",
+                         "--epsilon", "0.3", "--n-max", "64", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        p = SystemParams(a=100, kappa=0.8, beta=0.067, epsilon=0.3)
+        ref = analytic.photon_distribution(analytic.steady_record(p), 64).probs
+        np.testing.assert_allclose([float(r[1]) for r in rows], ref, rtol=1e-11, atol=1e-13)
+        assert cli.main(["pnd", "--engine", "oracle", "--a", "100", "--n-max", "-1",
+                         "--out", str(out)]) == 2
 
     @pytest.mark.parametrize("args", [
         ["2", "--a", "25,abc"], ["3", "--a", "25,abc"], ["2", "--a", ""],
