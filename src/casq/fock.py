@@ -46,26 +46,30 @@ for M and N with T = [[mu, nu], [nu, mu]]; trace conservation, realness,
 transposition symmetry and m - n parity all survive it, so the block
 builder and both solvers run unchanged on the frame's number basis.
 steady_state(frame="auto") picks r as a fixed point of the oracle's own
-moments, coarse to fine: solve at r (starting from 0) on COARSE_DIM
-levels, map the frame moments back to the lab frame and set
-r <- artanh(2 <a^2> / (2 <a+a> + 1)) / 2, until r moves by less than
-FRAME_TOL; then solve once more at the final dim.  Unless given, that dim
-is sized from the frame's own thermal occupation n_th = <b+b>: the tail
-(n_th / (n_th + 1))^dim of a thermal state falls below FRAME_TAIL.  A
-coarse basis that cuts the state short reads n_th low, so the sized solve
-is repeated at a larger dim while its own n_th asks for one.  The
-returned DensityMatrix then holds rho' in the frame's number basis and
-records r as frame_r; observables maps its moments back to the lab frame,
-and its lab P(n) = <psi_n|rho'|psi_n>, for any n, with psi_n = S+|n>, the
-squeezed number states of M. S. Kim, F. A. M. de Oliveira and P. L.
-Knight, Phys. Rev. A 40, 2494 (1989) (see also P. Marian and T. A.
-Marian, Phys. Rev. A 47, 4474 (1993)).  Their amplitudes come from the
-ladder relation (mu b + nu b+) psi_n = sqrt(n) psi_{n-1}, run upward in
-the frame level k < dim from the squeezed-vacuum amplitudes
-psi_n[0] = <n|S|0>; that direction damps by nu / mu per step, where the
-same relation run upward in n overflows.  The oracle reads only its own
-moments to pick and size the frame, so it stays independent of the
-closed forms.
+moments.  It starts where the term table is stationary: for O = a^2,
+a+^2 and a+a the adjoint generator gives d<O>/dt as a constant plus a
+combination of <a^2>, <a+^2> and <a+a>, so three linear equations fix
+those moments, and with them r = artanh(2 <a^2> / (2 <a+a> + 1)) / 2 and
+the frame's thermal occupation n_th.  Each solve at r then maps its own
+frame moments back to the lab frame and updates r the same way.  Unless
+given, the dim is sized from n_th: the tail (n_th / (n_th + 1))^dim of a
+thermal state falls below FRAME_TAIL, first for the start's n_th, then
+for each solve's own.  A solve is returned once r moves by less than
+FRAME_TOL and its dim holds its own n_th, so a poor start costs frames,
+never accuracy; the exact one takes a single solve (a start far off can
+also ask for more than FRAME_DIM_MAX levels on the way, a
+TruncationError).  The returned DensityMatrix then holds rho' in the
+frame's number basis and records r as frame_r; observables maps its
+moments back to the lab frame, and its lab P(n) = <psi_n|rho'|psi_n>,
+for any n, with psi_n = S+|n>, the squeezed number states of M. S. Kim,
+F. A. M. de Oliveira and P. L. Knight, Phys. Rev. A 40, 2494 (1989) (see
+also P. Marian and T. A. Marian, Phys. Rev. A 47, 4474 (1993)).  Their
+amplitudes come from the ladder relation (mu b + nu b+) psi_n =
+sqrt(n) psi_{n-1}, run upward in the frame level k < dim from the
+squeezed-vacuum amplitudes psi_n[0] = <n|S|0>; that direction damps by
+nu / mu per step, where the same relation run upward in n overflows.  The
+oracle reads only its own term table and moments to pick and size the
+frame, so it stays independent of the closed forms.
 
 Truncation is guarded: population on the boundary level above 1e-6 aborts
 with a suggestion to enlarge the basis.  Runs at (or within 0.1% of) the
@@ -108,15 +112,13 @@ BOUNDARY_TOL = 1e-6
 TRACE_TOL = 1e-4
 THRESHOLD_MARGIN = 1e-3
 DISSECTION_LEAF = 32  # nested dissection stops at this many grid points
-# The squeezed frame's fixed point runs on COARSE_DIM levels (fewer if the
-# final dim is smaller) and stops once r moves by less than FRAME_TOL.  r
-# sets only the basis, not the state: frames 1e-2 apart give the same
-# observables to 1e-13 once the final dim holds the state.
-COARSE_DIM = 32
+# The squeezed frame's fixed point stops once r moves by less than
+# FRAME_TOL.  r sets only the basis, not the state: frames 1e-2 apart give
+# the same observables to 1e-13 once the dim holds the state.
 FRAME_TOL = 1e-3
-# Near threshold a coarse basis truncates the lab-like first frames, and r
-# creeps up by a few hundredths per frame: `casq oracle`'s default point
-# (A = 100, beta = 0, epsilon = 0) takes 26 frames.
+# Started from the term table's stationary moments, the fixed point takes
+# one frame wherever the sized dim holds the state; more frames only follow
+# a given dim too small for it, or a poor start.
 FRAME_MAX = 40  # frames solved before the fixed point counts as failed
 # A sized dim holds a thermal tail below FRAME_TAIL in at least FRAME_FLOOR
 # levels; more than FRAME_DIM_MAX levels are refused before they are built.
@@ -145,9 +147,9 @@ class DensityMatrix:
     sets the solve's memory); other producers leave them at 0, None and 0.
     A state in the squeezed frame r (see the module docstring) holds
     rho' = S(r)+ rho S(r) in data, in the frame's number basis, with r in
-    frame_r and the solves its frame search took, coarse and final, in
-    frames; a lab-frame state has frame_r 0 and frames 0.  boundary_pop
-    and the solver counts are then those of the final solve.
+    frame_r and the solves its frame search took in frames; a lab-frame
+    state has frame_r 0 and frames 0.  boundary_pop and the solver counts
+    are then those of the returned solve.
     """
 
     dim: int
@@ -482,6 +484,43 @@ def _even_steady_state(dim, c, frame_r, tol, max_steps, dt_factor):
     return rho, {"iterations": iterations, "residual": residual, "lu_nnz": lu.nnz}
 
 
+def _stationary_moments(coeffs: Coefficients):
+    """<a^2> and <a+a> at which the lab-frame term table is stationary.
+
+    d<O>/dt = <L+ O> with L+ O = sum over i, j of K_ij X_j O X_i
+    + M_ij O X_i X_j + N_ij X_i X_j O.  The generator is quadratic and
+    conserves trace, so for O = a^2, a+^2 and a+a, L+ O = c0 + c1 a^2
+    + c2 a+^2 + c3 a+a exactly.  The c are read off L+ O built on 8
+    truncated levels, at entries whose products never reach the cut:
+    c0 = <0|L+ O|0>, c1 = <0|L+ O|2>/sqrt 2, c2 = <2|L+ O|0>/sqrt 2 and
+    c3 = <1|L+ O|1> - c0.  Stationarity is then three linear equations in
+    <a^2>, <a+^2> and <a+a>.
+    """
+    k_mat, m_mat, n_mat = _terms(coeffs)
+    a = np.diag(np.sqrt(np.arange(1.0, 8.0)), 1)
+    x = (a, a.T)
+    rows = []
+    for op in (a @ a, a.T @ a.T, a.T @ a):
+        adj = sum(k_mat[i, j] * x[j] @ op @ x[i] + m_mat[i, j] * op @ x[i] @ x[j]
+                  + n_mat[i, j] * x[i] @ x[j] @ op for i in range(2) for j in range(2))
+        rows.append([adj[0, 0], adj[0, 2] / math.sqrt(2.0), adj[2, 0] / math.sqrt(2.0),
+                     adj[1, 1] - adj[0, 0]])
+    rows = np.array(rows)
+    mean_a_sq, _, mean_n = np.linalg.solve(rows[:, 1:], -rows[:, 0])
+    return float(mean_a_sq), float(mean_n)
+
+
+def _frame_r(mean_a_sq: float, mean_n: float, source: str) -> float:
+    """r = artanh(2 <a^2> / (2 <a+a> + 1)) / 2; ConvergenceError if no real r fits."""
+    ratio = 2.0 * mean_a_sq / (2.0 * mean_n + 1.0)
+    if not abs(ratio) < 1.0:  # also trips on NaN
+        raise ConvergenceError(
+            f"{source} gives 2<a^2>/(2<a+a>+1) = {ratio:.6g}, outside (-1, 1); "
+            f"no squeezed frame fits it",
+        )
+    return 0.5 * math.atanh(ratio)
+
+
 def _frame_dim(n_th: float) -> int:
     """Levels that hold a thermal state of occupation n_th to a tail below FRAME_TAIL.
 
@@ -532,20 +571,19 @@ def steady_state(
 
     frame selects the basis: "lab" (the default) solves in dim levels of
     the number basis of a; "auto" solves in the self-consistent squeezed
-    frame of the module docstring, coarse to fine.  The frame r starts
-    at 0 and is updated from each solve's own moments, on
-    min(dim, COARSE_DIM) levels, until it moves by less than FRAME_TOL;
-    then the state is solved once more in the last r at the final dim.
-    That dim is the given one, or with dim=0 (the default) it is sized
-    from the last coarse solve's frame occupation (_frame_dim), and the
-    sized solve is repeated at a larger dim while its own occupation asks
-    for more levels than it has.  Every solve uses tol and only the
-    returned one is guarded against truncation.  The returned state holds
-    rho' and records frame_r and the frames solved (coarse and final);
-    its solver counts are those of its own solve.  A fixed point not
-    reached in FRAME_MAX frames, or moments that fix no real r, raise
-    ConvergenceError.  Any other frame, or dim=0 in the lab frame, is an
-    InvalidParameterError.
+    frame of the module docstring.  The frame r starts from the
+    stationary moments of the term table (_stationary_moments) and is
+    updated from each solve's own moments.  The dim is the given one, or
+    with dim=0 (the default) it is sized from the frame occupation
+    (_frame_dim): first the start's, then each solve's own.  A solve is
+    returned once r moves by less than FRAME_TOL and its dim holds its
+    own occupation.  Every solve uses tol and only the returned one is
+    guarded against truncation.  The
+    returned state holds rho' and records frame_r and the frames solved
+    (one wherever the sized dim holds the state); its solver counts are
+    those of its own solve.  A fixed point not reached in FRAME_MAX
+    frames, or moments that fix no real r, raise ConvergenceError.  Any
+    other frame, or dim=0 in the lab frame, is an InvalidParameterError.
 
     Drives within 0.1% of threshold are refused: the state would be
     unbounded.  So is a dt_factor whose step overflows the system.  The
@@ -576,25 +614,21 @@ def steady_state(
         rho, stats = _even_steady_state(dim, c, 0.0, tol, max_steps, dt_factor)
         return _checked_state(rho, boundary_tol, **stats)
 
-    size, frame_r, final = min(dim or COARSE_DIM, COARSE_DIM), 0.0, False
+    mean_a_sq, mean_n = _stationary_moments(c)
+    frame_r = _frame_r(mean_a_sq, mean_n, "the term table's stationary moments")
+    # the frame's occupation: the symplectic invariant of the start moments
+    n_th = math.sqrt((mean_n + 0.5) ** 2 - mean_a_sq ** 2) - 0.5
+    size = dim or _frame_dim(n_th)
     for frames in range(1, FRAME_MAX + 1):
         rho, stats = _even_steady_state(size, c, frame_r, tol, max_steps, dt_factor)
         mean_b, mean_b_sq, n_th = _frame_moments(rho)
         _, mean_a_sq, mean_n = _lab_moments(frame_r, mean_b, mean_b_sq, n_th)
-        ratio = 2.0 * mean_a_sq.real / (2.0 * mean_n + 1.0)
-        if not abs(ratio) < 1.0:  # also trips on NaN
-            raise ConvergenceError(
-                f"frame {frames} (r = {frame_r:.6g}) gives 2<a^2>/(2<a+a>+1) = {ratio:.6g}, "
-                f"outside (-1, 1); no squeezed frame fits it at dim {size}",
-            )
-        new_r = 0.5 * math.atanh(ratio)
-        if final or abs(new_r - frame_r) < FRAME_TOL:
-            # a final solve only ever grows its sized dim
-            target = dim or max(_frame_dim(n_th), size if final else 0)
-            if target == size:
-                return _checked_state(rho, boundary_tol, frame_r=frame_r, frames=frames, **stats)
-            size, final = target, True
-        frame_r = new_r
+        new_r = _frame_r(mean_a_sq.real, mean_n,
+                         f"frame {frames} (r = {frame_r:.6g}) at dim {size}")
+        target = dim or _frame_dim(n_th)
+        if abs(new_r - frame_r) < FRAME_TOL and target <= size:
+            return _checked_state(rho, boundary_tol, frame_r=frame_r, frames=frames, **stats)
+        size, frame_r = target, new_r
     raise ConvergenceError(
         f"squeezed frame not self-consistent after {FRAME_MAX} frames at dim {size} "
         f"(last r = {frame_r:.12g})",

@@ -439,6 +439,20 @@ class TestExitCodes:
         assert cli.main(["oracle", "--dim", "150", "--out", str(out)]) == 2
         assert "retry with dim >= 300" in capsys.readouterr().err
 
+    def test_oracle_large_gain_solves_in_one_frame(self, tmp_path):
+        # A = 400, beta = 0, epsilon = 0: <n> = 250.  From r = 0 the frame
+        # crept up for more than FRAME_MAX frames and the command exited 2;
+        # the stationary start solves once, in 474 levels
+        out = tmp_path / "oracle.csv"
+        assert cli.main(["oracle", "--a", "400", "--out", str(out)]) == 0
+        _, ((t, mean_n, var_plus, var_minus, *_),) = read_csv(out)
+        p = SystemParams(a=400, kappa=0.8, beta=0.0, epsilon=0.0)
+        var = analytic.variance_steady(p)
+        assert t == "inf"
+        assert float(mean_n) == pytest.approx(analytic.steady_record(p).n_cl, rel=1e-9)
+        assert float(var_plus) == pytest.approx(var.plus, rel=1e-9)
+        assert float(var_minus) == pytest.approx(var.minus, rel=1e-9)
+
     @pytest.mark.parametrize("args", [
         ["oracle", "--dim", "0"],
         ["oracle", "--dim", "-5"],

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from casq import analytic, fock
@@ -661,6 +661,7 @@ class TestSteadyState:
 
 CRITERION4_POINT = SystemParams(a=25, kappa=0.8, beta=0.1).with_relative_drive(0.9)
 HEADLINE_POINT = SystemParams(a=100, kappa=0.8, beta=0.0677).with_relative_drive(0.99)
+ORACLE_POINT = SystemParams(a=100, kappa=0.8, beta=0.0, epsilon=0.0)  # `casq oracle`'s default
 
 
 def relative_errors(obs, p):
@@ -701,18 +702,21 @@ class TestSqueezedFrame:
     @pytest.mark.parametrize("p, most_levels, rtol, pnd_atol", [
         (VERIFY_POINT, 40, 1e-10, 1e-12), (FIG6_POINT, 40, 1e-10, 1e-12),
         (CRITERION4_POINT, 80, 1e-10, 1e-12), (HEADLINE_POINT, 260, 1e-7, 1e-11),
-    ], ids=["verify", "fig6", "criterion4", "headline"])
+        (ORACLE_POINT, 240, 1e-10, 1e-12),
+    ], ids=["verify", "fig6", "criterion4", "headline", "oracle"])
     def test_sized_frame(self, p, most_levels, rtol, pnd_atol):
         # dim=0 sizes the basis from the frame's own occupation n_th: the
         # fewest levels whose thermal tail (n_th / (n_th + 1))^dim is below
-        # 1e-13 (31, 23, 68 and 202 levels here); the coarse frames at the
-        # headline point see too few quanta, so its final solve grows once.
-        # There P(n) is off by 1.9e-12 of P(0) = 0.0375 at dims 202 to 300
-        # alike: a round-off floor, as is its 1e-10 in the moments
+        # 1e-13 (31, 23, 68, 202 and 237 levels here).  The start from the
+        # term table's stationary moments is the fixed point, so one solve
+        # is returned.  At the headline point P(n) is off by 1.9e-12 of
+        # P(0) = 0.0375 at dims 202 to 300 alike: a round-off floor, as is
+        # its 1e-10 in the moments
         rho = fock.steady_state(p, frame="auto")
         n_th = fock._frame_moments(rho.data)[2]
         fewest = math.ceil(math.log(1e-13) / math.log(n_th / (n_th + 1.0)))
         assert rho.dim == fewest <= most_levels and rho.frame_r > 1.0
+        assert rho.frames == 1
         obs = fock.observables(rho, n_max=64)
         assert max(relative_errors(obs, p)) < rtol
         pnd = analytic.photon_distribution(analytic.steady_record(p), 64).probs
@@ -770,9 +774,58 @@ class TestSqueezedFrame:
             fock.steady_state(VERIFY_POINT, 32, frame=frame)
 
     def test_frame_cap_raises(self, monkeypatch):
+        # from the stationary start the fixed point takes one frame; from
+        # r = 0 it needs more than two
         monkeypatch.setattr(fock, "FRAME_MAX", 2)
+        monkeypatch.setattr(fock, "_stationary_moments", lambda coeffs: (0.0, 0.0))
         with pytest.raises(ConvergenceError, match="2 frames"):
             fock.steady_state(VERIFY_POINT, 64, frame="auto")
+
+    def test_poor_start_costs_frames_not_accuracy(self, monkeypatch):
+        # started at r = 0 on FRAME_FLOOR levels, the frame still reaches
+        # the exact start's r, in a dim sized in a frame still moving
+        # (109 levels against 31)
+        exact = fock.steady_state(VERIFY_POINT, frame="auto")
+        monkeypatch.setattr(fock, "_stationary_moments", lambda coeffs: (0.0, 0.0))
+        poor = fock.steady_state(VERIFY_POINT, frame="auto")
+        assert poor.frames > 1 and poor.dim >= exact.dim
+        assert poor.frame_r == pytest.approx(exact.frame_r, abs=fock.FRAME_TOL)
+        assert max(relative_errors(fock.observables(poor), VERIFY_POINT)) < 1e-10
+
+    def test_start_outside_artanh_domain_raises(self, monkeypatch):
+        monkeypatch.setattr(fock, "_stationary_moments", lambda coeffs: (1.0, 0.0))
+        with pytest.raises(ConvergenceError, match="stationary moments gives .* outside"):
+            fock.steady_state(VERIFY_POINT, 32, frame="auto")
+
+    def test_sized_dim_refused_near_threshold(self):
+        # A = 100, beta = 0 at 0.99 of threshold: the frame holds 55.6
+        # thermal quanta, and the start sizes the dim before any solve
+        p = SystemParams(a=100, kappa=0.8, beta=0.0).with_relative_drive(0.99)
+        with pytest.raises(TruncationError, match="needs 1681 levels") as exc:
+            fock.steady_state(p, frame="auto")
+        assert exc.value.suggested_dim == 1681
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_stationary_start_is_the_fixed_point(self, seed):
+        # over the stable region: the term table's stationary moments are
+        # the closed forms', and the frame they start solves once.  At
+        # 5600 random points with a sized dim up to 256 the moments agreed
+        # to 2e-13 and the solves' var+-, <n> to 3e-11, all in one frame
+        p = stable_params(np.random.default_rng(seed), 1)[0]
+        c = coefficients(p)
+        mean_a_sq, mean_n = fock._stationary_moments(c)
+        rec = analytic.steady_record(p)
+        assert mean_a_sq == pytest.approx(rec.alpha_sq, rel=1e-10)
+        assert mean_n == pytest.approx(rec.n_cl, rel=1e-10)
+        s_plus, s_minus = analytic.steady_alpha_sq(c)
+        assert 2.0 * (mean_n + mean_a_sq) == pytest.approx(s_plus, rel=1e-10)
+        assert 2.0 * (mean_a_sq - mean_n) == pytest.approx(s_minus, abs=1e-10 * s_plus)
+        n_th = math.sqrt((mean_n + 0.5) ** 2 - mean_a_sq ** 2) - 0.5
+        assume(n_th <= 8.0)  # a sized dim of at most 255 levels keeps each solve small
+        rho = fock.steady_state(p, frame="auto")
+        assert rho.frames == 1 and rho.dim <= 256
+        assert max(relative_errors(fock.observables(rho), p)) < 1e-8
 
     def test_frame_outside_artanh_domain_raises(self, monkeypatch):
         # moments no squeezed thermal state has: 2 <a^2> > 2 <a+a> + 1
@@ -869,3 +922,25 @@ def test_oracle_imports_no_other_engine():
             imported.update(alias.name for alias in node.names)
     assert "errors" in imported  # the walk sees the module's own relative imports
     assert not imported & banned, sorted(imported & banned)
+
+
+def test_oracle_reads_no_closed_form_names():
+    # the frame's start comes from the oracle's own term table: no name of
+    # the closed forms or the moments engine, public or private, is read in
+    # casq/fock.py, and nothing is imported by name at run time
+    from casq import moments
+
+    tree = ast.parse(inspect.getsource(fock))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    banned = {"analytic", "moments", "importlib", "import_module", "__import__"}
+    for module in (analytic, moments):  # every top-level definition of either
+        for node in ast.parse(inspect.getsource(module)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                banned.add(node.name)
+            elif isinstance(node, ast.Assign):
+                banned.update(t.id for t in node.targets
+                              if isinstance(t, ast.Name) and t.id != "__all__")
+    assert "steady_record" in banned and "steady_from_linear_solve" in banned
+    assert "_terms" in names  # the walk sees the module's own names
+    assert not names & banned, sorted(names & banned)
