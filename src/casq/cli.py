@@ -244,9 +244,11 @@ def _add_mc_args(sub, t_end_help="Monte Carlo integration end (default 10 / lamb
 # ---------------------------------------------------------------------------
 
 def _oracle_steady_state(p: SystemParams, dim):
-    """The oracle's steady state at p: in dim levels of the number basis, or,
-    with dim None, in the squeezed frame with its self-sized basis."""
-    return fock.steady_state(p, frame="auto") if dim is None else fock.steady_state(p, dim)
+    """The oracle's steady state at p in the squeezed frame: in dim levels, or,
+    with dim None, in as many as the frame's own thermal occupation asks for."""
+    if dim is not None and dim < 2:  # fock reads dim 0 as "size the frame"
+        raise InvalidParameterError(f"dim must be >= 2, got {dim}")
+    return fock.steady_state(p, dim or 0, frame="auto")
 
 
 def _point_variances(args, mc_jobs, beta, epsilon):
@@ -358,13 +360,8 @@ def _cmd_mean_photon(args) -> int:
 def _cmd_pnd(args) -> int:
     _reject_unread(args, ("dim",), _ENGINE_OPTIONS[args.engine], f"the {args.engine} engine")
     p = _make_params(args.a, args.kappa, args.beta, args.epsilon, args.epsilon_rel)
-    if args.engine == "oracle":
-        # the squeezed frame gives the lab P(n) for any n; the number basis for n < dim
-        if args.dim is not None and not 0 <= args.n_max <= args.dim - 1:
-            raise InvalidParameterError(
-                f"--n-max must lie in [0, dim - 1] = [0, {args.dim - 1}], got {args.n_max}")
-        rho = _oracle_steady_state(p, args.dim)
-        probs = fock.observables(rho, n_max=args.n_max).pnd
+    if args.engine == "oracle":  # the squeezed frame gives the lab P(n) for any n
+        probs = fock.observables(_oracle_steady_state(p, args.dim), n_max=args.n_max).pnd
     else:
         record = analytic.steady_record(p)
         probs = analytic.photon_distribution(record, args.n_max).probs
@@ -508,8 +505,8 @@ def _cmd_oracle(args) -> int:
 # argument parser and dispatch
 # ---------------------------------------------------------------------------
 
-_ORACLE_DIM_HELP = ("oracle engine: levels of the number basis "
-                    "(default: the squeezed frame with its self-sized basis)")
+_ORACLE_DIM_HELP = (f"levels of the oracle's squeezed-frame basis, at most {fock.FRAME_DIM_MAX} "
+                    "(default: sized from the frame's own thermal occupation)")
 
 
 @functools.cache
@@ -577,9 +574,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="cross-check all four engines at one parameter point")
     _add_system_args(sp)
-    sp.add_argument("--dim", type=int, default=None,
-                    help="Fock levels of the oracle's squeezed-frame basis "
-                         "(default: sized from the frame's own thermal occupation)")
+    sp.add_argument("--dim", type=int, default=None, help=_ORACLE_DIM_HELP)
     _add_mc_args(sp)
     sp.add_argument("--sigma", type=float, default=3.0, help="Monte Carlo tolerance in standard errors")
     sp.add_argument("--oracle-rtol", type=float, default=1e-3)
@@ -598,9 +593,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(run=_cmd_oracle)
     _add_system_args(sp)
     sp.add_argument("--dim", type=int, default=None,
-                    help=f"Fock truncation: levels of the number basis (default: the steady "
-                         f"state in the self-sized squeezed frame, the --t-end transient in "
-                         f"{ORACLE_DIM} levels)")
+                    help=f"{_ORACLE_DIM_HELP}; with --t-end, levels of the number basis "
+                         f"(default {ORACLE_DIM})")
     sp.add_argument("--dt", type=float, default=None, help="RK4 step of the --t-end transient")
     sp.add_argument("--t-end", type=float, default=None,
                     help="integrate to this time instead of solving for the steady state")

@@ -36,8 +36,8 @@ def verify_point(p: SystemParams, *, dim=None, n_traj, dt, t_end, seed, sigma, o
                  pnd_atol):
     """Run all four engines at p and tabulate their agreement; returns (rows, ok).
 
-    The Fock rows solve the steady state in the self-consistent squeezed
-    frame (fock.steady_state(frame="auto")), in dim levels or, with dim
+    The Fock rows solve the steady state in the squeezed frame
+    (fock.steady_state(frame="auto")), in dim levels or, with dim
     None, in as many as the frame's own thermal occupation asks for, and
     compare the lab P(n) for n = 0..PND_N_MAX, which the frame gives
     beyond its own levels.  The bounds, each finite and > 0: sigma Monte

@@ -45,23 +45,21 @@ few dozen levels hold it.  The frame is the substitution a = mu b + nu b+
 for M and N with T = [[mu, nu], [nu, mu]]; trace conservation, realness,
 transposition symmetry and m - n parity all survive it, so the block
 builder and both solvers run unchanged on the frame's number basis.
-steady_state(frame="auto") picks r as a fixed point of the oracle's own
-moments.  It starts where the term table is stationary: for O = a^2,
-a+^2 and a+a the adjoint generator gives d<O>/dt as a constant plus a
-combination of <a^2>, <a+^2> and <a+a>, so three linear equations fix
-those moments, and with them r = artanh(2 <a^2> / (2 <a+a> + 1)) / 2 and
-the frame's thermal occupation n_th.  Each solve at r then maps its own
-frame moments back to the lab frame and updates r the same way.  Unless
-given, the dim is sized from n_th: the tail (n_th / (n_th + 1))^dim of a
-thermal state falls below FRAME_TAIL, first for the start's n_th, then
-for each solve's own.  A solve is returned once r moves by less than
-FRAME_TOL and its dim holds its own n_th, so a poor start costs frames,
-never accuracy; the exact one takes a single solve (a start far off can
-also ask for more than FRAME_DIM_MAX levels on the way, a
-TruncationError).  The returned DensityMatrix then holds rho' in the
-frame's number basis and records r as frame_r; observables maps its
-moments back to the lab frame, and its lab P(n) = <psi_n|rho'|psi_n>,
-for any n, with psi_n = S+|n>, the squeezed number states of M. S. Kim,
+steady_state(frame="auto") takes r from the moments at which the term
+table is stationary: for O = a^2, a+^2 and a+a the adjoint generator
+gives d<O>/dt as a constant plus a combination of <a^2>, <a+^2> and
+<a+a>, so three linear equations fix those moments, and with them
+r = artanh(2 <a^2> / (2 <a+a> + 1)) / 2 and the frame's thermal
+occupation n_th.  The generator is quadratic, so these are the moments
+of its steady state: the solve's own moments give the same r back, up to
+the truncation.  Unless given, the dim is sized from n_th: the tail
+(n_th / (n_th + 1))^dim of a thermal state falls below FRAME_TAIL.
+Either way it is at most FRAME_DIM_MAX, checked before anything is
+built.  One solve follows, and its boundary population is guarded as a
+lab solve's is.  The returned DensityMatrix holds rho' in the frame's
+number basis and records r as frame_r; observables maps its moments back
+to the lab frame, and its lab P(n) = <psi_n|rho'|psi_n>, for any n, with
+psi_n = S+|n>, the squeezed number states of M. S. Kim,
 F. A. M. de Oliveira and P. L. Knight, Phys. Rev. A 40, 2494 (1989) (see
 also P. Marian and T. A. Marian, Phys. Rev. A 47, 4474 (1993)).  Their
 amplitudes come from the ladder relation (mu b + nu b+) psi_n =
@@ -112,16 +110,13 @@ BOUNDARY_TOL = 1e-6
 TRACE_TOL = 1e-4
 THRESHOLD_MARGIN = 1e-3
 DISSECTION_LEAF = 32  # nested dissection stops at this many grid points
-# The squeezed frame's fixed point stops once r moves by less than
-# FRAME_TOL.  r sets only the basis, not the state: frames 1e-2 apart give
-# the same observables to 1e-13 once the dim holds the state.
-FRAME_TOL = 1e-3
-# Started from the term table's stationary moments, the fixed point takes
-# one frame wherever the sized dim holds the state; more frames only follow
-# a given dim too small for it, or a poor start.
-FRAME_MAX = 40  # frames solved before the fixed point counts as failed
+# The steady state's backward-Euler step is DT_FACTOR / lambda_minus, far
+# beyond every relaxation time; MAX_STEPS such steps are allowed.
+DT_FACTOR = 1e6
+MAX_STEPS = 400
 # A sized dim holds a thermal tail below FRAME_TAIL in at least FRAME_FLOOR
-# levels; more than FRAME_DIM_MAX levels are refused before they are built.
+# levels; a frame of more than FRAME_DIM_MAX levels, sized or given, is
+# refused before it is built.
 FRAME_TAIL = 1e-13
 FRAME_FLOOR = 16
 FRAME_DIM_MAX = 1024
@@ -147,9 +142,7 @@ class DensityMatrix:
     sets the solve's memory); other producers leave them at 0, None and 0.
     A state in the squeezed frame r (see the module docstring) holds
     rho' = S(r)+ rho S(r) in data, in the frame's number basis, with r in
-    frame_r and the solves its frame search took in frames; a lab-frame
-    state has frame_r 0 and frames 0.  boundary_pop and the solver counts
-    are then those of the returned solve.
+    frame_r; a lab-frame state has frame_r 0.
     """
 
     dim: int
@@ -160,7 +153,6 @@ class DensityMatrix:
     residual: float | None = None
     lu_nnz: int = 0
     frame_r: float = 0.0
-    frames: int = 0
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=complex)
@@ -439,7 +431,7 @@ def evolve(
     return _checked_state(rho, boundary_tol)
 
 
-def _even_steady_state(dim, c, frame_r, tol, max_steps, dt_factor):
+def _even_steady_state(dim, c, frame_r, tol):
     """The steady rho (rho' in the frame frame_r) on the real even block, and its solver counts."""
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
@@ -448,18 +440,18 @@ def _even_steady_state(dim, c, frame_r, tol, max_steps, dt_factor):
     gen = _block(dim, c, m, n, 1, frame_r)
     weight = np.where(m == n, 1.0, 2.0)
     diag_pos = np.flatnonzero(m == n)
-    dt = dt_factor / c.lambda_minus
+    dt = DT_FACTOR / c.lambda_minus
     with np.errstate(over="ignore", invalid="ignore"):
         system = (sp.identity(m.size, format="csc") - dt * gen).tocsc()
     if not np.isfinite(system.data).all():
         raise InvalidParameterError(
-            f"dt_factor {dt_factor:g} overflows the implicit step at dim {dim}")
+            f"the implicit step dt = {dt:.3g} overflows the system at dim {dim}")
     lu = spla.splu(system, permc_spec="NATURAL", diag_pivot_thresh=0.1)
 
     x = np.where((m == 0) & (n == 0), 1.0, 0.0)
     residual = math.inf
     stall = 0
-    for iterations in range(1, max_steps + 1):
+    for iterations in range(1, MAX_STEPS + 1):
         x = lu.solve(x)
         x /= x[diag_pos].sum()
         new_residual = float(weight @ np.abs(gen @ x))
@@ -476,7 +468,7 @@ def _even_steady_state(dim, c, frame_r, tol, max_steps, dt_factor):
             )
     else:
         raise ConvergenceError(
-            f"no convergence in {max_steps} implicit steps (residual {residual:.3e})",
+            f"no convergence in {MAX_STEPS} implicit steps (residual {residual:.3e})",
             residual=residual,
         )
 
@@ -510,13 +502,13 @@ def _stationary_moments(coeffs: Coefficients):
     return float(mean_a_sq), float(mean_n)
 
 
-def _frame_r(mean_a_sq: float, mean_n: float, source: str) -> float:
+def _frame_r(mean_a_sq: float, mean_n: float) -> float:
     """r = artanh(2 <a^2> / (2 <a+a> + 1)) / 2; ConvergenceError if no real r fits."""
     ratio = 2.0 * mean_a_sq / (2.0 * mean_n + 1.0)
     if not abs(ratio) < 1.0:  # also trips on NaN
         raise ConvergenceError(
-            f"{source} gives 2<a^2>/(2<a+a>+1) = {ratio:.6g}, outside (-1, 1); "
-            f"no squeezed frame fits it",
+            f"the term table's stationary moments give 2<a^2>/(2<a+a>+1) = {ratio:.6g}, "
+            f"outside (-1, 1); no squeezed frame fits them",
         )
     return 0.5 * math.atanh(ratio)
 
@@ -543,62 +535,56 @@ def steady_state(
     p: SystemParams,
     dim: int = 0,
     tol: float = 1e-10,
-    max_steps: int = 400,
-    dt_factor: float = 1e6,
     boundary_tol: float | None = BOUNDARY_TOL,
     frame: str = "lab",
 ) -> DensityMatrix:
     """Stationary density matrix by implicit integration to convergence.
 
-    Backward-Euler steps of size dt_factor / lambda_minus (one sparse LU,
-    reused) are applied to the vacuum until |L rho|_1 < tol |rho|_1.
-    Each step damps a mode of decay rate mu by 1 / (1 + dt mu); the
-    default step lies far beyond every relaxation time, so the loop is
-    shifted inverse iteration towards the null vector of L (I. Ipsen,
-    SIAM Rev. 39, 254 (1997)), which typically stops after two solves.
-    The generator is real, commutes with transposition and never mixes
-    even and odd m - n, and the vacuum is real, symmetric and diagonal,
-    so every iterate is a real symmetric matrix on the even sector.  The
-    solve runs on those unknowns alone, rho_mn with m <= n and m - n
-    even (rho_mn and rho_nm share one unknown).  They are numbered in a
-    nested-dissection order of their grid, computed once per dim, and
-    the generator is assembled directly in that order, which the LU
-    keeps (permc_spec NATURAL, with a diagonal-favouring pivot
+    Backward-Euler steps of size DT_FACTOR / lambda_minus (one sparse LU,
+    reused) are applied to the vacuum until |L rho|_1 < tol |rho|_1, at
+    most MAX_STEPS of them.  Each step damps a mode of decay rate mu by
+    1 / (1 + dt mu); the step lies far beyond every relaxation time, so
+    the loop is shifted inverse iteration towards the null vector of L
+    (I. Ipsen, SIAM Rev. 39, 254 (1997)), which typically stops after two
+    solves.  The generator is real, commutes with transposition and never
+    mixes even and odd m - n, and the vacuum is real, symmetric and
+    diagonal, so every iterate is a real symmetric matrix on the even
+    sector.  The solve runs on those unknowns alone, rho_mn with m <= n
+    and m - n even (rho_mn and rho_nm share one unknown).  They are
+    numbered in a nested-dissection order of their grid, computed once
+    per dim, and the generator is assembled directly in that order, which
+    the LU keeps (permc_spec NATURAL, with a diagonal-favouring pivot
     threshold); that keeps its fill low.  The residual keeps its
     whole-matrix meaning: off-diagonal unknowns count twice in both
     1-norms.  The returned state is exactly symmetric and records the
     step count, the final residual and the LU non-zeros.
 
     frame selects the basis: "lab" (the default) solves in dim levels of
-    the number basis of a; "auto" solves in the self-consistent squeezed
-    frame of the module docstring.  The frame r starts from the
-    stationary moments of the term table (_stationary_moments) and is
-    updated from each solve's own moments.  The dim is the given one, or
-    with dim=0 (the default) it is sized from the frame occupation
-    (_frame_dim): first the start's, then each solve's own.  A solve is
-    returned once r moves by less than FRAME_TOL and its dim holds its
-    own occupation.  Every solve uses tol and only the returned one is
-    guarded against truncation.  The
-    returned state holds rho' and records frame_r and the frames solved
-    (one wherever the sized dim holds the state); its solver counts are
-    those of its own solve.  A fixed point not reached in FRAME_MAX
-    frames, or moments that fix no real r, raise ConvergenceError.  Any
-    other frame, or dim=0 in the lab frame, is an InvalidParameterError.
+    the number basis of a; "auto" solves in the squeezed frame of the
+    module docstring, at the r of the term table's stationary moments
+    (_stationary_moments), in dim levels or, with dim=0 (the default),
+    in as many as the frame's occupation asks for (_frame_dim).  A frame
+    of more than FRAME_DIM_MAX levels is refused before it is built (a
+    given dim with InvalidParameterError, a sized one with
+    TruncationError), and moments that fix no real r raise
+    ConvergenceError.  The returned state holds rho' and records
+    frame_r.  Any other frame, or dim=0 in the lab frame, is an
+    InvalidParameterError.
 
     Drives within 0.1% of threshold are refused: the state would be
-    unbounded.  So is a dt_factor whose step overflows the system.  The
-    truncation guard can be disabled with boundary_tol=None (for
-    convergence studies); diagnostics remain in the returned
-    DensityMatrix.
+    unbounded.  So is a point whose implicit step overflows the system.
+    The truncation guard, the same for both bases, can be disabled with
+    boundary_tol=None (for convergence studies); diagnostics remain in
+    the returned DensityMatrix.
     """
     if frame not in ("lab", "auto"):
         raise InvalidParameterError(f"frame must be 'lab' or 'auto', got {frame!r}")
     _check_count("dim", dim, 2 if dim or frame == "lab" else 0)  # 0: the frame sizes it
+    if frame == "auto" and dim > FRAME_DIM_MAX:
+        raise InvalidParameterError(
+            f"dim must be <= FRAME_DIM_MAX = {FRAME_DIM_MAX} in the squeezed frame, got {dim}")
     if not (math.isfinite(tol) and tol > 0):
         raise InvalidParameterError(f"tol must be finite and > 0, got {tol}")
-    _check_count("max_steps", max_steps, 1)
-    if not (math.isfinite(dt_factor) and dt_factor > 0):
-        raise InvalidParameterError(f"dt_factor must be finite and > 0, got {dt_factor}")
     _check_boundary_tol(boundary_tol)
     c = coefficients(p)
     eps_th = threshold_epsilon(p)
@@ -610,29 +596,14 @@ def steady_state(
             lambda_minus=c.lambda_minus,
         )
 
-    if frame == "lab":
-        rho, stats = _even_steady_state(dim, c, 0.0, tol, max_steps, dt_factor)
-        return _checked_state(rho, boundary_tol, **stats)
-
-    mean_a_sq, mean_n = _stationary_moments(c)
-    frame_r = _frame_r(mean_a_sq, mean_n, "the term table's stationary moments")
-    # the frame's occupation: the symplectic invariant of the start moments
-    n_th = math.sqrt((mean_n + 0.5) ** 2 - mean_a_sq ** 2) - 0.5
-    size = dim or _frame_dim(n_th)
-    for frames in range(1, FRAME_MAX + 1):
-        rho, stats = _even_steady_state(size, c, frame_r, tol, max_steps, dt_factor)
-        mean_b, mean_b_sq, n_th = _frame_moments(rho)
-        _, mean_a_sq, mean_n = _lab_moments(frame_r, mean_b, mean_b_sq, n_th)
-        new_r = _frame_r(mean_a_sq.real, mean_n,
-                         f"frame {frames} (r = {frame_r:.6g}) at dim {size}")
-        target = dim or _frame_dim(n_th)
-        if abs(new_r - frame_r) < FRAME_TOL and target <= size:
-            return _checked_state(rho, boundary_tol, frame_r=frame_r, frames=frames, **stats)
-        size, frame_r = target, new_r
-    raise ConvergenceError(
-        f"squeezed frame not self-consistent after {FRAME_MAX} frames at dim {size} "
-        f"(last r = {frame_r:.12g})",
-    )
+    frame_r = 0.0
+    if frame == "auto":
+        mean_a_sq, mean_n = _stationary_moments(c)
+        frame_r = _frame_r(mean_a_sq, mean_n)
+        # the frame's occupation: the symplectic invariant of those moments
+        dim = dim or _frame_dim(math.sqrt((mean_n + 0.5) ** 2 - mean_a_sq ** 2) - 0.5)
+    rho, stats = _even_steady_state(dim, c, frame_r, tol)
+    return _checked_state(rho, boundary_tol, frame_r=frame_r, **stats)
 
 
 # ---------------------------------------------------------------------------

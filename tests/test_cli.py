@@ -420,29 +420,56 @@ class TestExitCodes:
         assert cli.main(["figure", *args, "--out", str(tmp_path) + os.sep]) == 2
         assert not (tmp_path / f"fig{args[0]}.csv").exists()
 
-    def test_oracle_defaults_solve_in_the_frame(self, tmp_path, capsys):
+    def test_oracle_defaults_solve_in_the_frame(self, tmp_path):
         # A = 100, beta = 0, epsilon = 0: <n> = 62.5, which 150 number
-        # states cannot hold; the self-sized frame does, and an explicit
-        # --dim still asks for the number basis
+        # states cannot hold; the self-sized frame does, and so do 150
+        # levels of that frame, which --dim counts
         out = tmp_path / "oracle.csv"
-        assert cli.main(["oracle", "--out", str(out)]) == 0
-        _, ((t, mean_n, var_plus, var_minus, *_),) = read_csv(out)
         p = SystemParams(a=100, kappa=0.8, beta=0.0, epsilon=0.0)
-        assert t == "inf" and float(mean_n) == pytest.approx(analytic.steady_record(p).n_cl,
-                                                            rel=1e-10)
-        assert float(var_minus) == pytest.approx(analytic.variance_steady(p).minus, rel=1e-10)
+        var = analytic.variance_steady(p)
+        for dim, rtol in (([], 1e-10), (["--dim", "150"], 1e-6)):
+            assert cli.main(["oracle", *dim, "--out", str(out)]) == 0
+            _, ((t, mean_n, var_plus, var_minus, *_),) = read_csv(out)
+            assert t == "inf"
+            assert float(mean_n) == pytest.approx(analytic.steady_record(p).n_cl, rel=rtol)
+            assert float(var_plus) == pytest.approx(var.plus, rel=rtol)
+            assert float(var_minus) == pytest.approx(var.minus, rel=rtol)
         sweep = tmp_path / "variance.csv"
         assert cli.main(["variance", "--engine", "oracle", "--beta", "0:0.2:0.1", "--jobs", "1",
                          "--out", str(sweep)]) == 0
         assert len(read_csv(sweep)[1]) == 3
-        capsys.readouterr()
-        assert cli.main(["oracle", "--dim", "150", "--out", str(out)]) == 2
-        assert "retry with dim >= 300" in capsys.readouterr().err
+
+    def test_oracle_dim_counts_frame_levels(self, tmp_path, monkeypatch, capsys):
+        # 0.9 of threshold: the sized frame needs 68 levels, and the cap's
+        # advice to pass dim can be followed on the command line
+        monkeypatch.setattr(fock, "FRAME_DIM_MAX", 64)
+        point = ["--a", "25", "--beta", "0.1", "--epsilon-rel-threshold", "0.9"]
+        out = tmp_path / "oracle.csv"
+        assert cli.main(["oracle", *point, "--out", str(out)]) == 2
+        assert "needs 68 levels, more than 64" in capsys.readouterr().err
+        assert not out.exists()
+        assert cli.main(["oracle", *point, "--dim", "64", "--out", str(out)]) == 0
+        _, ((_, mean_n, var_plus, var_minus, *_),) = read_csv(out)
+        p = SystemParams(a=25, kappa=0.8, beta=0.1).with_relative_drive(0.9)
+        var = analytic.variance_steady(p)
+        assert float(mean_n) == pytest.approx(analytic.steady_record(p).n_cl, rel=1e-9)
+        assert float(var_plus) == pytest.approx(var.plus, rel=1e-9)
+        assert float(var_minus) == pytest.approx(var.minus, rel=1e-9)
+
+    @pytest.mark.parametrize("command", ["verify", "oracle"])
+    def test_frame_dim_above_cap_refused_before_building(self, tmp_path, monkeypatch, command,
+                                                         capsys):
+        # 20000 levels would allocate gigabytes of index arrays
+        monkeypatch.setattr(fock, "_even_steady_state",
+                            lambda *args: pytest.fail("a frame above the cap was built"))
+        assert cli.main([command, "--dim", "20000", "--out", str(tmp_path) + os.sep]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"dim must be <= FRAME_DIM_MAX = {fock.FRAME_DIM_MAX}" in captured.err
+        assert not list(tmp_path.iterdir())
 
     def test_oracle_large_gain_solves_in_one_frame(self, tmp_path):
-        # A = 400, beta = 0, epsilon = 0: <n> = 250.  From r = 0 the frame
-        # crept up for more than FRAME_MAX frames and the command exited 2;
-        # the stationary start solves once, in 474 levels
+        # A = 400, beta = 0, epsilon = 0: <n> = 250, in 474 sized frame levels
         out = tmp_path / "oracle.csv"
         assert cli.main(["oracle", "--a", "400", "--out", str(out)]) == 0
         _, ((t, mean_n, var_plus, var_minus, *_),) = read_csv(out)
@@ -528,13 +555,24 @@ class TestExitCodes:
         assert "must be finite and > 0" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("n_max", ["-1", "-3", "8"])
+    @pytest.mark.parametrize("n_max", ["-1", "-3"])
     def test_oracle_pnd_n_max_outside_basis(self, tmp_path, n_max, capsys):
         out = tmp_path / "pnd.csv"
         assert cli.main(["pnd", "--engine", "oracle", "--a", "0", "--beta", "0", "--epsilon", "0",
                          "--dim", "8", "--n-max", n_max, "--out", str(out)]) == 2
-        assert "--n-max must lie in [0, dim - 1]" in capsys.readouterr().err
+        assert f"n_max must be >= 0, got {n_max}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_oracle_pnd_n_max_past_the_frame_dim(self, tmp_path):
+        # 8 frame levels give the lab P(8) = 2.1e-5 of a squeezed state
+        out = tmp_path / "pnd.csv"
+        assert cli.main(["pnd", "--engine", "oracle", "--a", "0", "--beta", "0",
+                         "--epsilon", "0.2", "--dim", "8", "--n-max", "8", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        p = SystemParams(a=0, kappa=0.8, beta=0, epsilon=0.2)
+        ref = analytic.photon_distribution(analytic.steady_record(p), 8).probs
+        assert ref[8] > 1e-5
+        np.testing.assert_allclose([float(r[1]) for r in rows], ref, rtol=0, atol=2e-9)
 
     def test_oracle_pnd_n_max_at_basis_edge(self, tmp_path):
         out = tmp_path / "pnd.csv"
@@ -641,7 +679,7 @@ def test_pooled_oracle_sweep_matches_serial(tmp_path):
     _, rows = read_csv(pooled)
     beta, eps, vp, vm, mean_n = (float(v) for v in rows[0])
     ref = analytic.variance_steady(SystemParams(a=25, kappa=0.8, beta=beta, epsilon=eps))
-    assert vm == pytest.approx(ref.minus, rel=2e-2)  # coarse sanity; precision is tested elsewhere
+    assert vm == pytest.approx(ref.minus, rel=1e-9)
 
 
 def oracle_sweep_bytes(out, jobs):
@@ -712,6 +750,22 @@ def test_cli_reads_no_private_engine_names():
                 if module in modules and name.startswith("_")]
     assert private == []
     assert "moments" not in {module or name for module, name in imports}
+
+
+def test_cli_solves_the_oracle_steady_state_in_the_frame():
+    # one meaning of --dim: every steady state the CLI or the cross-check
+    # asks of the oracle is solved in the squeezed frame
+    calls = []
+    for module in (cli, crosscheck):
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        calls += [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute) and node.func.attr == "steady_state"
+                  and isinstance(node.func.value, ast.Name) and node.func.value.id == "fock"]
+    assert calls
+    for call in calls:
+        values = [kw.value for kw in call.keywords if kw.arg == "frame"]
+        assert len(values) == 1 and isinstance(values[0], ast.Constant)
+        assert values[0].value == "auto"
 
 
 def test_jobs_default_is_the_usable_cores():

@@ -14,7 +14,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from casq import analytic, fock
+from casq import analytic, fock, moments
 from casq.errors import (
     ConvergenceError,
     InvalidParameterError,
@@ -28,7 +28,6 @@ from conftest import stable_params
 
 VERIFY_POINT = SystemParams(a=25, kappa=0.8, beta=0.1).with_relative_drive(0.5)
 FIG6_POINT = SystemParams(a=100, kappa=0.8, beta=0.067, epsilon=0.3)
-DEFAULT_DT_FACTOR = inspect.signature(fock.steady_state).parameters["dt_factor"].default
 
 
 def kron_generator(dim, coeffs, frame_r=0.0):
@@ -483,7 +482,7 @@ class TestSteadyState:
     def test_matches_even_sector_reference(self, p, dim):
         # small bases truncate these states, but the truncated model is the
         # same for both solves, so the guard is off
-        ref, steps = even_sector_steady_state(p, dim, dt_factor=DEFAULT_DT_FACTOR)
+        ref, steps = even_sector_steady_state(p, dim, dt_factor=fock.DT_FACTOR)
         rho = fock.steady_state(p, dim, boundary_tol=None)
         assert np.abs(rho.data - ref).max() <= 1e-12
         assert rho.iterations == steps
@@ -517,7 +516,9 @@ class TestSteadyState:
         # points the gap reached 0.084 of that (1.3e-10 absolute)
         p = stable_params(np.random.default_rng(seed), 1)[0]
         long = fock.steady_state(p, dim, boundary_tol=None)
-        short = fock.steady_state(p, dim, boundary_tol=None, dt_factor=10.0)
+        with pytest.MonkeyPatch.context() as patch:  # hypothesis reruns the body
+            patch.setattr(fock, "DT_FACTOR", 10.0)
+            short = fock.steady_state(p, dim, boundary_tol=None)
         band = 1e-10 * np.abs(short.data).sum() / coefficients(p).lambda_minus
         assert np.abs(long.data - short.data).max() <= band
 
@@ -606,10 +607,11 @@ class TestSteadyState:
         with pytest.raises(NotStableError):
             fock.steady_state(p, 64)
 
-    def test_convergence_error_when_starved(self):
+    def test_convergence_error_when_starved(self, monkeypatch):
+        monkeypatch.setattr(fock, "MAX_STEPS", 1)
         p = SystemParams(a=25, kappa=0.8, beta=0.1).with_relative_drive(0.5)
-        with pytest.raises(ConvergenceError):
-            fock.steady_state(p, 64, max_steps=1)
+        with pytest.raises(ConvergenceError, match="no convergence in 1 implicit steps"):
+            fock.steady_state(p, 64)
 
     @pytest.mark.parametrize("dim", [1, 0, -5])
     def test_too_small_basis_rejected(self, dim):
@@ -628,21 +630,15 @@ class TestSteadyState:
         rho = fock.steady_state(VERIFY_POINT, np.int64(32), boundary_tol=None)
         assert rho.dim == 32 and rho.data.shape == (32, 32)
 
-    @pytest.mark.parametrize(
-        "option",
-        [{"tol": 0.0}, {"tol": -1.0}, {"max_steps": 0}, {"dt_factor": 0.0}, {"dt_factor": -1.0}],
-        ids=["tol-0", "tol-neg", "max_steps-0", "dt_factor-0", "dt_factor-neg"],
-    )
+    @pytest.mark.parametrize("option", [{"tol": 0.0}, {"tol": -1.0}], ids=["tol-0", "tol-neg"])
     def test_nonpositive_solver_options_rejected(self, option):
         with pytest.raises(InvalidParameterError, match=next(iter(option))):
             fock.steady_state(VERIFY_POINT, 64, **option)
 
     @pytest.mark.parametrize(
         "option",
-        [{"tol": math.inf}, {"dt_factor": math.inf}, {"max_steps": 2.5},
-         {"max_steps": True}, {"boundary_tol": math.nan}, {"boundary_tol": -1e-6}],
-        ids=["tol-inf", "dt_factor-inf", "max_steps-fraction", "max_steps-bool",
-             "boundary_tol-nan", "boundary_tol-neg"],
+        [{"tol": math.inf}, {"boundary_tol": math.nan}, {"boundary_tol": -1e-6}],
+        ids=["tol-inf", "boundary_tol-nan", "boundary_tol-neg"],
     )
     def test_bad_solver_options_rejected(self, option):
         # unchecked, each of these returns a wrong state, switches the
@@ -650,13 +646,14 @@ class TestSteadyState:
         with pytest.raises(InvalidParameterError, match=next(iter(option))):
             fock.steady_state(VERIFY_POINT, 64, **option)
 
-    def test_overflowing_step_rejected(self):
+    def test_overflowing_step_rejected(self, monkeypatch):
         # finite, but dt * G overflows; unchecked, SuperLU calls the system
         # exactly singular after a NumPy overflow warning
+        monkeypatch.setattr(fock, "DT_FACTOR", 1e307)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InvalidParameterError, match="dt_factor 1e\\+307 overflows"):
-                fock.steady_state(VERIFY_POINT, 32, dt_factor=1e307)
+            with pytest.raises(InvalidParameterError, match="overflows the system at dim 32"):
+                fock.steady_state(VERIFY_POINT, 32)
 
 
 CRITERION4_POINT = SystemParams(a=25, kappa=0.8, beta=0.1).with_relative_drive(0.9)
@@ -673,20 +670,20 @@ def relative_errors(obs, p):
 
 class TestSqueezedFrame:
     def test_unsqueezed_point_is_the_lab_solve(self):
-        # nothing squeezes the vacuum, so the fixed point stays at r = 0
-        # after one frame, which is the lab solve itself
+        # nothing squeezes the vacuum, so the frame is r = 0 and its solve
+        # is the lab solve itself
         p = SystemParams(a=0, kappa=0.8, beta=0, epsilon=0)
         lab = fock.steady_state(p, 16)
         auto = fock.steady_state(p, 16, frame="auto")
         assert np.array_equal(auto.data, lab.data)
-        assert (auto.frame_r, auto.frames, lab.frame_r, lab.frames) == (0.0, 1, 0.0, 0)
+        assert (auto.frame_r, lab.frame_r) == (0.0, 0.0)
 
     def test_criterion_4_point_in_64_levels(self):
         # the number basis needs ~1216 levels here; the frame is thermal
         # with ~1.8 quanta, and 64 and 128 of its levels agree
         small = fock.steady_state(CRITERION4_POINT, 64, frame="auto")
         large = fock.steady_state(CRITERION4_POINT, 128, frame="auto")
-        assert small.frame_r == pytest.approx(1.761, abs=1e-3) and small.frames <= 6
+        assert small.frame_r == pytest.approx(1.761, abs=1e-3)
         obs = [fock.observables(rho) for rho in (small, large)]
         for errors in map(relative_errors, obs, [CRITERION4_POINT] * 2):
             assert max(errors) < 1e-9
@@ -707,16 +704,13 @@ class TestSqueezedFrame:
     def test_sized_frame(self, p, most_levels, rtol, pnd_atol):
         # dim=0 sizes the basis from the frame's own occupation n_th: the
         # fewest levels whose thermal tail (n_th / (n_th + 1))^dim is below
-        # 1e-13 (31, 23, 68, 202 and 237 levels here).  The start from the
-        # term table's stationary moments is the fixed point, so one solve
-        # is returned.  At the headline point P(n) is off by 1.9e-12 of
-        # P(0) = 0.0375 at dims 202 to 300 alike: a round-off floor, as is
-        # its 1e-10 in the moments
+        # 1e-13 (31, 23, 68, 202 and 237 levels here).  At the headline
+        # point P(n) is off by 1.9e-12 of P(0) = 0.0375 at dims 202 to 300
+        # alike: a round-off floor, as is its 1e-10 in the moments
         rho = fock.steady_state(p, frame="auto")
         n_th = fock._frame_moments(rho.data)[2]
         fewest = math.ceil(math.log(1e-13) / math.log(n_th / (n_th + 1.0)))
         assert rho.dim == fewest <= most_levels and rho.frame_r > 1.0
-        assert rho.frames == 1
         obs = fock.observables(rho, n_max=64)
         assert max(relative_errors(obs, p)) < rtol
         pnd = analytic.photon_distribution(analytic.steady_record(p), 64).probs
@@ -730,12 +724,16 @@ class TestSqueezedFrame:
             fock.steady_state(VERIFY_POINT, 1, frame="auto")
 
     def test_sized_frame_capped(self, monkeypatch):
-        # the criterion-4 point needs 68 levels
+        # the criterion-4 point needs 68 levels; a given dim is capped alike,
+        # before anything is built
         monkeypatch.setattr(fock, "FRAME_DIM_MAX", 64)
         with pytest.raises(TruncationError, match="needs 68 levels, more than 64") as exc:
             fock.steady_state(CRITERION4_POINT, frame="auto")
         assert exc.value.suggested_dim == 68
         assert fock.steady_state(CRITERION4_POINT, 64, frame="auto").dim == 64
+        monkeypatch.setattr(fock, "_even_steady_state", lambda *args: pytest.fail("built"))
+        with pytest.raises(InvalidParameterError, match="dim must be <= FRAME_DIM_MAX = 64"):
+            fock.steady_state(CRITERION4_POINT, 65, frame="auto")
 
     @pytest.mark.parametrize("p", [VERIFY_POINT, CRITERION4_POINT], ids=["verify", "criterion4"])
     def test_lab_photon_distribution(self, p):
@@ -773,28 +771,9 @@ class TestSqueezedFrame:
         with pytest.raises(InvalidParameterError, match="frame"):
             fock.steady_state(VERIFY_POINT, 32, frame=frame)
 
-    def test_frame_cap_raises(self, monkeypatch):
-        # from the stationary start the fixed point takes one frame; from
-        # r = 0 it needs more than two
-        monkeypatch.setattr(fock, "FRAME_MAX", 2)
-        monkeypatch.setattr(fock, "_stationary_moments", lambda coeffs: (0.0, 0.0))
-        with pytest.raises(ConvergenceError, match="2 frames"):
-            fock.steady_state(VERIFY_POINT, 64, frame="auto")
-
-    def test_poor_start_costs_frames_not_accuracy(self, monkeypatch):
-        # started at r = 0 on FRAME_FLOOR levels, the frame still reaches
-        # the exact start's r, in a dim sized in a frame still moving
-        # (109 levels against 31)
-        exact = fock.steady_state(VERIFY_POINT, frame="auto")
-        monkeypatch.setattr(fock, "_stationary_moments", lambda coeffs: (0.0, 0.0))
-        poor = fock.steady_state(VERIFY_POINT, frame="auto")
-        assert poor.frames > 1 and poor.dim >= exact.dim
-        assert poor.frame_r == pytest.approx(exact.frame_r, abs=fock.FRAME_TOL)
-        assert max(relative_errors(fock.observables(poor), VERIFY_POINT)) < 1e-10
-
     def test_start_outside_artanh_domain_raises(self, monkeypatch):
         monkeypatch.setattr(fock, "_stationary_moments", lambda coeffs: (1.0, 0.0))
-        with pytest.raises(ConvergenceError, match="stationary moments gives .* outside"):
+        with pytest.raises(ConvergenceError, match="stationary moments give .* outside"):
             fock.steady_state(VERIFY_POINT, 32, frame="auto")
 
     def test_sized_dim_refused_near_threshold(self):
@@ -809,32 +788,38 @@ class TestSqueezedFrame:
     @given(seed=st.integers(0, 2**32 - 1))
     def test_stationary_start_is_the_fixed_point(self, seed):
         # over the stable region: the term table's stationary moments are
-        # the closed forms', and the frame they start solves once.  At
-        # 5600 random points with a sized dim up to 256 the moments agreed
-        # to 2e-13 and the solves' var+-, <n> to 3e-11, all in one frame
+        # the closed forms' and the moments engine's, and the frame they
+        # give is the one the solve's own moments give back.  At 5600
+        # random points with a sized dim up to 256 the moments agreed to
+        # 2e-13 and the solves' var+-, <n> to 3e-11; at 395 of them the
+        # solve's own r lay within 9.4e-11 of its frame's
         p = stable_params(np.random.default_rng(seed), 1)[0]
         c = coefficients(p)
         mean_a_sq, mean_n = fock._stationary_moments(c)
         rec = analytic.steady_record(p)
-        assert mean_a_sq == pytest.approx(rec.alpha_sq, rel=1e-10)
-        assert mean_n == pytest.approx(rec.n_cl, rel=1e-10)
+        lin = moments.steady_from_linear_solve(p)
         s_plus, s_minus = analytic.steady_alpha_sq(c)
-        assert 2.0 * (mean_n + mean_a_sq) == pytest.approx(s_plus, rel=1e-10)
-        assert 2.0 * (mean_a_sq - mean_n) == pytest.approx(s_minus, abs=1e-10 * s_plus)
+        for a_sq, n in ((mean_a_sq, mean_n), (lin.alpha_sq.real, lin.n_cl)):
+            assert a_sq == pytest.approx(rec.alpha_sq, rel=1e-10)
+            assert n == pytest.approx(rec.n_cl, rel=1e-10)
+            assert 2.0 * (n + a_sq) == pytest.approx(s_plus, rel=1e-10)
+            assert 2.0 * (a_sq - n) == pytest.approx(s_minus, abs=1e-10 * s_plus)
         n_th = math.sqrt((mean_n + 0.5) ** 2 - mean_a_sq ** 2) - 0.5
         assume(n_th <= 8.0)  # a sized dim of at most 255 levels keeps each solve small
         rho = fock.steady_state(p, frame="auto")
-        assert rho.frames == 1 and rho.dim <= 256
-        assert max(relative_errors(fock.observables(rho), p)) < 1e-8
-
-    def test_frame_outside_artanh_domain_raises(self, monkeypatch):
-        # moments no squeezed thermal state has: 2 <a^2> > 2 <a+a> + 1
-        monkeypatch.setattr(fock, "_frame_moments", lambda data: (0j, 1.0 + 0j, 0.0))
-        with pytest.raises(ConvergenceError, match="outside"):
-            fock.steady_state(VERIFY_POINT, 32, frame="auto")
+        assert rho.dim <= 256
+        mean_b, mean_b_sq, mean_nb = fock._frame_moments(rho.data)
+        _, own_a_sq, own_n = fock._lab_moments(rho.frame_r, mean_b, mean_b_sq, mean_nb)
+        assert abs(fock._frame_r(own_a_sq.real, own_n) - rho.frame_r) <= 1e-8
+        obs = fock.observables(rho)
+        assert max(relative_errors(obs, p)) < 1e-8
+        assert obs.mean_n == pytest.approx(lin.n_cl, rel=1e-8)
+        assert obs.var_plus == pytest.approx(1.0 + lin.var_flow_plus, rel=1e-8)
+        assert obs.var_minus == pytest.approx(1.0 - lin.var_flow_minus, rel=1e-8,
+                                              abs=1e-10 * s_plus)
 
     def test_final_frame_truncation_guarded(self):
-        # intermediate frames run unguarded; the returned one is not
+        # the frame solve's boundary population is guarded as a lab solve's is
         with pytest.raises(TruncationError):
             fock.steady_state(HEADLINE_POINT, 64, frame="auto")
 
