@@ -359,6 +359,8 @@ def _cmd_mean_photon(args) -> int:
 
 def _cmd_pnd(args) -> int:
     _reject_unread(args, ("dim",), _ENGINE_OPTIONS[args.engine], f"the {args.engine} engine")
+    if args.n_max < 0:  # before either engine does its work
+        raise InvalidParameterError(f"n_max must be >= 0, got {args.n_max}")
     p = _make_params(args.a, args.kappa, args.beta, args.epsilon, args.epsilon_rel)
     if args.engine == "oracle":  # the squeezed frame gives the lab P(n) for any n
         probs = fock.observables(_oracle_steady_state(p, args.dim), n_max=args.n_max).pnd

@@ -31,7 +31,7 @@ class StepSizeError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """Iterative solver stalled before reaching its residual target."""
+    """A solve missed its residual target, or the moments fit no squeezed frame."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)

@@ -26,13 +26,12 @@ term on its unknowns; no operator on the whole of vec(rho) is formed.
 Time evolution uses classical RK4, one sparse matvec per stage, on the
 blocks the initial state occupies (the real even block alone for a
 vacuum start), so the state stays Hermitian by construction.  The steady
-state is found by backward-Euler steps on one sparse LU factorization of
-the real even block, repeated until the residual |L rho|_1 drops below
-1e-10 |rho|_1; explicit stepping is hopeless here because the generator's
-fast scales grow linearly with the truncation.  The step is far beyond
-every relaxation time, so each step is one shifted inverse iteration
-towards the null vector of L and two solves typically suffice.  That
-block is about a quarter of vec(rho).  On the grid ((m + n)/2, (n - m)/2)
+state is the null vector of L on the real even block, found by one sparse
+LU solve with one row of L rho = 0 replaced by rho_00 = 1 (trace
+conservation makes that row redundant) and accepted if the residual
+|L rho|_1 is below 1e-10 |rho|_1; explicit stepping to it is hopeless
+because the generator's fast scales grow linearly with the truncation.
+That block is about a quarter of vec(rho).  On the grid ((m + n)/2, (n - m)/2)
 it is a 9-point stencil, so its unknowns are numbered in a
 nested-dissection order, which keeps the LU fill low; the order depends
 on dim alone and is computed once per dim.
@@ -110,10 +109,6 @@ BOUNDARY_TOL = 1e-6
 TRACE_TOL = 1e-4
 THRESHOLD_MARGIN = 1e-3
 DISSECTION_LEAF = 32  # nested dissection stops at this many grid points
-# The steady state's backward-Euler step is DT_FACTOR / lambda_minus, far
-# beyond every relaxation time; MAX_STEPS such steps are allowed.
-DT_FACTOR = 1e6
-MAX_STEPS = 400
 # A sized dim holds a thermal tail below FRAME_TAIL in at least FRAME_FLOOR
 # levels; a frame of more than FRAME_DIM_MAX levels, sized or given, is
 # refused before it is built.
@@ -137,9 +132,9 @@ class DensityMatrix:
     data is dim x dim complex, Hermitian up to round-off; trace_err and
     boundary_pop record the integration diagnostics of whichever routine
     produced the state.  steady_state also records its solver counts:
-    the implicit steps taken, the final residual |L rho|_1 and the
-    non-zeros SuperLU stores for its L and U factors (the fill, which
-    sets the solve's memory); other producers leave them at 0, None and 0.
+    the residual |L rho|_1 and the non-zeros SuperLU stores for its L and
+    U factors (the fill, which sets the solve's memory); other producers
+    leave them at None and 0.
     A state in the squeezed frame r (see the module docstring) holds
     rho' = S(r)+ rho S(r) in data, in the frame's number basis, with r in
     frame_r; a lab-frame state has frame_r 0.
@@ -149,7 +144,6 @@ class DensityMatrix:
     data: np.ndarray
     trace_err: float = 0.0
     boundary_pop: float = 0.0
-    iterations: int = 0
     residual: float | None = None
     lu_nnz: int = 0
     frame_r: float = 0.0
@@ -438,42 +432,23 @@ def _even_steady_state(dim, c, frame_r, tol):
 
     m, n = _dissected_even_block(dim)
     gen = _block(dim, c, m, n, 1, frame_r)
-    weight = np.where(m == n, 1.0, 2.0)
-    diag_pos = np.flatnonzero(m == n)
-    dt = DT_FACTOR / c.lambda_minus
-    with np.errstate(over="ignore", invalid="ignore"):
-        system = (sp.identity(m.size, format="csc") - dt * gen).tocsc()
-    if not np.isfinite(system.data).all():
-        raise InvalidParameterError(
-            f"the implicit step dt = {dt:.3g} overflows the system at dim {dim}")
+    # the row of rho_00 becomes rho_00 = 1, scaled to the largest entry of L
+    # so that its pivot stays on the diagonal, which keeps the dissection's fill
+    pin = ((m == 0) & (n == 0)).astype(float)
+    system = (sp.diags(1.0 - pin) @ gen + sp.diags(abs(gen).max() * pin)).tocsc()
     lu = spla.splu(system, permc_spec="NATURAL", diag_pivot_thresh=0.1)
-
-    x = np.where((m == 0) & (n == 0), 1.0, 0.0)
-    residual = math.inf
-    stall = 0
-    for iterations in range(1, MAX_STEPS + 1):
-        x = lu.solve(x)
-        x /= x[diag_pos].sum()
-        new_residual = float(weight @ np.abs(gen @ x))
-        target = tol * float(weight @ np.abs(x))
-        if new_residual < target:
-            residual = new_residual
-            break
-        stall = stall + 1 if new_residual > 0.99 * residual else 0
-        residual = min(residual, new_residual)
-        if stall >= 5:
-            raise ConvergenceError(
-                f"residual stalled at {residual:.3e} (target {target:.3e}) at dim {dim}",
-                residual=residual,
-            )
-    else:
+    x = lu.solve(pin)
+    x /= x[m == n].sum()
+    weight = np.where(m == n, 1.0, 2.0)
+    residual = float(weight @ np.abs(gen @ x))
+    target = tol * float(weight @ np.abs(x))
+    if not residual < target:  # also trips on NaN
         raise ConvergenceError(
-            f"no convergence in {MAX_STEPS} implicit steps (residual {residual:.3e})",
+            f"residual {residual:.3e} misses the target {target:.3e} at dim {dim}",
             residual=residual,
         )
-
     rho = _unfold(dim, m, n, x, 1).astype(complex)
-    return rho, {"iterations": iterations, "residual": residual, "lu_nnz": lu.nnz}
+    return rho, {"residual": residual, "lu_nnz": lu.nnz}
 
 
 def _stationary_moments(coeffs: Coefficients):
@@ -538,26 +513,24 @@ def steady_state(
     boundary_tol: float | None = BOUNDARY_TOL,
     frame: str = "lab",
 ) -> DensityMatrix:
-    """Stationary density matrix by implicit integration to convergence.
+    """Stationary density matrix: the null vector of L by one sparse LU solve.
 
-    Backward-Euler steps of size DT_FACTOR / lambda_minus (one sparse LU,
-    reused) are applied to the vacuum until |L rho|_1 < tol |rho|_1, at
-    most MAX_STEPS of them.  Each step damps a mode of decay rate mu by
-    1 / (1 + dt mu); the step lies far beyond every relaxation time, so
-    the loop is shifted inverse iteration towards the null vector of L
-    (I. Ipsen, SIAM Rev. 39, 254 (1997)), which typically stops after two
-    solves.  The generator is real, commutes with transposition and never
-    mixes even and odd m - n, and the vacuum is real, symmetric and
-    diagonal, so every iterate is a real symmetric matrix on the even
-    sector.  The solve runs on those unknowns alone, rho_mn with m <= n
-    and m - n even (rho_mn and rho_nm share one unknown).  They are
-    numbered in a nested-dissection order of their grid, computed once
-    per dim, and the generator is assembled directly in that order, which
-    the LU keeps (permc_spec NATURAL, with a diagonal-favouring pivot
-    threshold); that keeps its fill low.  The residual keeps its
-    whole-matrix meaning: off-diagonal unknowns count twice in both
-    1-norms.  The returned state is exactly symmetric and records the
-    step count, the final residual and the LU non-zeros.
+    L rho = 0 fixes rho up to a factor, and trace conservation makes one
+    of its diagonal rows redundant, so that row (of rho_00) is replaced by
+    rho_00 = 1; the system is factored and solved once, the trace is
+    normalised, and the state is accepted if |L rho|_1 < tol |rho|_1,
+    else ConvergenceError.  The generator is real, commutes with
+    transposition and never mixes even and odd m - n, and the right-hand
+    side is real, symmetric and diagonal, so the solution is a real
+    symmetric matrix on the even sector.  The solve runs on those
+    unknowns alone, rho_mn with m <= n and m - n even (rho_mn and rho_nm
+    share one unknown).  They are numbered in a nested-dissection order
+    of their grid, computed once per dim, and the generator is assembled
+    directly in that order, which the LU keeps (permc_spec NATURAL, with
+    a diagonal-favouring pivot threshold); that keeps its fill low.  The
+    residual keeps its whole-matrix meaning: off-diagonal unknowns count
+    twice in both 1-norms.  The returned state is exactly symmetric and
+    records the residual and the LU non-zeros.
 
     frame selects the basis: "lab" (the default) solves in dim levels of
     the number basis of a; "auto" solves in the squeezed frame of the
@@ -572,10 +545,9 @@ def steady_state(
     InvalidParameterError.
 
     Drives within 0.1% of threshold are refused: the state would be
-    unbounded.  So is a point whose implicit step overflows the system.
-    The truncation guard, the same for both bases, can be disabled with
-    boundary_tol=None (for convergence studies); diagnostics remain in
-    the returned DensityMatrix.
+    unbounded.  The truncation guard, the same for both bases, can be
+    disabled with boundary_tol=None (for convergence studies); diagnostics
+    remain in the returned DensityMatrix.
     """
     if frame not in ("lab", "auto"):
         raise InvalidParameterError(f"frame must be 'lab' or 'auto', got {frame!r}")
@@ -706,6 +678,8 @@ def husimi(rho: DensityMatrix, alpha: complex) -> float:
     be representable, and a lab-frame state.
     """
     _check_lab(rho, "husimi")
+    if not np.isfinite(alpha):
+        raise InvalidParameterError(f"alpha must be finite, got {alpha}")
     n = rho.dim
     coeff = np.empty(n, dtype=complex)
     coeff[0] = math.exp(-0.5 * abs(alpha) ** 2)

@@ -556,7 +556,9 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("n_max", ["-1", "-3"])
-    def test_oracle_pnd_n_max_outside_basis(self, tmp_path, n_max, capsys):
+    def test_oracle_pnd_n_max_outside_basis(self, tmp_path, n_max, capsys, monkeypatch):
+        # refused before the oracle solves anything
+        monkeypatch.setattr(fock, "steady_state", lambda *args, **kwargs: pytest.fail("solved"))
         out = tmp_path / "pnd.csv"
         assert cli.main(["pnd", "--engine", "oracle", "--a", "0", "--beta", "0", "--epsilon", "0",
                          "--dim", "8", "--n-max", n_max, "--out", str(out)]) == 2
