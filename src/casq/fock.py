@@ -21,8 +21,12 @@ so the even and odd m - n sectors never mix.  Both solvers therefore work
 on real folded blocks: the real part of a Hermitian rho is symmetric and
 its imaginary part antisymmetric, each evolves on its own, and each is
 held by its entries m <= n (m < n for the imaginary part) of one parity.
-One builder assembles the generator on such a block directly, term by
-term on its unknowns; no operator on the whole of vec(rho) is formed.
+The generator on such a block is assembled directly, term by term on its
+unknowns, in two steps; no operator on the whole of vec(rho) is formed.
+The pattern depends on dim and the unknowns alone: the sparsity of the
+summed block, and for each of the 12 terms' entries its slot in that
+block and its ladder weight.  The values are one weighted bincount of
+the term table's 12 coefficients over those slots, per call.
 Time evolution uses classical RK4, one sparse matvec per stage, on the
 blocks the initial state occupies (the real even block alone for a
 vacuum start), so the state stays Hermitian by construction.  The steady
@@ -33,8 +37,9 @@ conservation makes that row redundant) and accepted if the residual
 because the generator's fast scales grow linearly with the truncation.
 That block is about a quarter of vec(rho).  On the grid ((m + n)/2, (n - m)/2)
 it is a 9-point stencil, so its unknowns are numbered in a
-nested-dissection order, which keeps the LU fill low; the order depends
-on dim alone and is computed once per dim.
+nested-dissection order, which keeps the LU fill low.  The order and the
+block's pattern depend on dim alone and are computed once per dim, so a
+repeated solve pays only for its values and its LU.
 
 Squeezed frame.  Near threshold the steady state is a squeezed thermal
 state, which the number basis holds only with many levels.  In the frame
@@ -83,6 +88,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -157,6 +163,8 @@ class DensityMatrix:
             raise InvalidParameterError(
                 f"data shape {self.data.shape} does not match dim {self.dim}"
             )
+        if not np.isfinite(self.data).all():
+            raise InvalidParameterError("data must be finite, got NaN or infinite entries")
 
 
 @dataclass(frozen=True)
@@ -217,9 +225,25 @@ def _ladder(dim: int, shift: int, rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(rows, cols) * inside)
 
 
-def _block(dim: int, coeffs: Coefficients, m: np.ndarray, n: np.ndarray, sign: int,
-           frame_r: float = 0.0):
-    """The generator on one real folded block of rho (of rho' in the frame frame_r).
+class _Pattern(NamedTuple):
+    """Where the generator's terms land in one real folded block, whatever the coefficients.
+
+    indices and indptr are the CSC structure of the summed block (int32,
+    rows sorted in each column).  Every live term entry, one whose ladder
+    weight is non-zero, has its position in the CSC data (slot) and that
+    weight; the entries come term by term, in the order of _block_values'
+    coefficients, sizes[t] of them for term t.
+    """
+
+    indices: np.ndarray
+    indptr: np.ndarray
+    slot: np.ndarray
+    weight: np.ndarray
+    sizes: np.ndarray
+
+
+def _block_pattern(dim: int, m: np.ndarray, n: np.ndarray, sign: int) -> _Pattern:
+    """The pattern of the generator on one real folded block of rho.
 
     The unknowns are the entries (m, n), in the order given, of the real
     part of a Hermitian rho (sign +1: symmetric, m <= n) or of its
@@ -227,34 +251,88 @@ def _block(dim: int, coeffs: Coefficients, m: np.ndarray, n: np.ndarray, sign: i
     parity sectors of m - n, which the generator maps onto themselves.
     Each term c X rho Y reads (X rho Y)_mn = X[m, m+dx] rho[m+dx, n-dy]
     Y[n-dy, n] and is evaluated on the unknowns alone; rho[k, l] is the
-    unknown of (min(k, l), max(k, l)), times sign when k > l.
+    unknown of (min(k, l), max(k, l)), times sign when k > l.  Each of the
+    12 terms gives a row at most one entry, and terms that land on one
+    column are summed into one slot.
     """
     import scipy.sparse as sp
 
-    index = np.full((dim, dim), -1, dtype=np.int32)
-    index[m, n] = np.arange(m.size)
-    k_mat, m_mat, n_mat = _terms(coeffs, frame_r)
-    rows, cols, vals = [], [], []
-    for i, si in enumerate((1, -1)):
-        for j, sj in enumerate((1, -1)):
-            for dk, dl, value in (
-                (si, -sj, k_mat[i, j] * _ladder(dim, si, m) * _ladder(dim, sj, n - sj)),
-                (si + sj, 0, m_mat[i, j] * _ladder(dim, si, m) * _ladder(dim, sj, m + si)),
-                (0, -si - sj,
-                 n_mat[i, j] * _ladder(dim, si, n - si - sj) * _ladder(dim, sj, n - sj)),
+    size = m.size
+    # the levels a term reads run from -2 to dim + 1: tables padded by 2
+    index = np.full((dim + 4, dim + 4), -1, dtype=np.int32)
+    index[m + 2, n + 2] = np.arange(size)
+    ladder = {s: _ladder(dim, s, np.arange(-2, dim + 2)) for s in (1, -1)}
+    m, n = m + 2, n + 2
+    cols = np.empty((12, size), dtype=np.int32)
+    weights = np.empty((12, size))
+    term = 0
+    for si in (1, -1):
+        for sj in (1, -1):
+            for dk, dl, weight in (
+                (si, -sj, ladder[si][m] * ladder[sj][n - sj]),
+                (si + sj, 0, ladder[si][m] * ladder[sj][m + si]),
+                (0, -si - sj, ladder[si][n - si - sj] * ladder[sj][n - sj]),
             ):
                 k, l = m + dk, n + dl
                 if sign < 0:
-                    value = np.where(k > l, -value, value) * (k != l)
-                live = np.flatnonzero(value)
-                k, l = k[live], l[live]
-                rows.append(live)
-                cols.append(index[np.minimum(k, l), np.maximum(k, l)])
-                vals.append(value[live])
-    return sp.csc_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(m.size, m.size),
+                    weight = np.where(k > l, -weight, weight) * (k != l)
+                cols[term] = index[np.minimum(k, l), np.maximum(k, l)]
+                weights[term] = weight
+                term += 1
+    live = weights != 0
+    # each live entry's place in the term-by-term list, carried through
+    # SciPy's CSR -> CSC transposition of the entries taken row by row: it
+    # buckets them by column, rows ascending, so the entries of one row
+    # that land on one column come out adjacent and share a slot
+    rank = np.empty((12, size), dtype=np.int32)
+    rank[live] = np.arange(np.count_nonzero(live), dtype=np.int32)
+    raw_cols = cols.T[live.T]
+    if raw_cols.size and raw_cols.min() < 0:
+        raise ValueError("the unknowns must fill whole parity sectors of m - n")
+    raw_ptr = np.zeros(size + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(live, axis=0), out=raw_ptr[1:])
+    raw = sp.csr_matrix((rank.T[live.T], raw_cols, raw_ptr), shape=(size, size)).tocsc()
+    rows, starts = raw.indices, raw.indptr
+    # a new row or a new column opens a slot; the spare last flag takes starts[-1]
+    first = np.ones(rows.size + 1, dtype=bool)
+    first[1:-1] = rows[1:] != rows[:-1]
+    first[starts] = True
+    count = np.zeros(rows.size + 1, dtype=np.int32)
+    np.cumsum(first[:-1], out=count[1:])
+    slot = np.empty(rows.size, dtype=np.int32)
+    slot[raw.data] = count[1:] - 1
+    return _Pattern(
+        indices=rows[first[:-1]].astype(np.int32, copy=False),
+        indptr=count[starts],
+        slot=slot,
+        weight=weights[live],
+        sizes=np.count_nonzero(live, axis=1),
     )
+
+
+def _block_values(pattern: _Pattern, coeffs: Coefficients, frame_r: float = 0.0) -> np.ndarray:
+    """The CSC data of the generator on a block of the given pattern (rho' in the frame frame_r).
+
+    Entries whose terms cancel, or whose coefficient is 0, stay in the
+    pattern as explicit zeros.
+    """
+    coef = np.stack(_terms(coeffs, frame_r), axis=-1).ravel()  # K, M, N for each (i, j)
+    return np.bincount(pattern.slot, weights=np.repeat(coef, pattern.sizes) * pattern.weight,
+                       minlength=pattern.indices.size)
+
+
+def _block(dim: int, coeffs: Coefficients, m: np.ndarray, n: np.ndarray, sign: int,
+           frame_r: float = 0.0):
+    """The generator on one real folded block of rho (of rho' in the frame frame_r).
+
+    The block's pattern (_block_pattern) with its values (_block_values),
+    built afresh; see _block_pattern for the unknowns m, n and sign.
+    """
+    import scipy.sparse as sp
+
+    pattern = _block_pattern(dim, m, n, sign)
+    return sp.csc_matrix((_block_values(pattern, coeffs, frame_r), pattern.indices,
+                          pattern.indptr), shape=(m.size, m.size))
 
 
 def _unknowns(dim: int, parities, sign: int):
@@ -300,6 +378,30 @@ def _dissected_even_block(dim: int):
     m, n = m[order], n[order]
     m.flags.writeable = n.flags.writeable = False
     return m, n
+
+
+@functools.lru_cache(maxsize=8)
+def _even_pattern(dim: int):
+    """The pattern of the real even block in nested-dissection order, and its rho_00 row.
+
+    Returns (pattern, row, diag): row holds the positions in the CSC data
+    of the entries in the row of the rho_00 unknown, diag the position of
+    its diagonal entry.  Cached per dim beside the order itself, as
+    read-only arrays, so a steady state at a dim already solved at pays
+    only for its values and its LU.
+    """
+    m, n = _dissected_even_block(dim)
+    # copied once the build's temporaries are freed, so that the cached arrays
+    # fill low holes of the (glibc) heap instead of splitting the free space
+    # that the LU's allocations reuse; uncopied, they raised the peak RSS of
+    # the oracle benchmark's first round (dims 256 and 512) by 12-20 MB
+    pattern = _Pattern(*(arr.copy() for arr in _block_pattern(dim, m, n, 1)))
+    pin = int(np.flatnonzero((m == 0) & (n == 0))[0])
+    row = np.flatnonzero(pattern.indices == pin)
+    diag = int(row[np.searchsorted(row, pattern.indptr[pin])])
+    for arr in (*pattern, row):
+        arr.flags.writeable = False
+    return pattern, row, diag
 
 
 def _unfold(dim: int, m: np.ndarray, n: np.ndarray, x: np.ndarray, sign: int) -> np.ndarray:
@@ -431,14 +533,23 @@ def _even_steady_state(dim, c, frame_r, tol):
     import scipy.sparse.linalg as spla
 
     m, n = _dissected_even_block(dim)
-    gen = _block(dim, c, m, n, 1, frame_r)
+    pattern, row, diag = _even_pattern(dim)
+    data = _block_values(pattern, c, frame_r)
+    shape = (m.size, m.size)
     # the row of rho_00 becomes rho_00 = 1, scaled to the largest entry of L
-    # so that its pivot stays on the diagonal, which keeps the dissection's fill
-    pin = ((m == 0) & (n == 0)).astype(float)
-    system = (sp.diags(1.0 - pin) @ gen + sp.diags(abs(gen).max() * pin)).tocsc()
-    lu = spla.splu(system, permc_spec="NATURAL", diag_pivot_thresh=0.1)
-    x = lu.solve(pin)
+    # so that its pivot stays on the diagonal, which keeps the dissection's fill;
+    # it is written into data itself and undone after the factorization, so
+    # no second copy of the block sits beside the factors
+    kept = data[row]
+    scale = np.abs(data).max()
+    data[row] = 0.0
+    data[diag] = scale
+    lu = spla.splu(sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=shape),
+                   permc_spec="NATURAL", diag_pivot_thresh=0.1)
+    data[row] = kept
+    x = lu.solve(((m == 0) & (n == 0)).astype(float))
     x /= x[m == n].sum()
+    gen = sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=shape)
     weight = np.where(m == n, 1.0, 2.0)
     residual = float(weight @ np.abs(gen @ x))
     target = tol * float(weight @ np.abs(x))
@@ -525,12 +636,15 @@ def steady_state(
     symmetric matrix on the even sector.  The solve runs on those
     unknowns alone, rho_mn with m <= n and m - n even (rho_mn and rho_nm
     share one unknown).  They are numbered in a nested-dissection order
-    of their grid, computed once per dim, and the generator is assembled
-    directly in that order, which the LU keeps (permc_spec NATURAL, with
-    a diagonal-favouring pivot threshold); that keeps its fill low.  The
-    residual keeps its whole-matrix meaning: off-diagonal unknowns count
-    twice in both 1-norms.  The returned state is exactly symmetric and
-    records the residual and the LU non-zeros.
+    of their grid, and the generator is assembled directly in that order,
+    which the LU keeps (permc_spec NATURAL, with a diagonal-favouring
+    pivot threshold); that keeps its fill low.  The order and the
+    generator's sparsity pattern are computed once per dim and cached;
+    each call computes only the values on that pattern, pins the row of
+    rho_00 in them for the factorization and factors over the cached
+    structure.  The residual keeps its whole-matrix meaning: off-diagonal
+    unknowns count twice in both 1-norms.  The returned state is exactly
+    symmetric and records the residual and the LU non-zeros.
 
     frame selects the basis: "lab" (the default) solves in dim levels of
     the number basis of a; "auto" solves in the squeezed frame of the

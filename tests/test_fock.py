@@ -312,6 +312,31 @@ class TestGenerator:
                 want, m, n = kron_block(gen, parity, sign)
                 assert_same_block(fock._block(dim, c, m, n, sign), want, abs(gen).max())
 
+    @pytest.mark.parametrize("p, frame_r", [
+        (VERIFY_POINT, 0.0), (VERIFY_POINT, 0.3), (VERIFY_POINT, -1.1),
+        (SystemParams(a=0, kappa=0.8, beta=0, epsilon=0.3), 0.0),
+    ], ids=["lab", "r0.3", "r-1.1", "zero-term"])
+    def test_cached_pattern_values_match_reference(self, p, frame_r):
+        # the even block's cached pattern with one call's values, against
+        # the uncached assembly (_block) and the reference's rows and folded
+        # columns.  The pure amplifier has U = V = R = 0: the pattern depends
+        # on dim alone, so the entries of its zero terms stay as explicit zeros
+        dim = 40
+        c = coefficients(p)
+        m, n = fock._dissected_even_block(dim)
+        pattern, _, _ = fock._even_pattern(dim)
+        data = fock._block_values(pattern, c, frame_r)
+        assert data.size == pattern.indices.size
+        if not np.all(np.concatenate(fock._terms(c, frame_r))):
+            assert np.count_nonzero(data) < data.size
+        got = sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=(m.size, m.size))
+        gen = kron_generator(dim, c, frame_r)
+        want, m_ref, n_ref = kron_block(gen, 0, 1)
+        order = np.searchsorted(m_ref * dim + n_ref, m * dim + n)
+        scale = abs(gen).max() * math.cosh(frame_r) ** 4
+        assert_same_block(got, want[order][:, order], scale)
+        assert_same_block(got, fock._block(dim, c, m, n, 1, frame_r), scale)
+
     def test_sparse_matches_dense(self, rng):
         c = coefficients(SystemParams(a=12, kappa=1.1, beta=0.6, epsilon=0.4))
         rho = random_interior_hermitian(rng, dim=20, support=16)
@@ -538,6 +563,43 @@ class TestSteadyState:
         for arr in (m, n):
             with pytest.raises(ValueError):
                 arr[0] = 1
+
+    def test_pattern_cached_read_only_and_shared(self, monkeypatch):
+        # a second solve at one dim builds no pattern, and SuperLU reads the
+        # cached structure itself, not a copy of it
+        fock.steady_state(VERIFY_POINT, 36, boundary_tol=None)
+        hits, misses = fock._even_pattern.cache_info()[:2]
+        monkeypatch.setattr(fock, "_block_pattern", lambda *args: pytest.fail("built"))
+        systems = []
+        real_splu = spla.splu
+
+        def splu(system, **kwargs):
+            systems.append((system, system.copy()))  # the pin is undone after the call
+            return real_splu(system, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", splu)
+        rho = fock.steady_state(FIG6_POINT, 36, boundary_tol=None)
+        assert fock._even_pattern.cache_info()[:2] == (hits + 1, misses)
+        pattern, row, diag = fock._even_pattern(36)
+        (system, factored), = systems
+        assert np.shares_memory(system.indices, pattern.indices)
+        assert np.shares_memory(system.indptr, pattern.indptr)
+        # the row of rho_00 read max |L| rho_00 = max |L|, and L is whole again
+        data = fock._block_values(pattern, coefficients(FIG6_POINT))
+        pin = pattern.indices[diag]
+        pinned = factored.tocsr()[pin]
+        pinned.eliminate_zeros()
+        assert pinned.indices.tolist() == [pin] and pinned.data[0] == np.abs(data).max()
+        assert np.array_equal(system.data, data)
+        assert rho.residual < 1e-10
+        for arr in (*pattern, row):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    @pytest.mark.parametrize("dim, fill", [(64, 47_508), (256, 1_174_690)])
+    def test_lu_fill_pinned(self, dim, fill):
+        # the fill of the nested-dissection order with the pinned row on the diagonal
+        assert fock.steady_state(VERIFY_POINT, dim, boundary_tol=None).lu_nnz == fill
 
     def test_vacuum_projector_without_drive(self):
         rho = fock.steady_state(SystemParams(a=0, kappa=0.8, beta=0, epsilon=0), 16)
@@ -840,6 +902,31 @@ def test_vacuum_too_small_basis_rejected(dim):
 def test_vacuum_non_integer_basis_rejected(dim):
     with pytest.raises(InvalidParameterError, match="dim must be an integer"):
         fock.vacuum(dim)
+
+
+def nan_corner():
+    data = fock.vacuum(8).data
+    data[0, 0] = math.nan
+    return data
+
+
+def inf_boundary():
+    data = fock.vacuum(8).data
+    data[-1, -1] = math.inf
+    return data
+
+
+@pytest.mark.parametrize("data, read", [
+    (nan_corner, lambda rho: fock.evolve(rho, VERIFY_POINT, 0.1)),
+    (nan_corner, fock.observables),
+    (nan_corner, lambda rho: fock.husimi(rho, 0j)),
+    (inf_boundary, lambda rho: fock.evolve(rho, VERIFY_POINT, 0.0)),
+], ids=["evolve", "observables", "husimi", "evolve-t0-boundary"])
+def test_non_finite_data_refused(data, read):
+    # unchecked, evolve blamed the step size, observables and husimi gave
+    # NaN silently, and an infinite boundary entry was blamed on the truncation
+    with pytest.raises(InvalidParameterError, match="data must be finite"):
+        read(fock.DensityMatrix(dim=8, data=data()))
 
 
 class TestObservables:
