@@ -73,7 +73,7 @@ def _write_csv(path, header, columns) -> None:
     line = ",".join(_cell_format(col.dtype) for col in columns) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(line % row for row in zip(*(col.tolist() for col in columns), strict=True))
+        fh.write("".join(map(line.__mod__, zip(*(col.tolist() for col in columns), strict=True))))
 
 
 def _xml_text(text: str) -> str:

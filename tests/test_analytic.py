@@ -10,9 +10,13 @@ integrator for transients.
 
 import math
 import time
+import tracemalloc
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import gammaln
 
 from casq import analytic, moments
 from casq.errors import InvalidParameterError, NotStableError, QFunctionUndefinedError
@@ -67,6 +71,54 @@ def pnd_direct(c, d, n):
             / (4**ell * math.factorial(ell) ** 2 * math.factorial(n - 2 * ell))
         )
     return math.sqrt(c * c - d * d) * total
+
+
+def pnd_rowwise(record, n_max):
+    """P(0..n_max) summed one row n at a time: the loop photon_distribution's
+    (n, l) table replaced, kept as its bitwise reference."""
+    c, d = record.c, record.d
+    one_m_c = 1.0 - c
+    log_omc = math.log(abs(one_m_c)) if one_m_c != 0.0 else -math.inf
+    log_d = math.log(abs(d)) if d != 0.0 else -math.inf
+    neg_omc = one_m_c < 0.0
+    pref = math.sqrt(c * c - d * d)
+    log2 = math.log(2.0)
+
+    lg = gammaln(np.arange(n_max + 1) + 1)
+    probs = np.empty(n_max + 1)
+    for n in range(n_max + 1):
+        ell = np.arange(n // 2 + 1)
+        k = n - 2 * ell
+        logt = lg[n] - 2.0 * ell * log2 - 2.0 * lg[ell] - lg[k]
+        with np.errstate(invalid="ignore"):
+            logt = logt + np.where(k > 0, k * log_omc, 0.0)
+            logt = logt + np.where(ell > 0, 2.0 * ell * log_d, 0.0)
+        top = logt.max()
+        if top == -math.inf:
+            probs[n] = 0.0
+            continue
+        signs = np.where(neg_omc & (k % 2 == 1), -1.0, 1.0)
+        probs[n] = pref * math.exp(top) * float(np.sum(signs * np.exp(logt - top)))
+    return probs
+
+
+def hand_record(c, d):
+    return analytic.GaussianRecord(t=0, alpha_sq=0, n_cl=0, a=1, b=0, c=c, d=d)
+
+
+FIG6_POINT = SystemParams(a=100, kappa=0.8, beta=0.067, epsilon=0.3)
+PND_N_MAX = [0, 1, 13, 14, 15, 16, 64, 300]  # 14: first row of 8 terms, pairwise-sum grouping
+
+
+@st.composite
+def pnd_records(draw):
+    """Valid hand-built records: c in (0, 1], c = 1 (1 - c = 0), and c just
+    above 1 (negative 1 - c, whose odd rows come out within -1e-12 of 0);
+    d = 0, d < 0 and d > 0."""
+    c = draw(st.floats(1e-3, 1.0) | st.just(1.0)
+             | st.floats(1.0, 1.0 + 1e-14, exclude_min=True))
+    d_frac = draw(st.just(0.0) | st.floats(-0.999, 0.999))
+    return hand_record(c, d_frac * min(c, 0.9))
 
 
 class TestSteadyAlphaSq:
@@ -490,8 +542,78 @@ class TestPhotonDistribution:
 
     def test_negative_nmax_rejected(self):
         rec = analytic.transient_moments(SystemParams(a=0, kappa=0.8, beta=0), 0.0)
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match=r"^n_max must be >= 0, got -1$"):
             analytic.photon_distribution(rec, -1)
+
+    @pytest.mark.parametrize("n_max", [True, 3.5, math.nan, 8.0])
+    def test_non_integer_nmax_rejected(self, n_max):
+        rec = analytic.transient_moments(SystemParams(a=0, kappa=0.8, beta=0), 0.0)
+        with pytest.raises(InvalidParameterError, match="n_max must be an integer"):
+            analytic.photon_distribution(rec, n_max)
+
+    def test_numpy_integer_nmax_accepted(self):
+        rec = analytic.steady_record(FIG6_POINT)
+        pnd = analytic.photon_distribution(rec, np.int64(16))
+        assert np.array_equal(pnd.probs, analytic.photon_distribution(rec, 16).probs)
+
+
+class TestPhotonDistributionTable:
+    """The (n, l) table evaluation is bitwise the one-row-at-a-time sum."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rec=pnd_records(), n_max=st.sampled_from(PND_N_MAX))
+    def test_bitwise_rowwise_on_hand_records(self, rec, n_max):
+        probs = analytic.photon_distribution(rec, n_max).probs
+        expect = pnd_rowwise(rec, n_max)
+        assert expect.min() >= -1e-12  # a valid state: nothing is rejected
+        assert np.array_equal(probs, np.clip(expect, 0.0, None))
+
+    def test_sign_tracked_rows_stay_valid_just_above_c_1(self):
+        # 1 - c < 0 gives every odd row a negative sum; within -1e-12 it is
+        # clipped, so the record is accepted and its odd entries read 0
+        rec = hand_record(1.0 + 4e-15, 0.6)
+        raw = pnd_rowwise(rec, 64)
+        assert (raw[1::2] < 0).all() and raw.min() > -1e-12
+        probs = analytic.photon_distribution(rec, 64).probs
+        assert np.array_equal(probs, np.clip(raw, 0.0, None))
+        assert not probs[1::2].any()
+
+    @pytest.mark.parametrize("p", [FIG6_POINT, SystemParams(a=400, kappa=0.8, beta=0.0)],
+                             ids=["fig6", "a400-beta0"])
+    @pytest.mark.parametrize("n_max", PND_N_MAX)
+    def test_bitwise_rowwise_on_steady_records(self, p, n_max):
+        rec = analytic.steady_record(p)
+        probs = analytic.photon_distribution(rec, n_max).probs
+        assert np.array_equal(probs, np.clip(pnd_rowwise(rec, n_max), 0.0, None))
+
+    @pytest.mark.parametrize("entries", [1, 7, 33, 500])
+    def test_row_blocks_do_not_change_digits(self, monkeypatch, entries):
+        # small blocks: one row per block (a row longer than the block),
+        # several rows, and blocks whose last row is odd or even
+        rec = analytic.steady_record(FIG6_POINT)
+        monkeypatch.setattr(analytic, "_PND_BLOCK_ENTRIES", entries)
+        probs = analytic.photon_distribution(rec, 300).probs
+        assert np.array_equal(probs, np.clip(pnd_rowwise(rec, 300), 0.0, None))
+
+    @pytest.mark.parametrize("c, d", [(1.2, 0.3), (1.0 + 1e-9, -0.5)])
+    def test_nonstate_records_rejected_alike(self, c, d):
+        rec = hand_record(c, d)
+        low = pnd_rowwise(rec, 64).min()
+        with pytest.raises(InvalidParameterError, match=f"min {low:.3e}"):
+            analytic.photon_distribution(rec, 64)
+
+    def test_memory_stays_bounded_at_large_n_max(self):
+        # the table is built in row blocks: a whole (n, l) table at
+        # n_max = 4000 would peak near 400 MB, the blocks near 3 MB
+        rec = analytic.steady_record(FIG6_POINT)
+        analytic.photon_distribution(rec, 4)  # scipy.special imported outside the trace
+        tracemalloc.start()
+        try:
+            analytic.photon_distribution(rec, 4000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 @pytest.mark.parametrize("call", [
