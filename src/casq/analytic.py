@@ -372,6 +372,33 @@ def q_function(record: GaussianRecord, alpha_re, alpha_im):
 _PND_BLOCK_ENTRIES = 1 << 16
 
 
+def _log_factorial(k: int) -> float:
+    """log k! for an integer k >= 0, bitwise Cephes lgam(k + 1) (scipy.special.gammaln).
+
+    A port of lgam's branches at integer x = k + 1 (S. L. Moshier, Methods
+    and Programs for Mathematical Functions, 1989), with its constants and
+    order of operations: below 13 the log of the exact product; below 1000
+    the Stirling series with the degree-4 polynomial in 1/x^2 (polevl's
+    Horner steps); up to 1e8 its three-term series; past 1e8 the leading
+    term alone.
+    """
+    x = float(k) + 1.0
+    if x < 13.0:
+        return math.log(float(math.factorial(k)))
+    q = (x - 0.5) * math.log(x) - x + 0.91893853320467274178  # + log(sqrt(2 pi))
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        series = ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                  + 0.0833333333333333333333)
+    else:
+        series = ((((8.11614167470508450300e-4 * p - 5.95061904284301438324e-4) * p
+                    + 7.93650340457716943945e-4) * p - 2.77777777730099687205e-3) * p
+                  + 8.33333333333331927722e-2)
+    return q + series / x
+
+
 def photon_distribution(record: GaussianRecord, n_max: int) -> PhotonDistribution:
     """Photon-number distribution of the Gaussian state, exact finite sum.
 
@@ -392,9 +419,15 @@ def photon_distribution(record: GaussianRecord, n_max: int) -> PhotonDistributio
     own np.add.reduce (np.sum's kernel) over its n // 2 + 1 terms (a sum over
     the padded row axis regroups NumPy's pairwise sum in rows of 8 or more
     cells), and exp(row max) is math.exp per row.
-    """
-    from scipy.special import gammaln
 
+    The log k! table comes from _log_factorial, a port of Cephes lgam's
+    branches at x = k + 1 (the exact product below 13, then the Stirling
+    series, shortened from x = 1000 and again past 1e8).  It is bitwise
+    scipy.special.gammaln(k + 1), so P(n) keeps gammaln's digits without
+    loading SciPy (math.lgamma moves their 12th digit).  Its logarithms are
+    math.log, the C library's log that Cephes calls; np.log may take a SIMD
+    kernel whose last bit differs.
+    """
     c, d = record.c, record.d
     if c <= abs(d):
         raise QFunctionUndefinedError(
@@ -409,7 +442,7 @@ def photon_distribution(record: GaussianRecord, n_max: int) -> PhotonDistributio
     pref = math.sqrt(c * c - d * d)
     log2 = math.log(2.0)
 
-    lg = gammaln(np.arange(n_max + 1) + 1)  # log k! for k = 0..n_max
+    lg = np.fromiter(map(_log_factorial, range(n_max + 1)), float, n_max + 1)
     probs = np.empty(n_max + 1)
     block_rows = max(_PND_BLOCK_ENTRIES // (n_max // 2 + 1), 1)
     for lo in range(0, n_max + 1, block_rows):

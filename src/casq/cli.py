@@ -145,6 +145,14 @@ def _parse_range(text: str) -> np.ndarray:
     return start + step_size * np.arange(count)
 
 
+def _check_n_max(n_max: int) -> None:
+    """A photon cutoff of 0..MAX_GRID_POINTS, checked before either engine allocates."""
+    if n_max < 0:
+        raise InvalidParameterError(f"n_max must be >= 0, got {n_max}")
+    if n_max > MAX_GRID_POINTS:
+        raise InvalidParameterError(f"n_max {n_max} is more than {MAX_GRID_POINTS}")
+
+
 def _out_path(args, default_name: str) -> str:
     if args.out and not args.out.endswith(os.sep):
         return args.out
@@ -359,8 +367,7 @@ def _cmd_mean_photon(args) -> int:
 
 def _cmd_pnd(args) -> int:
     _reject_unread(args, ("dim",), _ENGINE_OPTIONS[args.engine], f"the {args.engine} engine")
-    if args.n_max < 0:  # before either engine does its work
-        raise InvalidParameterError(f"n_max must be >= 0, got {args.n_max}")
+    _check_n_max(args.n_max)
     p = _make_params(args.a, args.kappa, args.beta, args.epsilon, args.epsilon_rel)
     if args.engine == "oracle":  # the squeezed frame gives the lab P(n) for any n
         probs = fock.observables(_oracle_steady_state(p, args.dim), n_max=args.n_max).pnd
@@ -440,6 +447,7 @@ def _cmd_figure(args) -> int:
     else:  # n == 6
         beta = args.beta if args.beta is not None else 0.067
         n_max = 32 if args.n_max is None else args.n_max
+        _check_n_max(n_max)
         p_on = SystemParams(a=a, kappa=kappa, beta=beta, epsilon=eps)
         p_off = p_on.with_epsilon(0.0)
         pnd_off = analytic.photon_distribution(analytic.steady_record(p_off), n_max).probs

@@ -557,6 +557,29 @@ class TestPhotonDistribution:
         assert np.array_equal(pnd.probs, analytic.photon_distribution(rec, 16).probs)
 
 
+class TestLogFactorial:
+    """_log_factorial is bitwise SciPy's gammaln(k + 1), which pnd_rowwise keeps."""
+
+    def test_bitwise_gammaln_over_a_range(self):
+        k = np.arange(200_001)
+        ours = np.fromiter(map(analytic._log_factorial, range(k.size)), float, k.size)
+        assert np.array_equal(ours, gammaln(k + 1))
+
+    # x = k + 1 on both sides of each branch edge: 13 (exact product below),
+    # 1000 (three-term series from) and 1e8 (leading term above)
+    @pytest.mark.parametrize("k", [11, 12, 998, 999, 10**8 - 2, 10**8 - 1, 10**8, 10**9])
+    def test_bitwise_gammaln_at_branch_edges(self, k):
+        assert analytic._log_factorial(k) == gammaln(k + 1.0)
+
+    @pytest.mark.parametrize("k, bits", [
+        (0, "0x0.0p+0"), (11, "0x1.180973f3a8d74p+4"), (12, "0x1.3fcba16d50143p+4"),
+        (998, "0x1.70a504c9302eep+12"), (999, "0x1.711386da7cab6p+12"),
+        (10**8, "0x1.9f5765d2191a9p+30"), (10**9, "0x1.25e649ce0e86ep+34"),
+    ])
+    def test_pinned_bits(self, k, bits):
+        assert analytic._log_factorial(k).hex() == bits
+
+
 class TestPhotonDistributionTable:
     """The (n, l) table evaluation is bitwise the one-row-at-a-time sum."""
 
@@ -606,7 +629,7 @@ class TestPhotonDistributionTable:
         # the table is built in row blocks: a whole (n, l) table at
         # n_max = 4000 would peak near 400 MB, the blocks near 3 MB
         rec = analytic.steady_record(FIG6_POINT)
-        analytic.photon_distribution(rec, 4)  # scipy.special imported outside the trace
+        analytic.photon_distribution(rec, 4)  # first-call allocations stay outside the trace
         tracemalloc.start()
         try:
             analytic.photon_distribution(rec, 4000)

@@ -565,6 +565,18 @@ class TestExitCodes:
         assert f"n_max must be >= 0, got {n_max}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["pnd"], ["pnd", "--engine", "oracle"], ["figure", "6"]],
+                             ids=["pnd-analytic", "pnd-oracle", "figure6"])
+    def test_n_max_past_the_grid_bound(self, tmp_path, command, capsys, monkeypatch):
+        # refused before either engine allocates its n_max + 1 entries
+        for module, name in ((analytic, "photon_distribution"), (fock, "steady_state"),
+                             (fock, "observables")):
+            monkeypatch.setattr(module, name, lambda *args, **kwargs: pytest.fail("allocated"))
+        n_max = cli.MAX_GRID_POINTS + 1
+        assert cli.main([*command, "--n-max", str(n_max), "--out", str(tmp_path) + os.sep]) == 2
+        assert f"n_max {n_max} is more than {cli.MAX_GRID_POINTS}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_oracle_pnd_n_max_past_the_frame_dim(self, tmp_path):
         # 8 frame levels give the lab P(8) = 2.1e-5 of a squeezed state
         out = tmp_path / "pnd.csv"
@@ -916,8 +928,11 @@ _SCIPY_PROBES = {
                        "cli.main(['figure', '2', '--out', out])\n"
                        "cli.main(['coeffs', '--out', os.path.join(out, 'c.csv')])",
                        (), ("scipy",)),
-    "figure6": ("from casq import cli\ncli.main(['figure', '6', '--out', out])",
-                ("scipy.special",), ("scipy.sparse",)),
+    "figure6": ("from casq import cli\ncli.main(['figure', '6', '--out', out])", (), ("scipy",)),
+    "pnd-analytic": ("from casq import cli\ncli.main(['pnd', '--out', os.path.join(out, 'p.csv')])",
+                     (), ("scipy",)),
+    "verify": ("from casq import cli\ncli.main(['verify', '--out', os.path.join(out, 'v.csv')])",
+               ("scipy.sparse.linalg",), ("scipy.special",)),
     "steady-state": ("from casq import fock\n"
                      "from casq.params import SystemParams\n"
                      "p = SystemParams(a=100.0, kappa=0.8, beta=0.0677, epsilon=0.0)\n"
