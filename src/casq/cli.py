@@ -50,6 +50,10 @@ MC_SEED = 7041
 
 # the most points a beta or omega grid may hold, checked before it is allocated
 MAX_GRID_POINTS = 10**6
+# the largest photon cutoff, bounded by its work: the closed-form P(n) table
+# costs O(n_max^2) time (about 5 s at the bound on 2 cores), and the oracle's
+# lab P(n) holds three (n_max + 1) x dim float64 arrays (3 x 164 MB at dim 1024)
+MAX_PND_N = 20_000
 
 
 # the CSV cell rule of the module docstring, keyed by NumPy dtype kind
@@ -146,11 +150,11 @@ def _parse_range(text: str) -> np.ndarray:
 
 
 def _check_n_max(n_max: int) -> None:
-    """A photon cutoff of 0..MAX_GRID_POINTS, checked before either engine allocates."""
+    """A photon cutoff of 0..MAX_PND_N, checked before either engine solves or allocates."""
     if n_max < 0:
         raise InvalidParameterError(f"n_max must be >= 0, got {n_max}")
-    if n_max > MAX_GRID_POINTS:
-        raise InvalidParameterError(f"n_max {n_max} is more than {MAX_GRID_POINTS}")
+    if n_max > MAX_PND_N:
+        raise InvalidParameterError(f"n_max {n_max} is more than {MAX_PND_N}")
 
 
 def _out_path(args, default_name: str) -> str:

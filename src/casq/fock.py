@@ -27,9 +27,13 @@ The pattern depends on dim and the unknowns alone: the sparsity of the
 summed block, and for each of the 12 terms' entries its slot in that
 block and its ladder weight.  The values are one weighted bincount of
 the term table's 12 coefficients over those slots, per call.
-Time evolution uses classical RK4, one sparse matvec per stage, on the
-blocks the initial state occupies (the real even block alone for a
-vacuum start), so the state stays Hermitian by construction.  The steady
+Time evolution uses classical RK4 on the blocks the initial state
+occupies (the real even block alone for a vacuum start), so the state
+stays Hermitian by construction.  The generator is linear with constant
+coefficients, so an RK4 step is the degree-4 Taylor polynomial of dt L,
+taken in Horner form: four stages, each one fused sparse pass that adds
+(dt/k) L v into a copy of the state (SciPy's CSR matvec kernel, with the
+generator's data scaled once per call).  The steady
 state is the null vector of L on the real even block, found by one sparse
 LU solve with one row of L rho = 0 replaced by rho_00 = 1 (trace
 conservation makes that row redundant) and accepted if the residual
@@ -469,9 +473,18 @@ def evolve(
     with m <= n and the imaginary parts with m < n, each split by the
     parity of m - n.  The generator maps each block onto itself, so
     only the blocks the Hermitian part of rho0 occupies are stepped (the
-    real even block alone for a vacuum start), each RK4 stage is one
-    sparse matvec on them, and the state is Hermitian by construction.
-    A non-Hermitian rho0 evolves as its Hermitian part.  The truncated
+    real even block alone for a vacuum start), and the state is
+    Hermitian by construction.  A non-Hermitian rho0 evolves as its
+    Hermitian part.  The generator G is linear with constant
+    coefficients, so one classical RK4 step of size h is exactly the
+    degree-4 Taylor polynomial of hG, evaluated in Horner form:
+    x <- x + hG(x + (h/2)G(x + (h/3)G(x + (h/4)G x))).  Each of its four
+    stages is one sparse matvec that accumulates into a copy of x:
+    SciPy's CSR kernel csr_matvec (the routine behind csr_matrix @ v)
+    with the data of G pre-scaled by h/k, so a step makes no temporaries
+    beyond its stability check.  The public @ would allocate each
+    product and add it to x in a second pass; on the dim-96 benchmark
+    transient (2 cores) that leaves 0.27 s against 0.21 s.  The truncated
     generator conserves trace exactly, so a trace drift above TRACE_TOL
     or any |rho_mn| > 1 can only come from an unstable step:
     StepSizeError.  Population on the boundary level above boundary_tol
@@ -479,6 +492,7 @@ def evolve(
     that guard (diagnostics are still recorded).
     """
     import scipy.sparse as sp
+    from scipy.sparse._sparsetools import csr_matvec
 
     if not (math.isfinite(t_end) and t_end >= 0):
         raise InvalidParameterError(f"t_end must be finite and >= 0, got {t_end}")
@@ -501,21 +515,29 @@ def evolve(
     )
     x = np.concatenate([herm.real[m_re, n_re], herm.imag[m_im, n_im]])
     diag = np.flatnonzero(m_re == n_re)
-    # |rho_mn|^2 sums the squares of the unknowns that share (m, n)
-    _, entry = np.unique(np.concatenate([m_re * dim + n_re, m_im * dim + n_im]),
-                         return_inverse=True)
+    # |rho_mn|^2 is x^2, or x_re^2 + x_im^2 where both blocks hold (m, n)
+    _, pair_re, pair_im = np.intersect1d(m_re * dim + n_re, m_im * dim + n_im,
+                                         assume_unique=True, return_indices=True)
+    pair_im += m_re.size
     n_steps = max(int(round(t_end / dt)), 1) if t_end > 0 else 0
     if n_steps:
         dt = t_end / n_steps
+    size, indptr, indices = x.size, gen.indptr, gen.indices
+    scaled = [gen.data * (dt / k) for k in (4, 3, 2, 1)]
+    u, w = np.empty_like(x), np.empty_like(x)
     for step in range(n_steps):
-        k1 = gen @ x
-        k2 = gen @ (x + 0.5 * dt * k1)
-        k3 = gen @ (x + 0.5 * dt * k2)
-        k4 = gen @ (x + dt * k3)
-        x = x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        v = x
+        for data, out in zip(scaled, (u, w, u, w)):
+            out[:] = x  # out = x + (dt/k) G v
+            csr_matvec(size, size, indptr, indices, data, v, out)
+            v = out
+        x, w = w, x
 
         trace_err = abs(x[diag].sum() - 1.0)
-        peak = math.sqrt(np.bincount(entry, weights=x * x, minlength=1).max())
+        peak_sq = np.max(x * x, initial=0.0)
+        if pair_re.size:  # np.maximum, unlike max, keeps a NaN from either side
+            peak_sq = np.maximum(peak_sq, np.max(x[pair_re] ** 2 + x[pair_im] ** 2))
+        peak = math.sqrt(peak_sq)
         if not (trace_err <= TRACE_TOL and peak <= 1.0):  # also trips on NaN
             raise StepSizeError(
                 f"unstable step: trace drift {trace_err:.3e}, max |rho_mn| {peak:.3e} "

@@ -568,13 +568,15 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", [["pnd"], ["pnd", "--engine", "oracle"], ["figure", "6"]],
                              ids=["pnd-analytic", "pnd-oracle", "figure6"])
     def test_n_max_past_the_grid_bound(self, tmp_path, command, capsys, monkeypatch):
-        # refused before either engine allocates its n_max + 1 entries
+        # refused before the steady state or the P(n) table is built: the
+        # work, O(n_max^2) time or (n_max + 1) x dim arrays, bounds n_max
         for module, name in ((analytic, "photon_distribution"), (fock, "steady_state"),
                              (fock, "observables")):
             monkeypatch.setattr(module, name, lambda *args, **kwargs: pytest.fail("allocated"))
-        n_max = cli.MAX_GRID_POINTS + 1
+        assert cli.MAX_PND_N == 20_000
+        n_max = cli.MAX_PND_N + 1
         assert cli.main([*command, "--n-max", str(n_max), "--out", str(tmp_path) + os.sep]) == 2
-        assert f"n_max {n_max} is more than {cli.MAX_GRID_POINTS}" in capsys.readouterr().err
+        assert f"n_max {n_max} is more than {cli.MAX_PND_N}" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     def test_oracle_pnd_n_max_past_the_frame_dim(self, tmp_path):

@@ -189,6 +189,48 @@ def sparse_rhs(rho, coeffs):
     return (kron_generator(n, coeffs) @ rho.reshape(-1)).reshape(n, n)
 
 
+def classic_rk4(rho0, p, t_end, dt):
+    """fock.evolve's earlier step loop: RK4 with its four slopes k1..k4.
+
+    The same blocks, generator, step count and stability check (|rho_mn|^2
+    summed per (m, n) by bincount), so it raises StepSizeError at the same
+    step with the same message.  Returns the final dim x dim matrix.
+    """
+    c = coefficients(p)
+    dim = rho0.dim
+    herm = 0.5 * (rho0.data + rho0.data.conj().T)
+    levels = np.arange(dim)
+    parity = (levels[:, None] - levels[None, :]) % 2
+    m_re, n_re = fock._unknowns(dim, np.unique(parity[herm.real != 0]), 1)
+    m_im, n_im = fock._unknowns(dim, np.unique(parity[herm.imag != 0]), -1)
+    gen = sp.block_diag([fock._block(dim, c, m_re, n_re, 1),
+                         fock._block(dim, c, m_im, n_im, -1)], format="csr")
+    x = np.concatenate([herm.real[m_re, n_re], herm.imag[m_im, n_im]])
+    diag = np.flatnonzero(m_re == n_re)
+    _, entry = np.unique(np.concatenate([m_re * dim + n_re, m_im * dim + n_im]),
+                         return_inverse=True)
+    n_steps = max(int(round(t_end / dt)), 1) if t_end > 0 else 0
+    if n_steps:
+        dt = t_end / n_steps
+    for step in range(n_steps):
+        k1 = gen @ x
+        k2 = gen @ (x + 0.5 * dt * k1)
+        k3 = gen @ (x + 0.5 * dt * k2)
+        k4 = gen @ (x + dt * k3)
+        x = x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        trace_err = abs(x[diag].sum() - 1.0)
+        peak = math.sqrt(np.bincount(entry, weights=x * x, minlength=1).max())
+        if not (trace_err <= fock.TRACE_TOL and peak <= 1.0):
+            raise StepSizeError(
+                f"unstable step: trace drift {trace_err:.3e}, max |rho_mn| {peak:.3e} "
+                f"at step {step + 1}; reduce dt ({dt:.3e})"
+            )
+    rho = np.empty((dim, dim), dtype=complex)
+    rho.real = fock._unfold(dim, m_re, n_re, x[:m_re.size], 1)
+    rho.imag = fock._unfold(dim, m_im, n_im, x[m_re.size:], -1)
+    return rho
+
+
 def random_interior_hermitian(rng, dim=32, support=24):
     data = np.zeros((dim, dim), dtype=complex)
     block = rng.normal(size=(support, support)) + 1j * rng.normal(size=(support, support))
@@ -388,14 +430,18 @@ class TestEvolve:
     def test_unstable_step_not_blamed_on_truncation(self):
         # dim 64 holds this state at the stable step, and a larger dim only
         # shrinks the stable step, so k times the RK4 limit must be reported
-        # as a step-size problem
+        # as a step-size problem, at the step the classic k1..k4 loop reports
         p = SystemParams(a=4, kappa=0.8, beta=0.2).with_relative_drive(0.5)
         assert fock.evolve(fock.vacuum(64), p, 2.0).boundary_pop < 1e-7
         c = coefficients(p)
         radius = 2.0 * 64 * (c.r + c.s + abs(c.u) + abs(c.v) + c.epsilon)
         for k in (2, 3, 5):
-            with pytest.raises(StepSizeError):
-                fock.evolve(fock.vacuum(64), p, 2.0, dt=k * 1.2 / radius)
+            dt = k * 1.2 / radius
+            with pytest.raises(StepSizeError) as want:
+                classic_rk4(fock.vacuum(64), p, 2.0, dt)
+            step = want.value.args[0].split("at step ")[1].split(";")[0]
+            with pytest.raises(StepSizeError, match=f"at step {step};"):
+                fock.evolve(fock.vacuum(64), p, 2.0, dt=dt)
 
     def test_truncation_guard(self):
         p = SystemParams(a=0, kappa=0.8, beta=0, epsilon=0.35)
@@ -472,12 +518,42 @@ class TestEvolve:
         np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-15)
         assert np.array_equal(got.data, got.data.conj().T)
 
+    def test_matches_classic_rk4_at_benchmark_transient(self):
+        # the oracle benchmark's transient point, dim and step, for t = 0.5
+        p = SystemParams(a=4, kappa=0.8, beta=0.2).with_relative_drive(0.5)
+        got = fock.evolve(fock.vacuum(96), p, 0.5, dt=1.25e-3)
+        want = classic_rk4(fock.vacuum(96), p, 0.5, 1.25e-3)
+        assert np.abs(got.data - want).max() <= 1e-13
+
+    @pytest.mark.parametrize("size, density", [(1, 1.0), (40, 0.2), (300, 0.02)])
+    def test_fused_stage_is_scaled_matvec_plus_x(self, rng, size, density):
+        # evolve's stages call SciPy's private CSR kernel, which adds A v into
+        # its output; this pins that contract to the public product
+        from scipy.sparse._sparsetools import csr_matvec
+
+        gen = sp.random(size, size, density=density, format="csr", random_state=rng)
+        assert gen.indptr.dtype == gen.indices.dtype == np.int32
+        x, v, h = rng.normal(size=size), rng.normal(size=size), 0.37
+        for k in (4, 3, 2, 1):
+            out = x.copy()
+            csr_matvec(size, size, gen.indptr, gen.indices, gen.data * (h / k), v, out)
+            want = x + (gen * (h / k)) @ v
+            np.testing.assert_allclose(out, want, rtol=1e-15, atol=1e-15 * np.abs(want).max())
+
     def test_coherence_magnitude_combines_real_and_imaginary_parts(self):
         # each part of rho_01 stays below 1 but |rho_01| does not
         data = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
         data[0, 1], data[1, 0] = 0.8 + 0.8j, 0.8 - 0.8j
         p = SystemParams(a=0, kappa=0.8, beta=0)
         with pytest.raises(StepSizeError, match="at step 1;"):
+            fock.evolve(fock.DensityMatrix(dim=4, data=data), p, 1e-3, dt=1e-3)
+
+    def test_imaginary_coherence_alone_trips_the_peak(self):
+        # rho_01 is purely imaginary, so only the imaginary block holds it
+        data = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+        data[0, 1], data[1, 0] = 1.2j, -1.2j
+        p = SystemParams(a=0, kappa=0.8, beta=0)
+        with pytest.raises(StepSizeError, match=r"max \|rho_mn\| 1\.\d+e\+00 at step 1;"):
             fock.evolve(fock.DensityMatrix(dim=4, data=data), p, 1e-3, dt=1e-3)
 
     @pytest.mark.parametrize("t_end, dt", [(math.nan, None), (math.inf, None),
