@@ -361,6 +361,8 @@ def q_function(record: GaussianRecord, alpha_re, alpha_im):
         )
     x = np.asarray(alpha_re, dtype=float)
     y = np.asarray(alpha_im, dtype=float)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise InvalidParameterError("alpha_re and alpha_im must be finite")
     val = math.sqrt(c * c - d * d) / math.pi * np.exp(
         -(c - d) * x**2 - (c + d) * y**2
     )

@@ -19,7 +19,6 @@ import functools
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -316,8 +315,10 @@ def _sweep(args):
         s_plus, s_minus = analytic.steady_alpha_sq(c)
         mean_n = analytic.mean_photon_curve(args.a, args.kappa, betas, eps)
         return np.column_stack((betas, eps, 1.0 + s_plus, 1.0 - s_minus, mean_n))
-    context = montecarlo.worker_context()
-    if args.jobs > 1 and betas.size > 1 and context is not None:
+    context = montecarlo.worker_context() if args.jobs > 1 and betas.size > 1 else None
+    if context is not None:
+        from concurrent.futures import ProcessPoolExecutor
+
         point = functools.partial(_point_variances, args, 1)
         with ProcessPoolExecutor(max_workers=args.jobs, mp_context=context) as pool:
             return np.array(list(pool.map(point, betas.tolist(), eps.tolist())))

@@ -58,9 +58,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,6 +145,8 @@ def usable_cores() -> int:
 
 def worker_context():
     """The fork context for worker processes; None without fork or in a daemonic process."""
+    import multiprocessing
+
     if ("fork" in multiprocessing.get_all_start_methods()
             and not multiprocessing.current_process().daemon):
         return multiprocessing.get_context("fork")
@@ -294,9 +294,14 @@ def _ensemble(k: _Kernel, n_traj: int, jobs: int):
     """
     los = range(0, n_traj, _UNIT)
     his = [min(lo + _UNIT, n_traj) for lo in los]
-    workers, pool, context = min(jobs, len(los)), None, worker_context()
-    if workers > 1 and n_traj * k.keep_p.size >= _POOL_MIN_WORK and context is not None:
-        pool = ProcessPoolExecutor(workers, mp_context=context)
+    workers, pool = min(jobs, len(los)), None
+    # decided before worker_context, which imports multiprocessing
+    if workers > 1 and n_traj * k.keep_p.size >= _POOL_MIN_WORK:
+        context = worker_context()
+        if context is not None:
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(workers, mp_context=context)
     sums, failed = (0.0, 0.0), []
     try:
         for part, blowup in (pool.map if pool else map)(functools.partial(_unit, k), los, his):
@@ -361,8 +366,10 @@ def run(
         sample_times = np.linspace(0.0, t_end, 26)
     sample_times = np.atleast_1d(sample_times)
     # half a step of round-off is allowed at either end
-    if not np.all((sample_times >= -0.5 * dt) & (sample_times <= t_end + 0.5 * dt)):
-        raise InvalidParameterError(f"sample_times must lie in [0, t_end = {t_end:g}]")
+    if not (sample_times.size
+            and np.all((sample_times >= -0.5 * dt) & (sample_times <= t_end + 0.5 * dt))):
+        raise InvalidParameterError(
+            f"sample_times must be one or more times in [0, t_end = {t_end:g}]")
     sample_steps = sorted({min(int(round(t / dt)), n_steps) for t in sample_times})
     sums, sums_abs2 = _ensemble(_kernel(p, dt, seed, sample_steps, _moment_sums), n_traj, jobs)
 
@@ -564,6 +571,9 @@ def spectrum_from_correlation(
     standard errors come from the per-group estimates.
     """
     omega = np.atleast_1d(np.asarray(omega_grid, dtype=float))
+    bad = omega[~np.isfinite(omega)]
+    if bad.size:
+        raise InvalidParameterError(f"omega must be finite, got {float(bad[0])!r}")
     slopes_p, _ = _group_slopes(est.tau, est.group_plus, np.real(est.corr_plus), est.corr_plus_se)
     slopes_m, _ = _group_slopes(est.tau, est.group_minus, np.real(est.corr_minus), est.corr_minus_se)
     tau = est.tau

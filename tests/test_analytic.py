@@ -467,6 +467,15 @@ class TestQFunction:
             total = np.trapezoid(np.trapezoid(q, axis, axis=1), axis)
             assert total == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("alpha_re, alpha_im", [(math.nan, 0.0), (0.0, math.inf),
+                                                    ([0.0, math.nan], [0.0, 0.0])],
+                             ids=["re-nan", "im-inf", "array-nan"])
+    def test_non_finite_alpha_rejected(self, alpha_re, alpha_im):
+        # as fock.husimi refuses it
+        rec = analytic.transient_moments(SystemParams(a=0, kappa=0.8, beta=0), 0.0)
+        with pytest.raises(InvalidParameterError, match="finite"):
+            analytic.q_function(rec, alpha_re, alpha_im)
+
     def test_undefined_for_bogus_record(self):
         rec = analytic.GaussianRecord(t=0, alpha_sq=0, n_cl=0, a=1, b=0, c=0.5, d=0.9)
         with pytest.raises(QFunctionUndefinedError):

@@ -1,6 +1,7 @@
 """CLI contract: CSV layouts, figure presets, exit codes, determinism."""
 
 import ast
+import concurrent.futures
 import hashlib
 import math
 import multiprocessing
@@ -340,7 +341,7 @@ class TestVerify:
         def no_pool(*args, **kwargs):
             raise AssertionError("casq verify started a process pool")
 
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         assert cli.main(["verify"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 12 and all(line.endswith("PASS") for line in lines[1:-1])
@@ -736,7 +737,7 @@ def test_analytic_sweep_runs_in_process(tmp_path, monkeypatch, command):
     def no_pool(*args, **kwargs):
         raise AssertionError("an analytic sweep started a process pool")
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     args = (command, "--a", "25", "--beta", "0:2:0.01", "--epsilon", "0.3", "--format", "svg")
     assert cli.main([*args, "--jobs", "2", "--out", str(tmp_path) + os.sep]) == 0
     written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
@@ -943,16 +944,30 @@ _SCIPY_PROBES = {
 }
 
 
-@pytest.mark.parametrize("case", list(_SCIPY_PROBES))
-def test_scipy_is_imported_only_where_used(tmp_path, case):
-    body, loaded, absent = _SCIPY_PROBES[case]
-    code = (f"import os, sys\nout = sys.argv[1]\n{body}\n"
-            "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def _modules_after(tmp_path, body):
+    """sys.modules of a fresh interpreter after `import os, sys; out = sys.argv[1]` and body."""
+    code = f"import os, sys\nout = sys.argv[1]\n{body}\nprint(' '.join(sys.modules))"
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
                           text=True, cwd=tmp_path, env=_child_env())
     assert proc.returncode == 0, proc.stderr
-    modules = set(proc.stdout.splitlines()[-1].split())
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize("case", list(_SCIPY_PROBES))
+def test_scipy_is_imported_only_where_used(tmp_path, case):
+    body, loaded, absent = _SCIPY_PROBES[case]
+    modules = {m for m in _modules_after(tmp_path, body) if m.split(".")[0] == "scipy"}
     for name in loaded:
         assert name in modules
     for name in absent:
         assert not any(m == name or m.startswith(name + ".") for m in modules), modules
+
+
+@pytest.mark.parametrize("case", ["import-casq", "figure2-coeffs", "verify"])
+def test_multiprocessing_is_imported_only_where_a_pool_starts(tmp_path, case):
+    # none of these starts a pool (verify's 20000 x 1 run stays in process);
+    # the benchmark's tracer reads every layer module from sys.modules
+    modules = _modules_after(tmp_path, _SCIPY_PROBES[case][0])
+    assert not {m for m in modules if m.split(".")[0] == "multiprocessing"}
+    assert {f"casq.{layer}" for layer in
+            ("params", "analytic", "fock", "montecarlo", "moments", "cli")} <= modules

@@ -525,6 +525,18 @@ class TestEvolve:
         want = classic_rk4(fock.vacuum(96), p, 0.5, 1.25e-3)
         assert np.abs(got.data - want).max() <= 1e-13
 
+    def test_pattern_cached_per_dim_and_read_only(self, monkeypatch):
+        # a second transient at one dim builds no pattern and gives the same bits
+        p = SystemParams(a=4, kappa=0.8, beta=0.2).with_relative_drive(0.5)
+        first = fock.evolve(fock.vacuum(40), p, 0.2)
+        monkeypatch.setattr(fock, "_block_pattern", lambda *args: pytest.fail("built"))
+        again = fock.evolve(fock.vacuum(40), p, 0.2)
+        assert np.array_equal(again.data, first.data)
+        m, n, pattern = fock._folded_pattern(40, (0,), 1)
+        for arr in (m, n, *pattern):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
     @pytest.mark.parametrize("size, density", [(1, 1.0), (40, 0.2), (300, 0.02)])
     def test_fused_stage_is_scaled_matvec_plus_x(self, rng, size, density):
         # evolve's stages call SciPy's private CSR kernel, which adds A v into

@@ -1,5 +1,6 @@
 """Moment-ODE propagation against closed-form limits and the linear solve."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,11 +13,23 @@ from casq.params import SystemParams, coefficients
 from conftest import stable_params
 
 
-def rk4_reference(p, t_end, n_records=200):
-    """The moment RK4 with its four right-hand sides built at every stage.
+def flow_points(rng):
+    """The stable_params draws, then A = 25, beta = 0.1 at 0.99 of threshold and at threshold."""
+    base = SystemParams(a=25, kappa=0.8, beta=0.1)
+    return stable_params(rng, 4, lambda_ratio_max=8.0) + [
+        base.with_relative_drive(0.99), base.with_relative_drive(1.0)]
 
-    Returns the (t, y) records of propagate at its default step, from
-    vacuum, y = (<alpha>, <alpha^2>, <alpha* alpha>, <alpha_+^2>, <alpha_-^2>).
+
+def flow_time(p):
+    """Five relaxation times of the slower quadrature (of lambda_+ / 5 at threshold)."""
+    c = coefficients(p)
+    return 5.0 / max(c.lambda_minus, 0.2 * c.lambda_plus)
+
+
+def augmented_generator(p):
+    """The 11 x 11 generator of (Re y, Im y, 1), read column by column off the moment ODE.
+
+    y = (<alpha>, <alpha^2>, <alpha* alpha>, <alpha_+^2>, <alpha_-^2>).
     """
     c = coefficients(p)
 
@@ -30,21 +43,15 @@ def rk4_reference(p, t_end, n_records=200):
             -2.0 * c.lambda_plus * vm + 2.0 * c.diffusion_minus,
         ], dtype=complex)
 
-    dt = 0.01 / max(c.lambda_plus, abs(c.lambda_minus), 1.0)
-    n_steps = max(int(round(t_end / dt)), 1)
-    record_every = max(n_steps // n_records, 1)
-    dt = t_end / n_steps
-    y = np.zeros(5, dtype=complex)
-    records = [(0.0, y)]
-    for step in range(1, n_steps + 1):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * dt * k1)
-        k3 = rhs(y + 0.5 * dt * k2)
-        k4 = rhs(y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        if step % record_every == 0 or step == n_steps:
-            records.append((step * dt, y))
-    return records
+    drive = rhs(np.zeros(5, dtype=complex))
+    gen = np.zeros((11, 11))
+    for j in range(10):
+        z = np.zeros(10)
+        z[j] = 1.0
+        dy = rhs(z[:5] + 1j * z[5:]) - drive
+        gen[:10, j] = np.concatenate([dy.real, dy.imag])
+    gen[:10, 10] = np.concatenate([drive.real, drive.imag])
+    return gen
 
 
 def test_vacuum_with_no_drive_stays_zero():
@@ -60,23 +67,51 @@ def test_mean_alpha_identically_zero_from_vacuum(rng):
         assert all(s.mean_alpha == 0 for s in states)
 
 
-def test_step_map_matches_rk4_reference(rng):
-    for p in stable_params(rng, 4, lambda_ratio_max=8.0):
-        t_end = 3.0 / coefficients(p).lambda_minus
+def test_flow_matches_closed_form(rng):
+    for p in flow_points(rng):
+        t_end = flow_time(p)
         got = moments.propagate(p, t_end)
-        want = rk4_reference(p, t_end)
-        assert [s.t for s in got] == [t for t, _ in want]
-        for s, (_, y) in zip(got, want):
+        assert [s.t for s in got] == np.linspace(0.0, t_end, 201).tolist()
+        for s in got[1:]:
+            rec = analytic.transient_moments(p, s.t)
+            q_plus, q_minus = analytic._alpha_sq(coefficients(p), s.t)
+            np.testing.assert_allclose(
+                [s.n_cl, s.alpha_sq.real, s.var_flow_plus, s.var_flow_minus],
+                [rec.n_cl, rec.alpha_sq, q_plus, q_minus], rtol=1e-11, atol=0)
+
+
+def test_flow_matches_scipy_expm(rng):
+    # each record from vacuum in one SciPy (Pade) exponential of the whole interval
+    expm = pytest.importorskip("scipy.linalg").expm
+    for p in flow_points(rng):
+        t_end = flow_time(p)
+        got = moments.propagate(p, t_end, n_records=20)
+        gen = augmented_generator(p)
+        for s in got:
+            z = expm(s.t * gen)[:10, 10]
+            want = z[:5] + 1j * z[5:]
             fields = [s.mean_alpha, s.alpha_sq, s.n_cl, s.var_flow_plus, s.var_flow_minus]
-            np.testing.assert_allclose(fields, y, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(fields, want, rtol=1e-11, atol=1e-13 * abs(want).max())
 
 
-@pytest.mark.parametrize("t_end, dt", [(math.nan, None), (math.inf, None),
-                                       (1.0, math.nan), (1.0, math.inf)],
-                         ids=["t-end-nan", "t-end-inf", "dt-nan", "dt-inf"])
-def test_non_finite_time_rejected(t_end, dt):
+@pytest.mark.parametrize("n_records", [0, -3, 2.5, True])
+def test_bad_record_count_rejected(n_records):
+    with pytest.raises(InvalidParameterError, match="n_records"):
+        moments.propagate(SystemParams(a=25, kappa=0.8, beta=0.1, epsilon=0.3), 1.0,
+                          n_records=n_records)
+
+
+@pytest.mark.parametrize("n_records", [1, 7, np.int64(3)])
+def test_one_state_per_record_and_the_start(n_records):
+    states = moments.propagate(SystemParams(a=25, kappa=0.8, beta=0.1, epsilon=0.3), 2.0,
+                               n_records=n_records)
+    assert [s.t for s in states] == np.linspace(0.0, 2.0, n_records + 1).tolist()
+
+
+@pytest.mark.parametrize("t_end", [math.nan, math.inf], ids=["t-end-nan", "t-end-inf"])
+def test_non_finite_time_rejected(t_end):
     with pytest.raises(InvalidParameterError, match="finite"):
-        moments.propagate(SystemParams(a=25, kappa=0.8, beta=0.1, epsilon=0.3), t_end, dt=dt)
+        moments.propagate(SystemParams(a=25, kappa=0.8, beta=0.1, epsilon=0.3), t_end)
 
 
 def test_long_time_matches_steady_closed_forms(rng):
@@ -131,17 +166,31 @@ def test_linear_solve_singular_at_threshold():
 
 def test_redundant_channel_detects_inconsistent_initial_state():
     p = SystemParams(a=25, kappa=0.8, beta=0.1, epsilon=0.3)
-    bogus = moments.MomentState(
-        t=0.0, mean_alpha=0j, alpha_sq=0j, n_cl=0.0, var_flow_plus=1.0, var_flow_minus=0.0
-    )
-    with pytest.raises(StepSizeError):
-        moments.propagate(p, 1.0, initial=bogus)
+    vacuum = moments.MomentState(t=0.0, mean_alpha=0j, alpha_sq=0j, n_cl=0.0,
+                                 var_flow_plus=0.0, var_flow_minus=0.0)
+    for bad in ({"var_flow_plus": 1.0}, {"var_flow_plus": math.nan},
+                {"mean_alpha": complex(math.nan, 0.0)}):
+        with pytest.raises(InvalidParameterError, match="initial"):
+            moments.propagate(p, 1.0, initial=dataclasses.replace(vacuum, **bad))
 
 
-def test_oversized_step_detected():
-    p = SystemParams(a=100, kappa=0.8, beta=0.1, epsilon=0.3)
-    with pytest.raises(StepSizeError):
-        moments.propagate(p, 10.0, dt=0.5)
+def test_initial_state_continues_the_flow():
+    p = SystemParams(a=25, kappa=0.8, beta=0.1, epsilon=0.3)
+    middle = moments.propagate(p, 1.0)[-1]
+    got = moments.propagate(p, 1.0, initial=middle)[-1]
+    want = moments.propagate(p, 2.0)[-1]
+    for name in ("alpha_sq", "n_cl", "var_flow_plus", "var_flow_minus"):
+        assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12)
+
+
+def test_overflow_above_threshold_detected():
+    # above threshold <alpha_+^2> grows as exp(2 |lambda_-| t), past the float range here
+    p = SystemParams(a=25, kappa=0.8, beta=0.1).with_relative_drive(2.0)
+    assert coefficients(p).lambda_minus < 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(StepSizeError, match="not finite") as info:
+            moments.propagate(p, 1e4)
+    assert "dt" not in str(info.value)
 
 
 def test_zero_time_returns_initial():

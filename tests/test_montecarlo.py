@@ -15,13 +15,13 @@ of them fail under a 2% error in the noise gain or the decay rate.
 """
 
 import ast
+import concurrent.futures
 import dataclasses
 import functools
 import inspect
 import math
 import multiprocessing
 import re
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -243,7 +243,7 @@ class TestRun:
         for i, t in enumerate(series.times):
             if t == 0.0:
                 continue
-            ref = moments.propagate(MODULE_POINT, float(t), check_accuracy=False)[-1]
+            ref = moments.propagate(MODULE_POINT, float(t))[-1]
             checked += 1
             assert abs(series.n_cl[i].real - ref.n_cl) <= z * series.n_cl_se[i]
             assert abs(series.plus_sq[i].real - ref.var_flow_plus) <= z * series.plus_sq_se[i]
@@ -411,7 +411,7 @@ class TestRun:
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was created")
 
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         montecarlo.run(MODULE_POINT, 2048, 0.1, 0.01, seed=1, jobs=2)
         montecarlo.two_time_correlation(MODULE_POINT, [0.0, 0.1], 2048, 0.01, seed=1,
                                         t_burn=0.1, jobs=2)
@@ -423,12 +423,12 @@ class TestRun:
         # same bits
         started = []
 
-        class CountingPool(ProcessPoolExecutor):
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 started.append(args)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         kw = dict(n_traj=20000, t_end=10.0, dt=0.0025, seed=7041, sample_times=[10.0], jobs=2)
         assert 20000 < montecarlo._POOL_MIN_WORK
         in_process = montecarlo.run(MODULE_POINT, **kw)
@@ -448,6 +448,10 @@ class TestRun:
     def test_sample_time_outside_run_rejected(self, outside):
         with pytest.raises(InvalidParameterError):
             montecarlo.run(MODULE_POINT, 64, 1.0, 0.01, seed=1, sample_times=[outside, 0.5])
+
+    def test_no_sample_time_rejected(self):
+        with pytest.raises(InvalidParameterError, match="sample_times"):
+            montecarlo.run(MODULE_POINT, 64, 1.0, 0.01, seed=1, sample_times=[])
 
     def test_sample_time_round_off_at_ends_accepted(self):
         series = montecarlo.run(MODULE_POINT, 64, 1.0, 0.01, seed=1,
@@ -593,24 +597,36 @@ class TestTwoTimeCorrelation:
             )
 
 
-@pytest.mark.parametrize("tau", [TAU, TAU[:-1]], ids=["80-intervals", "79-intervals"])
-def test_spectrum_quadrature_of_exact_correlations(tau):
-    # noise-free exponentials C(tau) = C(0) exp(-lambda tau) at MODULE_POINT:
-    # the quadrature must reproduce the closed-form spectra; the trapezoid
-    # rule is 3.5e-4 to 1.6e-3 off here, composite Simpson within 5e-7
+def exact_correlations(tau):
+    """Noise-free C(tau) = C(0) exp(-lambda tau) at MODULE_POINT, as two equal groups."""
     c = coefficients(MODULE_POINT)
     s_plus, s_minus = analytic.steady_alpha_sq(c)
     plus, minus = s_plus * np.exp(-c.lambda_minus * tau), s_minus * np.exp(-c.lambda_plus * tau)
     zero = np.zeros(tau.size)
-    est = montecarlo.CorrelationEstimate(
+    return montecarlo.CorrelationEstimate(
         tau=tau, corr_plus=plus.astype(complex), corr_plus_se=zero,
         corr_minus=minus.astype(complex), corr_minus_se=zero, n_traj=2,
         group_plus=np.stack([plus, plus]), group_minus=np.stack([minus, minus]))
+
+
+@pytest.mark.parametrize("tau", [TAU, TAU[:-1]], ids=["80-intervals", "79-intervals"])
+def test_spectrum_quadrature_of_exact_correlations(tau):
+    # the quadrature must reproduce the closed-form spectra; the trapezoid
+    # rule is 3.5e-4 to 1.6e-3 off here, composite Simpson within 5e-7
+    est = exact_correlations(tau)
     omegas = np.array([0.0, MODULE_POINT.kappa / 2, MODULE_POINT.kappa])
     got = montecarlo.spectrum_from_correlation(est, MODULE_POINT.kappa, omegas)
     want = analytic.spectrum(MODULE_POINT, omegas)
     np.testing.assert_allclose(got.s_plus, want.s_plus, rtol=0, atol=1e-5)
     np.testing.assert_allclose(got.s_minus, want.s_minus, rtol=0, atol=1e-5)
+
+
+@pytest.mark.parametrize("omega", [math.nan, math.inf])
+def test_spectrum_non_finite_omega_rejected(omega):
+    # as analytic.spectrum refuses it
+    with pytest.raises(InvalidParameterError, match="omega must be finite"):
+        montecarlo.spectrum_from_correlation(exact_correlations(TAU), MODULE_POINT.kappa,
+                                             [0.0, omega])
 
 
 def test_at_threshold_refused_like_the_other_engines(tmp_path):
