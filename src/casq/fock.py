@@ -417,7 +417,7 @@ def _folded_pattern(dim: int, parities: tuple, sign: int):
     evolve's blocks, cached per (dim, parities, sign) as read-only arrays,
     copied once built as _even_pattern's are, so a transient at a dim
     already stepped pays only for its values.  The dissection order would
-    help no matvec (13.0-13.6 us at dim 96 in either order, 2 cores) and
+    help no matvec (13.0-13.8 us at dim 96 in either order, 2 cores) and
     would change the order in which each step sums.
     """
     m, n = _unknowns(dim, parities, sign)
