@@ -504,6 +504,10 @@ def _cmd_oracle(args) -> int:
         rho = _oracle_steady_state(p, args.dim)
     else:  # evolve runs in the number basis only
         dim = ORACLE_DIM if args.dim is None else args.dim
+        if dim > fock.FRAME_DIM_MAX:  # before vacuum allocates dim^2 complex entries
+            raise InvalidParameterError(
+                f"dim must be <= FRAME_DIM_MAX = {fock.FRAME_DIM_MAX} for the transient, "
+                f"got {dim}")
         rho = fock.evolve(fock.vacuum(dim), p, args.t_end, dt=args.dt)
     obs = fock.observables(rho)
     header = ["t", "mean_n", "var_plus", "var_minus", "re_mean_a_sq",
@@ -608,8 +612,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(run=_cmd_oracle)
     _add_system_args(sp)
     sp.add_argument("--dim", type=int, default=None,
-                    help=f"{_ORACLE_DIM_HELP}; with --t-end, levels of the number basis "
-                         f"(default {ORACLE_DIM})")
+                    help=f"{_ORACLE_DIM_HELP}; with --t-end, levels of the number basis, "
+                         f"at most {fock.FRAME_DIM_MAX} (default {ORACLE_DIM})")
     sp.add_argument("--dt", type=float, default=None, help="RK4 step of the --t-end transient")
     sp.add_argument("--t-end", type=float, default=None,
                     help="integrate to this time instead of solving for the steady state")

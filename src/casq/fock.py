@@ -26,26 +26,26 @@ unknowns, in two steps; no operator on the whole of vec(rho) is formed.
 The pattern depends on dim and the unknowns alone: the sparsity of the
 summed block, and for each of the 12 terms' entries its slot in that
 block and its ladder weight.  The values are one weighted bincount of
-the term table's 12 coefficients over those slots, per call.
+the term table's 12 coefficients over those slots, per call.  On the
+grid ((m + n) // 2, (n - m) // 2) every block, of either parity and
+either sign, is a 9-point stencil, so its unknowns are numbered in a
+nested-dissection order, which keeps an LU's fill low.  That order and
+the block's pattern are cached once per (dim, parities, sign) and read
+by both solvers, so a repeated solve or transient, or a transient at a
+dim already solved at, pays only for its values (and a solve for its LU).
 Time evolution uses classical RK4 on the blocks the initial state
 occupies (the real even block alone for a vacuum start), so the state
 stays Hermitian by construction.  The generator is linear with constant
 coefficients, so an RK4 step is the degree-4 Taylor polynomial of dt L,
 taken in Horner form: four stages, each one fused sparse pass that adds
 (dt/k) L v into a copy of the state (SciPy's CSR matvec kernel, with the
-generator's data scaled once per call).  The blocks' patterns are cached
-per dim and sector, so a repeated transient pays only for its values.
-The steady
-state is the null vector of L on the real even block, found by one sparse
-LU solve with one row of L rho = 0 replaced by rho_00 = 1 (trace
-conservation makes that row redundant) and accepted if the residual
-|L rho|_1 is below 1e-10 |rho|_1; explicit stepping to it is hopeless
-because the generator's fast scales grow linearly with the truncation.
-That block is about a quarter of vec(rho).  On the grid ((m + n)/2, (n - m)/2)
-it is a 9-point stencil, so its unknowns are numbered in a
-nested-dissection order, which keeps the LU fill low.  The order and the
-block's pattern depend on dim alone and are computed once per dim, so a
-repeated solve pays only for its values and its LU.
+generator's data scaled once per call).  The steady state is the null
+vector of L on the real even block, about a quarter of vec(rho), found
+by one sparse LU solve with one row of L rho = 0 replaced by rho_00 = 1
+(trace conservation makes that row redundant) and accepted if the
+residual |L rho|_1 is below 1e-10 |rho|_1; explicit stepping to it is
+hopeless because the generator's fast scales grow linearly with the
+truncation.
 
 Squeezed frame.  Near threshold the steady state is a squeezed thermal
 state, which the number basis holds only with many levels.  In the frame
@@ -327,46 +327,24 @@ def _block_values(pattern: _Pattern, coeffs: Coefficients, frame_r: float = 0.0)
                        minlength=pattern.indices.size)
 
 
-def _block(dim: int, coeffs: Coefficients, m: np.ndarray, n: np.ndarray, sign: int,
-           frame_r: float = 0.0):
-    """The generator on one real folded block of rho (of rho' in the frame frame_r).
-
-    The block's pattern (_block_pattern) with its values (_block_values),
-    built afresh; see _block_pattern for the unknowns m, n and sign.
-    """
-    import scipy.sparse as sp
-
-    pattern = _block_pattern(dim, m, n, sign)
-    return sp.csc_matrix((_block_values(pattern, coeffs, frame_r), pattern.indices,
-                          pattern.indptr), shape=(m.size, m.size))
-
-
 def _unknowns(dim: int, parities, sign: int):
-    """(m, n) of one real block's unknowns, in row-major order.
+    """(m, n) of one real block's unknowns, in nested-dissection order.
 
     The block is the real part (sign +1, m <= n) or the imaginary part
-    (sign -1, m < n) of rho on the given parities of m - n.
+    (sign -1, m < n) of rho on the given parities of m - n.  On the grid
+    (i, j) = ((m + n) // 2, (n - m) // 2) every generator term moves i
+    and j by at most 1, also across the fold (k, l) -> (l, k) and for odd
+    m - n, so one grid line separates the points on either side of it (a
+    block of both parities holds two such grids, which no term couples).
+    The point set is cut at the median of its longer axis; the two halves
+    are numbered first (recursively), then the cut line, down to
+    DISSECTION_LEAF points.  Each separator is then eliminated after
+    everything it separates, as in A. George, SIAM J. Numer. Anal. 10,
+    345 (1973).
     """
     m, n = np.divmod(np.arange(dim * dim), dim)
     keep = (m <= n if sign > 0 else m < n) & np.isin((n - m) % 2, parities)
-    return m[keep], n[keep]
-
-
-@functools.lru_cache(maxsize=8)
-def _dissected_even_block(dim: int):
-    """(m, n) of the real even block's unknowns in nested-dissection order.
-
-    On the grid (i, j) = ((m + n)/2, (n - m)/2) every generator term moves
-    i and j by at most 1, so one grid line separates the points on either
-    side of it.  The point set is cut at the median of its longer axis;
-    the two halves are numbered first (recursively), then the cut line,
-    down to DISSECTION_LEAF points.  Each separator is then eliminated
-    after everything it separates, as in A. George, SIAM J. Numer. Anal.
-    10, 345 (1973).  The order depends on dim alone, so it is cached per
-    dim and returned as read-only arrays; callers check dim first, since
-    64.0 would find the entry of 64.
-    """
-    m, n = _unknowns(dim, [0], 1)
+    m, n = m[keep], n[keep]
     order = []
 
     def dissect(points, i, j):
@@ -381,46 +359,28 @@ def _dissected_even_block(dim: int):
 
     dissect(np.arange(m.size), (m + n) // 2, (n - m) // 2)
     order = np.concatenate(order)
-    m, n = m[order], n[order]
-    m.flags.writeable = n.flags.writeable = False
-    return m, n
+    return m[order], n[order]
 
 
 @functools.lru_cache(maxsize=8)
-def _even_pattern(dim: int):
-    """The pattern of the real even block in nested-dissection order, and its rho_00 row.
+def _sector(dim: int, parities: tuple, sign: int):
+    """(m, n) of one real block's unknowns (_unknowns) and the block's pattern.
 
-    Returns (pattern, row, diag): row holds the positions in the CSC data
-    of the entries in the row of the rho_00 unknown, diag the position of
-    its diagonal entry.  Cached per dim beside the order itself, as
-    read-only arrays, so a steady state at a dim already solved at pays
-    only for its values and its LU.
+    The one pattern cache of both solvers, per (dim, parities, sign), as
+    read-only arrays: a steady state or a transient at a dim already
+    solved or stepped at pays only for its values (and its LU).  Callers
+    check dim first, since 64.0 would find the entry of 64.  evolve steps
+    its blocks in this order too.  Against the row-major order, one fused
+    RK4 stage at dim 96 took 23.5 us against 23.0 us (medians of 40
+    interleaved batches, 2 cores), within the noise, and the states of
+    the oracle benchmark's transient (t = 0.5 to 4) differ by at most
+    2e-16, the rounding of each row's sum in the other order.
     """
-    m, n = _dissected_even_block(dim)
+    m, n = _unknowns(dim, parities, sign)
     # copied once the build's temporaries are freed, so that the cached arrays
     # fill low holes of the (glibc) heap instead of splitting the free space
     # that the LU's allocations reuse; uncopied, they raised the peak RSS of
     # the oracle benchmark's first round (dims 256 and 512) by 12-20 MB
-    pattern = _Pattern(*(arr.copy() for arr in _block_pattern(dim, m, n, 1)))
-    pin = int(np.flatnonzero((m == 0) & (n == 0))[0])
-    row = np.flatnonzero(pattern.indices == pin)
-    diag = int(row[np.searchsorted(row, pattern.indptr[pin])])
-    for arr in (*pattern, row):
-        arr.flags.writeable = False
-    return pattern, row, diag
-
-
-@functools.lru_cache(maxsize=8)
-def _folded_pattern(dim: int, parities: tuple, sign: int):
-    """(m, n) of one real block in row-major order (_unknowns), and its pattern.
-
-    evolve's blocks, cached per (dim, parities, sign) as read-only arrays,
-    copied once built as _even_pattern's are, so a transient at a dim
-    already stepped pays only for its values.  The dissection order would
-    help no matvec (13.0-13.8 us at dim 96 in either order, 2 cores) and
-    would change the order in which each step sums.
-    """
-    m, n = _unknowns(dim, parities, sign)
     pattern = _Pattern(*(arr.copy() for arr in _block_pattern(dim, m, n, sign)))
     for arr in (m, n, *pattern):
         arr.flags.writeable = False
@@ -494,7 +454,10 @@ def evolve(
     only the blocks the Hermitian part of rho0 occupies are stepped (the
     real even block alone for a vacuum start), and the state is
     Hermitian by construction.  A non-Hermitian rho0 evolves as its
-    Hermitian part.  The generator G is linear with constant
+    Hermitian part.  Each block's unknowns, in nested-dissection order,
+    and its pattern come from the cache the steady state reads
+    (_sector), so a transient at a dim already solved or stepped at
+    builds no pattern.  The generator G is linear with constant
     coefficients, so one classical RK4 step of size h is exactly the
     degree-4 Taylor polynomial of hG, evaluated in Horner form:
     x <- x + hG(x + (h/2)G(x + (h/3)G(x + (h/4)G x))).  Each of its four
@@ -527,8 +490,13 @@ def evolve(
     herm = 0.5 * (rho0.data + rho0.data.conj().T)
     levels = np.arange(dim)
     parity = (levels[:, None] - levels[None, :]) % 2
-    blocks = [_folded_pattern(dim, tuple(np.unique(parity[part != 0]).tolist()), sign)
-              for part, sign in ((herm.real, 1), (herm.imag, -1))]
+    # an unoccupied part (the imaginary one of a real start) is an empty block:
+    # no unknowns, indptr [0] and no entries of any of the 12 terms, so nothing to build
+    empty = (levels[:0], levels[:0], _Pattern(*(np.zeros(k, np.int32) for k in (0, 1, 0, 0, 12))))
+    blocks = []
+    for part, sign in ((herm.real, 1), (herm.imag, -1)):
+        parities = tuple(np.unique(parity[part != 0]).tolist())
+        blocks.append(_sector(dim, parities, sign) if parities else empty)
     gen = sp.block_diag([sp.csc_matrix((_block_values(pat, c), pat.indices, pat.indptr),
                                        shape=(m.size, m.size)) for m, _, pat in blocks],
                         format="csr")
@@ -574,10 +542,14 @@ def _even_steady_state(dim, c, frame_r, tol):
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
-    m, n = _dissected_even_block(dim)
-    pattern, row, diag = _even_pattern(dim)
+    m, n, pattern = _sector(dim, (0,), 1)
     data = _block_values(pattern, c, frame_r)
     shape = (m.size, m.size)
+    # row: the positions in data of the entries in the row of the rho_00
+    # unknown, pin; diag: the position of its diagonal entry
+    pin = int(np.flatnonzero((m == 0) & (n == 0))[0])
+    row = np.flatnonzero(pattern.indices == pin)
+    diag = int(row[np.searchsorted(row, pattern.indptr[pin])])
     # the row of rho_00 becomes rho_00 = 1, scaled to the largest entry of L
     # so that its pivot stays on the diagonal, which keeps the dissection's fill;
     # it is written into data itself and undone after the factorization, so
@@ -681,12 +653,13 @@ def steady_state(
     of their grid, and the generator is assembled directly in that order,
     which the LU keeps (permc_spec NATURAL, with a diagonal-favouring
     pivot threshold); that keeps its fill low.  The order and the
-    generator's sparsity pattern are computed once per dim and cached;
-    each call computes only the values on that pattern, pins the row of
-    rho_00 in them for the factorization and factors over the cached
-    structure.  The residual keeps its whole-matrix meaning: off-diagonal
-    unknowns count twice in both 1-norms.  The returned state is exactly
-    symmetric and records the residual and the LU non-zeros.
+    generator's sparsity pattern are the block's entry in the pattern
+    cache that evolve reads too (_sector); each call computes only the
+    values on that pattern, pins the row of rho_00 in them for the
+    factorization and factors over the cached structure.  The residual
+    keeps its whole-matrix meaning: off-diagonal unknowns count twice in
+    both 1-norms.  The returned state is exactly symmetric and records
+    the residual and the LU non-zeros.
 
     frame selects the basis: "lab" (the default) solves in dim levels of
     the number basis of a; "auto" solves in the squeezed frame of the

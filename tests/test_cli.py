@@ -469,6 +469,22 @@ class TestExitCodes:
         assert f"dim must be <= FRAME_DIM_MAX = {fock.FRAME_DIM_MAX}" in captured.err
         assert not list(tmp_path.iterdir())
 
+    def test_transient_dim_above_cap_refused_before_allocating(self, tmp_path, monkeypatch,
+                                                               capsys):
+        # the --t-end number basis has the frame's cap: unchecked, vacuum
+        # allocates dim^2 complex entries first (6.4 GB at 20000 levels)
+        monkeypatch.setattr(fock, "FRAME_DIM_MAX", 64)
+        out = tmp_path / "oracle.csv"
+        assert cli.main(["oracle", "--t-end", "0.01", "--dim", "64", "--out", str(out)]) == 0
+        out.unlink()
+        capsys.readouterr()
+        monkeypatch.setattr(fock, "vacuum", lambda *args: pytest.fail("allocated"))
+        assert cli.main(["oracle", "--t-end", "0.01", "--dim", "65", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "dim must be <= FRAME_DIM_MAX = 64 for the transient, got 65" in captured.err
+        assert not list(tmp_path.iterdir())
+
     def test_oracle_large_gain_solves_in_one_frame(self, tmp_path):
         # A = 400, beta = 0, epsilon = 0: <n> = 250, in 474 sized frame levels
         out = tmp_path / "oracle.csv"

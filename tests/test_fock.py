@@ -189,22 +189,44 @@ def sparse_rhs(rho, coeffs):
     return (kron_generator(n, coeffs) @ rho.reshape(-1)).reshape(n, n)
 
 
+def row_major_unknowns(dim, parities, sign):
+    """(m, n) of one real block's unknowns in row-major order, as kron_block numbers them."""
+    m, n = np.divmod(np.arange(dim * dim), dim)
+    keep = (m <= n if sign > 0 else m < n) & np.isin((n - m) % 2, parities)
+    return m[keep], n[keep]
+
+
+def block(dim, coeffs, m, n, sign, frame_r=0.0):
+    """The generator on the block of unknowns (m, n), in their order, built afresh.
+
+    fock._block_pattern with fock._block_values, bypassing the library's
+    cache and its order: the references below number their unknowns as
+    they choose.
+    """
+    pattern = fock._block_pattern(dim, m, n, sign)
+    return sp.csc_matrix((fock._block_values(pattern, coeffs, frame_r), pattern.indices,
+                          pattern.indptr), shape=(m.size, m.size))
+
+
 def classic_rk4(rho0, p, t_end, dt):
     """fock.evolve's earlier step loop: RK4 with its four slopes k1..k4.
 
     The same blocks, generator, step count and stability check (|rho_mn|^2
     summed per (m, n) by bincount), so it raises StepSizeError at the same
-    step with the same message.  Returns the final dim x dim matrix.
+    step with the same message.  Its unknowns are row-major, not evolve's
+    dissection order, so a comparison also checks that the order changes
+    nothing beyond rounding.
+    Returns the final dim x dim matrix.
     """
     c = coefficients(p)
     dim = rho0.dim
     herm = 0.5 * (rho0.data + rho0.data.conj().T)
     levels = np.arange(dim)
     parity = (levels[:, None] - levels[None, :]) % 2
-    m_re, n_re = fock._unknowns(dim, np.unique(parity[herm.real != 0]), 1)
-    m_im, n_im = fock._unknowns(dim, np.unique(parity[herm.imag != 0]), -1)
-    gen = sp.block_diag([fock._block(dim, c, m_re, n_re, 1),
-                         fock._block(dim, c, m_im, n_im, -1)], format="csr")
+    m_re, n_re = row_major_unknowns(dim, np.unique(parity[herm.real != 0]), 1)
+    m_im, n_im = row_major_unknowns(dim, np.unique(parity[herm.imag != 0]), -1)
+    gen = sp.block_diag([block(dim, c, m_re, n_re, 1), block(dim, c, m_im, n_im, -1)],
+                        format="csr")
     x = np.concatenate([herm.real[m_re, n_re], herm.imag[m_im, n_im]])
     diag = np.flatnonzero(m_re == n_re)
     _, entry = np.unique(np.concatenate([m_re * dim + n_re, m_im * dim + n_im]),
@@ -317,7 +339,7 @@ class TestGenerator:
             for sign in (1, -1):
                 want, m, n = kron_block(gen, parity, sign)
                 order = rng.permutation(m.size)
-                got = fock._block(dim, c, m[order], n[order], sign, frame_r)
+                got = block(dim, c, m[order], n[order], sign, frame_r)
                 assert_same_block(got, want[order][:, order], scale)
 
     def test_lab_term_table(self):
@@ -352,32 +374,62 @@ class TestGenerator:
         for parity in (0, 1):
             for sign in (1, -1):
                 want, m, n = kron_block(gen, parity, sign)
-                assert_same_block(fock._block(dim, c, m, n, sign), want, abs(gen).max())
+                assert_same_block(block(dim, c, m, n, sign), want, abs(gen).max())
 
     @pytest.mark.parametrize("p, frame_r", [
         (VERIFY_POINT, 0.0), (VERIFY_POINT, 0.3), (VERIFY_POINT, -1.1),
         (SystemParams(a=0, kappa=0.8, beta=0, epsilon=0.3), 0.0),
     ], ids=["lab", "r0.3", "r-1.1", "zero-term"])
     def test_cached_pattern_values_match_reference(self, p, frame_r):
-        # the even block's cached pattern with one call's values, against
-        # the uncached assembly (_block) and the reference's rows and folded
+        # each block's cached pattern with one call's values, against the
+        # uncached assembly (block) and the reference's rows and folded
         # columns.  The pure amplifier has U = V = R = 0: the pattern depends
         # on dim alone, so the entries of its zero terms stay as explicit zeros
         dim = 40
         c = coefficients(p)
-        m, n = fock._dissected_even_block(dim)
-        pattern, _, _ = fock._even_pattern(dim)
-        data = fock._block_values(pattern, c, frame_r)
-        assert data.size == pattern.indices.size
-        if not np.all(np.concatenate(fock._terms(c, frame_r))):
-            assert np.count_nonzero(data) < data.size
-        got = sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=(m.size, m.size))
         gen = kron_generator(dim, c, frame_r)
-        want, m_ref, n_ref = kron_block(gen, 0, 1)
-        order = np.searchsorted(m_ref * dim + n_ref, m * dim + n)
         scale = abs(gen).max() * math.cosh(frame_r) ** 4
-        assert_same_block(got, want[order][:, order], scale)
-        assert_same_block(got, fock._block(dim, c, m, n, 1, frame_r), scale)
+        for parity in (0, 1):
+            for sign in (1, -1):
+                m, n, pattern = fock._sector(dim, (parity,), sign)
+                data = fock._block_values(pattern, c, frame_r)
+                assert data.size == pattern.indices.size
+                if not np.all(np.concatenate(fock._terms(c, frame_r))):
+                    assert np.count_nonzero(data) < data.size
+                got = sp.csc_matrix((data, pattern.indices, pattern.indptr),
+                                    shape=(m.size, m.size))
+                want, m_ref, n_ref = kron_block(gen, parity, sign)
+                order = np.searchsorted(m_ref * dim + n_ref, m * dim + n)
+                assert_same_block(got, want[order][:, order], scale)
+                assert_same_block(got, block(dim, c, m, n, sign, frame_r), scale)
+
+    @pytest.mark.parametrize("dim", [2, 3, 7, 24])
+    def test_terms_move_the_dissection_grid_by_at_most_one(self, dim):
+        # the separator argument of the dissection order: on the grid
+        # ((m + n) // 2, (n - m) // 2) no entry of any block, folded or not,
+        # couples two unknowns more than one grid line apart
+        for parity in (0, 1):
+            for sign in (1, -1):
+                m, n, pattern = fock._sector(dim, (parity,), sign)
+                cols = np.repeat(np.arange(m.size), np.diff(pattern.indptr))
+                for coord in ((m + n) // 2, (n - m) // 2):
+                    assert np.abs(coord[pattern.indices] - coord[cols]).max(initial=0) <= 1
+
+    def test_dissection_order_keeps_fill_low_in_every_sector(self):
+        # a shifted block, as an implicit step factors it, in the cached order
+        # against row-major: about half the fill at dim 64 (47 508 against
+        # 88 812 for the real even block), whatever the parity and sign
+        c = coefficients(VERIFY_POINT)
+        for parity in (0, 1):
+            for sign in (1, -1):
+                fills = []
+                for m, n in (fock._sector(64, (parity,), sign)[:2],
+                             row_major_unknowns(64, (parity,), sign)):
+                    gen = block(64, c, m, n, sign)
+                    shifted = sp.identity(m.size, format="csc") - (0.1 / abs(gen).max()) * gen
+                    fills.append(spla.splu(shifted.tocsc(), permc_spec="NATURAL",
+                                           diag_pivot_thresh=0.1).nnz)
+                assert fills[0] < 0.6 * fills[1]
 
     def test_sparse_matches_dense(self, rng):
         c = coefficients(SystemParams(a=12, kappa=1.1, beta=0.6, epsilon=0.4))
@@ -532,10 +584,19 @@ class TestEvolve:
         monkeypatch.setattr(fock, "_block_pattern", lambda *args: pytest.fail("built"))
         again = fock.evolve(fock.vacuum(40), p, 0.2)
         assert np.array_equal(again.data, first.data)
-        m, n, pattern = fock._folded_pattern(40, (0,), 1)
+        m, n, pattern = fock._sector(40, (0,), 1)
         for arr in (m, n, *pattern):
             with pytest.raises(ValueError):
                 arr[0] = 1
+
+    def test_transient_after_solve_builds_no_pattern(self, monkeypatch):
+        # the steady state and evolve read one cache: a transient from vacuum
+        # at a dim already solved at finds its real even block there
+        p = SystemParams(a=4, kappa=0.8, beta=0.2).with_relative_drive(0.5)
+        fock.steady_state(p, 40, boundary_tol=None)
+        monkeypatch.setattr(fock, "_block_pattern", lambda *args: pytest.fail("built"))
+        rho = fock.evolve(fock.vacuum(40), p, 0.2)
+        assert rho.trace_err < 1e-12 and np.abs(np.diag(rho.data, k=2)).max() > 1e-3
 
     @pytest.mark.parametrize("size, density", [(1, 1.0), (40, 0.2), (300, 0.02)])
     def test_fused_stage_is_scaled_matvec_plus_x(self, rng, size, density):
@@ -607,10 +668,14 @@ class TestSteadyState:
         # L + U of the folded system in nested-dissection order; a
         # minimum-degree ordering on A^T + A fills to 1 286 436 here
         assert 0 < rho.lu_nnz < 1_286_436
-        m, n = fock._dissected_even_block(256)
+        # each (parity, sign) sector's cached unknowns are exactly its block's
         rows, cols = np.divmod(np.arange(256 * 256), 256)
-        even_upper = np.flatnonzero((rows <= cols) & ((cols - rows) % 2 == 0))
-        assert np.array_equal(np.sort(m * 256 + n), even_upper)
+        for parity in (0, 1):
+            for sign in (1, -1):
+                m, n, _ = fock._sector(256, (parity,), sign)
+                folded = (rows <= cols) if sign > 0 else (rows < cols)
+                want = np.flatnonzero(folded & ((cols - rows) % 2 == parity))
+                assert np.array_equal(np.sort(m * 256 + n), want)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(8, 32))
@@ -645,10 +710,10 @@ class TestSteadyState:
         assert calls == ["splu", "solve"]
 
     def test_dissection_order_cached_read_only(self):
-        m, n = fock._dissected_even_block(48)
-        again = fock._dissected_even_block(48)
-        assert again[0] is m and again[1] is n
-        for arr in (m, n):
+        m, n, pattern = fock._sector(48, (0,), 1)
+        again = fock._sector(48, (0,), 1)
+        assert again[0] is m and again[1] is n and again[2] is pattern
+        for arr in (m, n, *pattern):
             with pytest.raises(ValueError):
                 arr[0] = 1
 
@@ -656,7 +721,7 @@ class TestSteadyState:
         # a second solve at one dim builds no pattern, and SuperLU reads the
         # cached structure itself, not a copy of it
         fock.steady_state(VERIFY_POINT, 36, boundary_tol=None)
-        hits, misses = fock._even_pattern.cache_info()[:2]
+        hits, misses = fock._sector.cache_info()[:2]
         monkeypatch.setattr(fock, "_block_pattern", lambda *args: pytest.fail("built"))
         systems = []
         real_splu = spla.splu
@@ -667,20 +732,20 @@ class TestSteadyState:
 
         monkeypatch.setattr(spla, "splu", splu)
         rho = fock.steady_state(FIG6_POINT, 36, boundary_tol=None)
-        assert fock._even_pattern.cache_info()[:2] == (hits + 1, misses)
-        pattern, row, diag = fock._even_pattern(36)
+        assert fock._sector.cache_info()[:2] == (hits + 1, misses)
+        m, n, pattern = fock._sector(36, (0,), 1)
         (system, factored), = systems
         assert np.shares_memory(system.indices, pattern.indices)
         assert np.shares_memory(system.indptr, pattern.indptr)
         # the row of rho_00 read max |L| rho_00 = max |L|, and L is whole again
         data = fock._block_values(pattern, coefficients(FIG6_POINT))
-        pin = pattern.indices[diag]
+        pin = np.flatnonzero((m == 0) & (n == 0))[0]
         pinned = factored.tocsr()[pin]
         pinned.eliminate_zeros()
         assert pinned.indices.tolist() == [pin] and pinned.data[0] == np.abs(data).max()
         assert np.array_equal(system.data, data)
         assert rho.residual < 1e-10
-        for arr in (*pattern, row):
+        for arr in (m, n, *pattern):
             with pytest.raises(ValueError):
                 arr[0] = 1
 
@@ -781,8 +846,8 @@ class TestSteadyState:
     @pytest.mark.parametrize("dim", [64.5, 64.0, np.float64(64.0), True, "64"],
                              ids=["fraction", "float", "numpy-float", "bool", "str"])
     def test_non_integer_basis_rejected(self, dim):
-        # the order for dim 64 is cached first: 64.0 would find its entry
-        fock._dissected_even_block(64)
+        # the block for dim 64 is cached first: 64.0 would find its entry
+        fock._sector(64, (0,), 1)
         with pytest.raises(InvalidParameterError, match="dim must be an integer"):
             fock.steady_state(VERIFY_POINT, dim)
 
